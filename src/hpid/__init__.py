@@ -7,7 +7,7 @@ linear PID, a deterministic RK4 simulation harness, and the performance
 indices used to compare the two controllers.
 """
 
-from .control import GainSet, HpidState, hpid_step, pid_step, reset
+from .control import GainSet, HpidState, hpid_law, hpid_step, pid_step, reset
 from .homogeneity import (
     BracketError,
     CanonicalNorm,
@@ -21,24 +21,19 @@ from .homogeneity import (
     check_strict_monotonicity,
     dilation_apply,
     error_pair_dilation,
-    experimental_norm,
     extended_state_dilation,
     hom_norm,
     standard_dilation,
     verify_field_homogeneity,
-    weighted_sum_norm,
 )
 from .metrics import MetricsReport, compare, iavc, itae, ivc, l2_norm, pointwise_norm
 from .plant import (
     DisturbanceSpec,
-    ExtendedState,
     JointConfig,
     JointPlantConfig,
     ReferenceSpec,
     closed_loop_field,
     default_six_joint_plant,
-    double_integrator_rhs,
-    feedback_linearized_joint_rhs,
     make_closed_loop_field,
     reference_eval,
 )

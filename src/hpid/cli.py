@@ -46,10 +46,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,8 +81,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
-
-WORKERS_ENV_VAR = "HPID_WORKERS"
 
 _FMT = "%.17g"  # round-trips float64 exactly
 
@@ -177,11 +173,14 @@ class _SectionReader:
         self.kind = section["kind"]
         self.line = section["line"]
         self.items = dict(section["items"])
+        self.key_lines = {key: lineno for key, (_, lineno) in self.items.items()}
         self.problems = problems
 
     def error(self, key: str, lineno: int | None, msg: str) -> None:
-        where = f"line {lineno}: " if lineno is not None else f"line {self.line}: "
-        self.problems.append(f"{where}[{self.kind} {self.name}] {msg}" + (f" (key {key!r})" if key else ""))
+        # a key's own line, even once an accessor has consumed it; else the header's
+        if lineno is None:
+            lineno = self.key_lines.get(key, self.line)
+        self.problems.append(f"line {lineno}: [{self.kind} {self.name}] {msg}" + (f" (key {key!r})" if key else ""))
 
     def raw(self, key: str, default: str | None = None):
         if key in self.items:
@@ -591,16 +590,6 @@ def certificate_csv_text(cert: StabilityCertificate) -> str:
 # subcommands
 
 
-def _resolve_workers(flag_value: int | None) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer {WORKERS_ENV_VAR}={env!r}", file=sys.stderr)
-    return max(1, flag_value or 1)
-
-
 def _warn_uncertified(scn: Scenario) -> None:
     if scn.controller != "hpid" or scn.mu == 0.0:
         return
@@ -616,8 +605,8 @@ def _warn_uncertified(scn: Scenario) -> None:
         )
 
 
-def cmd_simulate(cfg: RunConfig, out_dir, workers: int = 1) -> int:
-    """Run every scenario; one CSV per scenario in out_dir."""
+def cmd_simulate(cfg: RunConfig, out_dir) -> int:
+    """Run every scenario; one CSV per scenario in out_dir, none if any diverges."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.scenarios:
@@ -625,16 +614,8 @@ def cmd_simulate(cfg: RunConfig, out_dir, workers: int = 1) -> int:
         return EXIT_CONFIG
     for scn in cfg.scenarios:
         _warn_uncertified(scn)
-
-    def run(scn: Scenario) -> str:
-        return trajectory_csv_text(simulate(scn))
-
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                texts = list(pool.map(run, cfg.scenarios))
-        else:
-            texts = [run(scn) for scn in cfg.scenarios]
+        texts = [trajectory_csv_text(simulate(scn)) for scn in cfg.scenarios]
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -646,13 +627,22 @@ def cmd_simulate(cfg: RunConfig, out_dir, workers: int = 1) -> int:
 
 
 def cmd_compare(cfg: RunConfig, out_dir) -> int:
-    """Run each comparison pair (or fixture) and write the index table."""
+    """Run each comparison pair (or fixture) and write the index table.
+
+    A scenario named by several jobs is simulated once; its trajectory is
+    dropped after the last job that names it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.compares:
         print("nothing to compare (no [compare] sections)", file=sys.stderr)
         return EXIT_CONFIG
-    for job in cfg.compares:
+    last_use = {}  # scenario name -> index of the last job that names it
+    for k, job in enumerate(cfg.compares):
+        if not job.fixture:
+            last_use[job.pid] = last_use[job.hpid] = k
+    runs: dict[str, Trajectory] = {}
+    for k, job in enumerate(cfg.compares):
         if job.fixture:
             text = comparison_csv_text(
                 None,
@@ -660,16 +650,20 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
                 fixture_l2=(fixtures.HARDWARE_L2_CONTROL, fixtures.HARDWARE_L2_ERROR, fixtures.HARDWARE_L2_ERROR_ALT),
             )
         else:
-            pid_scn = cfg.scenario(job.pid)
-            hpid_scn = cfg.scenario(job.hpid)
             try:
-                report = metrics.compare(simulate(pid_scn), simulate(hpid_scn))
+                for name in (job.pid, job.hpid):
+                    if name not in runs:
+                        runs[name] = simulate(cfg.scenario(name))
+                report = metrics.compare(runs[job.pid], runs[job.hpid])
             except DivergenceError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_DIVERGENCE
             except ValueError as exc:
                 print(f"error: [compare {job.name}] {exc}", file=sys.stderr)
                 return EXIT_CONFIG
+            for name in (job.pid, job.hpid):
+                if last_use[name] == k:
+                    runs.pop(name, None)
             text = comparison_csv_text(report)
         path = out / f"{job.name}.csv"
         path.write_text(text, encoding="utf-8", newline="\n")
@@ -736,7 +730,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="integrate scenarios to CSV trajectories")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--seed", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="PID vs hPID index table")
@@ -756,7 +749,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "simulate":
             cfg = _load_config(args.config, args.seed)
-            return cmd_simulate(cfg, args.out, workers=_resolve_workers(args.workers))
+            return cmd_simulate(cfg, args.out)
         if args.command == "compare":
             cfg = _load_config(args.config, args.seed)
             return cmd_compare(cfg, args.out)

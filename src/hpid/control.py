@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .homogeneity import Dilation, HomNormSpec, WeightedSumNorm, error_pair_dilation, norm_evaluator
+from .homogeneity import HomNormSpec, WeightedSumNorm, error_pair_dilation, norm_evaluator
 
-__all__ = ["GainSet", "HpidState", "pid_step", "hpid_step", "reset"]
+__all__ = ["GainSet", "HpidState", "hpid_law", "pid_step", "hpid_step", "reset"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,34 @@ def pid_step(gains: GainSet, integral_acc: float, eps: float, deps: float, dt: f
     return u, acc
 
 
+def hpid_law(
+    gains: GainSet, mu: float, norm: HomNormSpec, norm_floor: float
+) -> Callable[[float, float], tuple[float, float]]:
+    """The homogeneous PID law as a closure (e, de) -> (pd, integrand).
+
+    pd = kp nu^{2 mu} e + kd nu^{mu} de is the proportional-derivative action
+    and integrand = nu^{3 mu} e the rate of the integral channel, so the
+    control is u = pd + ki * integral(integrand).  nu = max(||(e, de)||_d,
+    norm_floor).  At mu = 0 no norm is evaluated and the pair is the linear
+    (kp e + kd de, e).  Every plant and the discrete stepper share this law.
+    """
+    if not (math.isfinite(norm_floor) and norm_floor > 0.0):
+        raise ValueError(f"norm_floor must be a positive real, got {norm_floor}")
+    kp, kd = gains.kp, gains.kd
+    if mu == 0.0:
+        return lambda e, de: (kp * e + kd * de, e)
+    nu_of = norm_evaluator(norm, error_pair_dilation(mu))
+    two_mu, three_mu = 2.0 * mu, 3.0 * mu
+
+    def law(e: float, de: float) -> tuple[float, float]:
+        nu = nu_of(e, de)
+        if nu < norm_floor:
+            nu = norm_floor
+        return kp * nu**two_mu * e + kd * nu**mu * de, nu**three_mu * e
+
+    return law
+
+
 @dataclass(frozen=True)
 class HpidState:
     """Immutable homogeneous-PID controller state.
@@ -91,41 +120,25 @@ class HpidState:
     norm_floor: float = 1e-9
 
     def __post_init__(self):
-        mu = float(self.mu)
-        if not (math.isfinite(mu) and -0.5 < mu < 0.5):
-            raise ValueError(f"mu must lie in (-0.5, 0.5), got {mu}")
-        object.__setattr__(self, "mu", mu)
-        floor = float(self.norm_floor)
-        if not (math.isfinite(floor) and floor > 0.0):
-            raise ValueError(f"norm_floor must be a positive real, got {floor}")
-        object.__setattr__(self, "norm_floor", floor)
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "norm_floor", float(self.norm_floor))
         object.__setattr__(self, "integral_acc", float(self.integral_acc))
-        # validate the norm/dilation pairing once and keep the fast closure
-        object.__setattr__(self, "_norm_eval", norm_evaluator(self.norm, self.dilation))
-
-    @property
-    def dilation(self) -> Dilation:
-        return error_pair_dilation(self.mu)
-
-    def error_norm(self, eps: float, deps: float) -> float:
-        """||(e, de)||_d clamped from below at norm_floor."""
-        return max(self._norm_eval(eps, deps), self.norm_floor)
+        # validates mu, the floor and the norm/dilation pairing once
+        object.__setattr__(self, "_law", hpid_law(self.gains, self.mu, self.norm, self.norm_floor))
 
 
 def hpid_step(state: HpidState, eps: float, deps: float, dt: float):
     """One homogeneous PID evaluation; returns (u, new state).
 
-    nu = max(||(e, de)||_d, norm_floor); the integral accumulates
-    nu^{3 mu} * e by the rectangle rule, matching pid_step exactly at mu = 0.
+    The integral accumulates nu^{3 mu} * e by the rectangle rule, and the
+    output includes the current sample, matching pid_step exactly at mu = 0.
     """
     _require_finite(eps=eps, deps=deps, dt=dt)
     if dt < 0.0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    nu = state.error_norm(eps, deps)
-    mu = state.mu
-    acc = state.integral_acc + nu ** (3.0 * mu) * eps * dt
-    u = state.gains.kp * nu ** (2.0 * mu) * eps + state.gains.kd * nu**mu * deps + state.gains.ki * acc
-    return u, replace(state, integral_acc=acc)
+    pd, integrand = state._law(eps, deps)
+    acc = state.integral_acc + integrand * dt
+    return pd + state.gains.ki * acc, replace(state, integral_acc=acc)
 
 
 def reset(state: HpidState) -> HpidState:

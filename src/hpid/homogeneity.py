@@ -15,6 +15,8 @@ provided:
 * an error-pair norm  |e|^{1/(1-mu)} / z1_max + c |de|  used by the
   homogeneous PID on the (error, error-rate) plane.
 
+norm_evaluator (and hom_norm on top of it) evaluates every kind on the
+two-dimensional error pair; canonical_norm also works in n dimensions.
 The module also verifies numerically that a vector field g is
 d-homogeneous of degree mu, i.e. g(d(s) x) = e^{mu s} d(s) g(x).
 """
@@ -41,10 +43,8 @@ __all__ = [
     "extended_state_dilation",
     "dilation_apply",
     "check_strict_monotonicity",
-    "weighted_sum_norm",
     "canonical_norm",
     "canonical_norm_gradient",
-    "experimental_norm",
     "hom_norm",
     "norm_evaluator",
     "verify_field_homogeneity",
@@ -84,9 +84,6 @@ class Dilation:
     def scales(self, s: float) -> np.ndarray:
         """Diagonal of d(s), i.e. the component-wise factors e^{r_i s}."""
         return np.exp(np.asarray(self.weights) * float(s))
-
-    def apply(self, s: float, x) -> np.ndarray:
-        return dilation_apply(self, s, x)
 
 
 def standard_dilation(n: int) -> Dilation:
@@ -231,16 +228,6 @@ def check_strict_monotonicity(dil: Dilation, P, tol: float = 1e-10) -> bool:
     return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()) > tol
 
 
-def weighted_sum_norm(spec: WeightedSumNorm, dil: Dilation, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dil.n,) or len(spec.coefficients) != dil.n:
-        raise ValueError("dimension mismatch between x, dilation and coefficients")
-    total = 0.0
-    for c, w, xi in zip(spec.coefficients, dil.weights, x):
-        total += c * abs(xi) ** (1.0 / w)
-    return total
-
-
 def _p_norm(P: np.ndarray, z: np.ndarray) -> float:
     return math.sqrt(float(z @ P @ z))
 
@@ -344,26 +331,12 @@ def canonical_norm_gradient(spec: CanonicalNorm, dil: Dilation, x) -> np.ndarray
     return lam * (Pz * scales) / denom
 
 
-def experimental_norm(spec: ExperimentalNorm, xi) -> float:
-    """|xi_1|^{1/(1-mu)} / zeta1_max + gamma |xi_2| on the error pair."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {xi.shape}")
-    return abs(xi[0]) ** (1.0 / (1.0 - spec.mu)) / spec.zeta1_max + spec.gamma * abs(xi[1])
-
-
 def hom_norm(spec: HomNormSpec, dil: Dilation, x) -> float:
-    """Evaluate any homogeneous-norm variant against its dilation."""
-    if isinstance(spec, WeightedSumNorm):
-        return weighted_sum_norm(spec, dil, x)
-    if isinstance(spec, CanonicalNorm):
-        return canonical_norm(spec, dil, x)
-    if isinstance(spec, ExperimentalNorm):
-        expected = (1.0 - spec.mu, 1.0)
-        if dil.n != 2 or any(abs(a - b) > 1e-12 for a, b in zip(dil.weights, expected)):
-            raise ValueError(f"experimental norm requires dilation weights {expected}, got {dil.weights}")
-        return experimental_norm(spec, x)
-    raise TypeError(f"unknown norm spec {type(spec).__name__}")
+    """Evaluate any homogeneous-norm variant at a point of the error-pair plane."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dil.n,):
+        raise ValueError(f"expected vector of dimension {dil.n}, got shape {x.shape}")
+    return norm_evaluator(spec, dil)(*x.tolist())
 
 
 def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[[float, float], float]:

@@ -1,5 +1,5 @@
-"""Plant models: disturbed double integrator, the extended closed-loop
-field, and the decentralized multi-joint tracking-error plant.
+"""Plant models: the extended closed-loop field of the disturbed double
+integrator, and the decentralized multi-joint tracking-error plant.
 
 The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual
@@ -16,65 +16,26 @@ from typing import Callable
 
 import numpy as np
 
-from .control import GainSet
-from .homogeneity import (
-    HomNormSpec,
-    WeightedSumNorm,
-    ExperimentalNorm,
-    error_pair_dilation,
-    norm_evaluator,
-)
+from .control import GainSet, hpid_law
+from .homogeneity import ExperimentalNorm, HomNormSpec, WeightedSumNorm
 
 __all__ = [
-    "ExtendedState",
     "ReferenceSpec",
     "DisturbanceSpec",
     "JointConfig",
     "JointPlantConfig",
-    "double_integrator_rhs",
     "closed_loop_field",
     "make_closed_loop_field",
-    "feedback_linearized_joint_rhs",
     "reference_eval",
     "default_six_joint_plant",
 ]
 
 
-@dataclass(frozen=True)
-class ExtendedState:
-    """Closed-loop state record: tracking error, its rate, and the
-    disturbance-augmented integral channel."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        for name in ("x1", "x2", "x3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-    @classmethod
-    def from_array(cls, x) -> "ExtendedState":
-        x = np.asarray(x, dtype=float)
-        return cls(float(x[0]), float(x[1]), float(x[2]))
-
-
-def double_integrator_rhs(eps: float, deps: float, u: float, p: float):
-    """Error dynamics (de, u + p) of the disturbed double integrator."""
-    return deps, u + p
-
-
 def closed_loop_field(x, gains: GainSet, mu: float, norm: HomNormSpec, norm_floor: float = 1e-9) -> np.ndarray:
     """Extended closed-loop vector field of the hPID-controlled loop.
 
-    Returns (x2, kp nu^{2mu} x1 + kd nu^{mu} x2 + x3, ki nu^{3mu} x1) with
-    nu the regularized homogeneous norm of (x1, x2).  At mu = 0 the field
+    Returns (x2, pd + x3, ki * integrand) with (pd, integrand) the hPID law
+    (control.hpid_law) at (x1, x2).  At mu = 0 the field
     is evaluated as A @ x with no norm evaluation at all, so the linear
     case is exact.
     """
@@ -88,29 +49,15 @@ def make_closed_loop_field(
     if mu == 0.0:
         A = gains.a_matrix()
         return lambda x: A @ x
-    if not (math.isfinite(norm_floor) and norm_floor > 0.0):
-        raise ValueError(f"norm_floor must be a positive real, got {norm_floor}")
-    nu_of = norm_evaluator(norm, error_pair_dilation(mu))
-    kp, kd, ki = gains.kp, gains.kd, gains.ki
-    two_mu, three_mu = 2.0 * mu, 3.0 * mu
+    law = hpid_law(gains, mu, norm, norm_floor)
+    ki = gains.ki
 
     def field(x: np.ndarray) -> np.ndarray:
         x1, x2, x3 = x
-        nu = nu_of(x1, x2)
-        if nu < norm_floor:
-            nu = norm_floor
-        return np.array([x2, kp * nu**two_mu * x1 + kd * nu**mu * x2 + x3, ki * nu**three_mu * x1])
+        pd, integrand = law(x1, x2)
+        return np.array([x2, pd + x3, ki * integrand])
 
     return field
-
-
-def feedback_linearized_joint_rhs(delta_a: float, delta_b: float, u_fb: float, disturbance: float):
-    """Per-joint error dynamics after the known dynamics are cancelled.
-
-    u_fb is the signed PID/hPID residual; the disturbance collects the
-    bounded cancellation mismatch.
-    """
-    return delta_b, u_fb - disturbance
 
 
 @dataclass(frozen=True)
@@ -187,12 +134,8 @@ class JointConfig:
     norm_floor: float = 1e-9
 
     def __post_init__(self):
-        mu = float(self.mu)
-        if not (math.isfinite(mu) and -0.5 < mu < 0.5):
-            raise ValueError(f"mu must lie in (-0.5, 0.5), got {mu}")
-        object.__setattr__(self, "mu", mu)
-        if mu != 0.0:
-            norm_evaluator(self.norm, error_pair_dilation(mu))
+        object.__setattr__(self, "mu", float(self.mu))
+        hpid_law(self.gains, self.mu, self.norm, self.norm_floor)  # validates mu, floor and norm
 
 
 @dataclass(frozen=True)

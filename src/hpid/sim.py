@@ -24,14 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .control import GainSet
-from .homogeneity import (
-    HomNormSpec,
-    WeightedSumNorm,
-    error_pair_dilation,
-    extended_state_dilation,
-    norm_evaluator,
-)
+from .control import GainSet, hpid_law
+from .homogeneity import HomNormSpec, WeightedSumNorm, extended_state_dilation
 from .plant import JointPlantConfig, make_closed_loop_field, reference_eval
 
 __all__ = [
@@ -80,8 +74,6 @@ class Scenario:
         if self.controller not in ("pid", "hpid"):
             raise ValueError(f"unknown controller {self.controller!r}")
         mu = float(self.mu)
-        if not (math.isfinite(mu) and -0.5 < mu < 0.5):
-            raise ValueError(f"mu must lie in (-0.5, 0.5), got {mu}")
         if self.controller == "pid" and mu != 0.0:
             raise ValueError("a pid scenario must keep mu = 0")
         object.__setattr__(self, "mu", mu)
@@ -94,18 +86,14 @@ class Scenario:
             raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
         object.__setattr__(self, "horizon", T)
         object.__setattr__(self, "step", h)
-        floor = float(self.norm_floor)
-        if not (math.isfinite(floor) and floor > 0.0):
-            raise ValueError(f"norm_floor must be a positive real, got {floor}")
-        object.__setattr__(self, "norm_floor", floor)
+        object.__setattr__(self, "norm_floor", float(self.norm_floor))
+        hpid_law(self.gains, mu, self.norm, self.norm_floor)  # validates mu, floor and norm
         x0 = tuple(float(v) for v in self.x0)
         if len(x0) != 3 or not all(math.isfinite(v) for v in x0):
             raise ValueError(f"x0 must be three finite reals, got {self.x0}")
         object.__setattr__(self, "x0", x0)
         if self.plant == "joints" and self.joint_plant is None:
             raise ValueError("a joints scenario needs a joint_plant config")
-        if self.mu != 0.0:
-            norm_evaluator(self.norm, error_pair_dilation(self.mu))
 
     @property
     def effective_mu(self) -> float:
@@ -164,100 +152,64 @@ def simulate(scn: Scenario) -> Trajectory:
 
 
 def _simulate_extended(scn: Scenario) -> Trajectory:
-    mu = scn.effective_mu
-    fld = make_closed_loop_field(scn.gains, mu, scn.norm, scn.norm_floor)
-    n = scn.n_steps()
-    h = scn.step
-    times = np.arange(n + 1) * h
-    states = np.empty((n + 1, 3))
-    x = np.array(scn.x0, dtype=float)
+    fld = make_closed_loop_field(scn.gains, scn.effective_mu, scn.norm, scn.norm_floor)
+    law = hpid_law(scn.gains, scn.effective_mu, scn.norm, scn.norm_floor)
     p = scn.x0[2]  # disturbance sits in the integral channel at t = 0
-    states[0] = x
 
-    def rhs(t, y):
-        return fld(y)
+    def control(y):
+        # the acceleration channel is u + p
+        return law(y[0], y[1])[0] + y[2] - p
 
-    for i in range(n):
-        x = rk4_step(rhs, x, times[i], h)
-        if float(np.abs(x).max()) > DIVERGENCE_LIMIT:
-            raise DivergenceError(times[i + 1], f"|x| > {DIVERGENCE_LIMIT:g}")
-        states[i + 1] = x
-
-    # recover the applied control: the acceleration channel is u + p
-    if mu == 0.0:
-        kp, kd, _ = scn.gains.kp, scn.gains.kd, scn.gains.ki
-        u = kp * states[:, 0] + kd * states[:, 1] + states[:, 2] - p
-    else:
-        nu_of = norm_evaluator(scn.norm, error_pair_dilation(mu))
-        floor = scn.norm_floor
-        kp, kd = scn.gains.kp, scn.gains.kd
-        u = np.empty(n + 1)
-        for i in range(n + 1):
-            x1, x2, x3 = states[i]
-            nu = max(nu_of(x1, x2), floor)
-            u[i] = kp * nu ** (2.0 * mu) * x1 + kd * nu**mu * x2 + x3 - p
-    return Trajectory(
-        times=times,
-        states=states,
-        controls=u.reshape(-1, 1),
-        errors=states[:, 0].copy().reshape(-1, 1),
-        scenario=scn,
-    )
+    return _integrate(scn, np.array(scn.x0, dtype=float), lambda t, y: fld(y), control)
 
 
 def _simulate_joints(scn: Scenario) -> Trajectory:
-    plant = scn.joint_plant
-    m = plant.n_joints
+    joints = [
+        (hpid_law(jc.gains, jc.mu, jc.norm, jc.norm_floor), jc.gains.ki, jc.disturbance.eval)
+        for jc in scn.joint_plant.joints
+    ]
+
+    def rhs(t, y):
+        v = y.tolist()
+        out = []
+        for j, (law, ki, dist) in enumerate(joints):
+            e, de, acc = v[3 * j : 3 * j + 3]
+            pd, integrand = law(e, de)
+            out += (de, pd + ki * acc - dist(t), integrand)
+        return np.array(out)
+
+    def control(y):
+        v = y.tolist()
+        return [law(v[3 * j], v[3 * j + 1])[0] + ki * v[3 * j + 2] for j, (law, ki, _) in enumerate(joints)]
+
+    # joints start from rest at zero position: error = reference at t = 0
+    y0 = []
+    for jc in scn.joint_plant.joints:
+        pos, vel, _ = reference_eval(jc.reference, 0.0)
+        y0 += (pos, vel, 0.0)
+    return _integrate(scn, np.array(y0), rhs, control)
+
+
+def _integrate(scn: Scenario, y0: np.ndarray, rhs, control) -> Trajectory:
+    """RK4 on the scenario's grid; control(y) gives the applied control per channel.
+
+    Each channel is a three-state block (error, error rate, integral), so the
+    tracking errors are every third state.
+    """
     n = scn.n_steps()
     h = scn.step
     times = np.arange(n + 1) * h
-
-    # per-joint fast pieces: control term evaluators and disturbances
-    joint_fns = []
-    for jc in plant.joints:
-        if jc.mu == 0.0:
-            nu_of = None
-        else:
-            nu_of = norm_evaluator(jc.norm, error_pair_dilation(jc.mu))
-        joint_fns.append((jc, nu_of))
-
-    def control_of(j: int, da: float, db: float, acc: float) -> float:
-        jc, nu_of = joint_fns[j]
-        if nu_of is None:
-            return jc.gains.kp * da + jc.gains.kd * db + jc.gains.ki * acc
-        nu = max(nu_of(da, db), jc.norm_floor)
-        mu = jc.mu
-        return jc.gains.kp * nu ** (2.0 * mu) * da + jc.gains.kd * nu**mu * db + jc.gains.ki * acc
-
-    def rhs(t, y):
-        out = np.empty(3 * m)
-        for j in range(m):
-            jc, nu_of = joint_fns[j]
-            da, db, acc = y[3 * j], y[3 * j + 1], y[3 * j + 2]
-            u = control_of(j, da, db, acc)
-            out[3 * j] = db
-            out[3 * j + 1] = u - jc.disturbance.eval(t)
-            out[3 * j + 2] = da if nu_of is None else max(nu_of(da, db), jc.norm_floor) ** (3.0 * jc.mu) * da
-        return out
-
-    # joints start from rest at zero position: error = reference at t = 0
-    y = np.empty(3 * m)
-    for j, jc in enumerate(plant.joints):
-        pos, vel, _ = reference_eval(jc.reference, 0.0)
-        y[3 * j : 3 * j + 3] = (pos, vel, 0.0)
-
-    states = np.empty((n + 1, 3 * m))
-    controls = np.empty((n + 1, m))
-    states[0] = y
-    controls[0] = [control_of(j, y[3 * j], y[3 * j + 1], y[3 * j + 2]) for j in range(m)]
+    states = np.empty((n + 1, len(y0)))
+    controls = np.empty((n + 1, len(y0) // 3))
+    y = states[0] = y0
+    controls[0] = control(y)
     for i in range(n):
         y = rk4_step(rhs, y, times[i], h)
         if float(np.abs(y).max()) > DIVERGENCE_LIMIT:
             raise DivergenceError(times[i + 1], f"|x| > {DIVERGENCE_LIMIT:g}")
         states[i + 1] = y
-        controls[i + 1] = [control_of(j, y[3 * j], y[3 * j + 1], y[3 * j + 2]) for j in range(m)]
-    errors = states[:, 0::3].copy()
-    return Trajectory(times=times, states=states, controls=controls, errors=errors, scenario=scn)
+        controls[i + 1] = control(y)
+    return Trajectory(times=times, states=states, controls=controls, errors=states[:, 0::3].copy(), scenario=scn)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,22 @@ class TestParseConfig:
             cli.parse_config("[scenario s]\ncontroller = hpid\nmu = 0.7\n")
         assert any("mu must lie in (-0.5, 0.5)" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("[scenario a]\ncontroller = hpid\n\nmu = 0.7\n", 4),
+            ("[scenario a]\nplant = joints\nn_joints = 3\nref_amplitude = 1, 2\n", 4),
+            ("[scenario a]\n\nx0 = 1, 2\n", 3),
+        ],
+        ids=["mu", "ref_amplitude", "x0"],
+    )
+    def test_key_error_cites_key_line(self, text, line):
+        # the key's own line, not the section header's
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(text)
+        assert err.value.problems
+        assert all(p.startswith(f"line {line}: ") for p in err.value.problems), err.value.problems
+
     def test_unknown_key_has_line_number(self):
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config("[scenario s]\nbogus_key = 3\n")
@@ -192,16 +208,6 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out2)]) == 0
         assert (out1 / "det.csv").read_bytes() == (out2 / "det.csv").read_bytes()
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        cfgfile = tmp_path / "cfg"
-        cfgfile.write_text(
-            "[scenario a]\nT = 1.0\nh = 0.01\n\n[scenario b]\nT = 1.0\nh = 0.01\nx0 = 0.5, 0, 0.1\n"
-        )
-        monkeypatch.setenv(cli.WORKERS_ENV_VAR, "2")
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out), "--workers", "1"]) == 0
-        assert (out / "a.csv").exists() and (out / "b.csv").exists()
-
     def test_joints_csv_schema(self, tmp_path):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("[scenario j]\nplant = joints\nn_joints = 2\nT = 1.0\nh = 0.01\n")
@@ -223,6 +229,26 @@ class TestCompareCommand:
             if line[0].isdigit():
                 _, ivc_p, ivc_h, iavc_p, iavc_h, itae_p, itae_h = line.split(",")
                 assert ivc_p == ivc_h and iavc_p == iavc_h and itae_p == itae_h
+
+    def test_scenario_named_by_several_jobs_simulated_once(self, tmp_path, monkeypatch):
+        simulated = []
+
+        def counting_simulate(scn, real=cli.simulate):
+            simulated.append(scn.name)
+            return real(scn)
+
+        monkeypatch.setattr(cli, "simulate", counting_simulate)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(
+            "[scenario p]\nT = 1.0\nh = 0.01\n\n"
+            "[scenario a]\ncontroller = hpid\nmu = 0.1\nT = 1.0\nh = 0.01\n\n"
+            "[scenario b]\ncontroller = hpid\nmu = -0.1\nT = 1.0\nh = 0.01\n\n"
+            "[compare pa]\npid = p\nhpid = a\n\n[compare pb]\npid = p\nhpid = b\n\n"
+            "[compare self]\npid = b\nhpid = b\n"
+        )
+        assert cli.main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(simulated) == ["a", "b", "p"]
+        assert all((tmp_path / "out" / f"{job}.csv").exists() for job in ("pa", "pb", "self"))
 
     def test_fixture_injection_byte_exact(self, tmp_path):
         cfgfile = tmp_path / "cfg"

@@ -14,32 +14,17 @@ from hpid.homogeneity import (
 )
 from hpid.plant import (
     DisturbanceSpec,
-    ExtendedState,
     JointConfig,
     JointPlantConfig,
     ReferenceSpec,
     closed_loop_field,
     default_six_joint_plant,
-    double_integrator_rhs,
-    feedback_linearized_joint_rhs,
     make_closed_loop_field,
     reference_eval,
 )
 
 RNG = np.random.default_rng(99)
 GAINS = GainSet(-3.0, -3.0, -1.0)
-
-
-class TestDoubleIntegrator:
-    def test_rest_with_position_error(self):
-        assert double_integrator_rhs(1.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
-
-    def test_direct_substitution(self):
-        assert double_integrator_rhs(0.0, 2.0, -1.0, 0.5) == (2.0, -0.5)
-
-    def test_disturbance_cancellation(self):
-        _, acc = double_integrator_rhs(3.0, -2.0, -0.7, 0.7)
-        assert acc == 0.0
 
 
 class TestClosedLoopField:
@@ -79,12 +64,6 @@ class TestClosedLoopField:
 
 
 class TestJointRhs:
-    def test_rest(self):
-        assert feedback_linearized_joint_rhs(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
-
-    def test_substitution(self):
-        assert feedback_linearized_joint_rhs(1.0, 0.0, -3.0, 0.5) == (0.0, -3.5)
-
     def test_constant_disturbance_rejected_by_integral_action(self):
         # long-horizon homogeneous loop drives the error to zero despite a
         # constant disturbance; the mu = 0 twin of this loop is validated
@@ -140,16 +119,6 @@ class TestDisturbance:
     def test_violating_config_rejected(self):
         with pytest.raises(ValueError):
             DisturbanceSpec(constant=0.4, amplitude=0.2, bound=0.5)
-
-
-class TestExtendedState:
-    def test_round_trip(self):
-        s = ExtendedState(1.0, -2.0, 0.3)
-        assert ExtendedState.from_array(s.as_array()) == s
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ExtendedState(math.inf, 0.0, 0.0)
 
 
 class TestJointPlantConfig:

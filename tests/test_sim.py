@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from hpid.control import GainSet, HpidState, hpid_step
-from hpid.homogeneity import CanonicalNorm, SymMatrix, WeightedSumNorm
-from hpid.plant import default_six_joint_plant
+from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
+from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, default_six_joint_plant
 from hpid.sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
 
 GAINS = GainSet(-3.0, -3.0, -1.0)
@@ -202,8 +202,6 @@ class TestSimulateJoints:
     def test_constant_disturbance_joint_matches_linear_oracle(self):
         # one linear joint with constant disturbance is the extended system
         # with x3(0) = p up to a sign flip of the disturbance channel
-        from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
-
         p = -0.3  # joint rhs subtracts the disturbance
         joint = JointConfig(
             gains=GAINS,
@@ -228,6 +226,26 @@ class TestSimulateJoints:
             sup = max(sup, abs(traj.errors[i, 0] - exact[0]))
         assert sup <= 1e-6
         assert abs(traj.errors[-1, 0]) < 2e-2  # integral action rejects the bias
+
+    @pytest.mark.parametrize("mu", [-0.2, 0.2])
+    @pytest.mark.parametrize("norm_kind", ["weighted_sum", "experimental"])
+    def test_one_hpid_joint_matches_extended_hpid(self, mu, norm_kind):
+        # both plants close the same hPID law: a joint holding offset 1 against
+        # the constant disturbance -p is the extended loop from x0 = (1, 0, p)
+        p = 0.3
+        norm = WeightedSumNorm((1.0, 1.0)) if norm_kind == "weighted_sum" else ExperimentalNorm(1.0, 1.0, mu)
+        joint = JointConfig(
+            gains=GAINS,
+            mu=mu,
+            norm=norm,
+            reference=ReferenceSpec(amplitude=0.0, offset=1.0),
+            disturbance=DisturbanceSpec(constant=-p, bound=0.5),
+        )
+        common = dict(controller="hpid", mu=mu, norm=norm, horizon=3.0, step=1e-3)
+        joints = simulate(Scenario(plant="joints", joint_plant=JointPlantConfig((joint,)), **common))
+        extended = simulate(Scenario(plant="extended", x0=(1.0, 0.0, p), **common))
+        assert np.abs(joints.errors - extended.errors).max() <= 1e-12
+        assert np.abs(joints.controls - extended.controls).max() <= 1e-12
 
     def test_six_joint_shapes_and_determinism(self):
         scn = Scenario(
