@@ -32,7 +32,6 @@ from .plant import (
     JointConfig,
     JointPlantConfig,
     ReferenceSpec,
-    closed_loop_field,
     default_six_joint_plant,
     make_closed_loop_field,
     reference_eval,

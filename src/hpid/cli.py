@@ -67,7 +67,6 @@ __all__ = [
     "CertifyJob",
     "parse_config",
     "format_config",
-    "write_trajectory_csv",
     "read_trajectory_csv",
     "cmd_simulate",
     "cmd_compare",
@@ -322,18 +321,11 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
             except ValueError:
                 r.error("dist_phase", phase_line, f"expected numbers or 'random', got {raw_phase!r}")
                 d_phase = (0.0,) * n_joints
-        if norm is None:
-            r.finish(_SCENARIO_KEYS)
-            return None
         try:
             joints = tuple(
                 JointConfig(
-                    gains=GainSet(kp, kd, ki),
-                    mu=0.0 if controller == "pid" else mu,
-                    norm=norm,
-                    reference=ReferenceSpec(amp[j], freq[j], phase[j], offset[j]),
-                    disturbance=DisturbanceSpec(d_const[j], d_amp[j], d_freq[j], d_phase[j], d_bound[j]),
-                    norm_floor=floor,
+                    ReferenceSpec(amp[j], freq[j], phase[j], offset[j]),
+                    DisturbanceSpec(d_const[j], d_amp[j], d_freq[j], d_phase[j], d_bound[j]),
                 )
                 for j in range(n_joints)
             )
@@ -350,7 +342,6 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
         return None
     try:
         return Scenario(
-            plant=plant,
             controller=controller,
             gains=GainSet(kp, kd, ki),
             mu=0.0 if controller == "pid" else mu,
@@ -517,10 +508,6 @@ def trajectory_csv_text(traj: Trajectory) -> str:
                 row.extend([pos - traj.errors[i, k], traj.controls[i, k], traj.errors[i, k]])
             out.append(",".join(_FMT % v for v in row))
     return "\n".join(out) + "\n"
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    Path(path).write_text(trajectory_csv_text(traj), encoding="utf-8", newline="\n")
 
 
 def read_trajectory_csv(path):

@@ -4,8 +4,10 @@ integrator, and the decentralized multi-joint tracking-error plant.
 The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual
 and a bounded disturbance standing in for cancellation mismatch and
-cross-couplings.  References are sinusoids with analytic derivatives, so
-the admissible-reference consistency (d/dt pos = vel) holds exactly.
+cross-couplings.  Every joint runs the scenario's one controller, so a
+joint is configured by its reference and its disturbance only.  References
+are sinusoids with analytic derivatives, so the admissible-reference
+consistency (d/dt pos = vel) holds exactly.
 """
 
 from __future__ import annotations
@@ -17,35 +19,28 @@ from typing import Callable
 import numpy as np
 
 from .control import GainSet, hpid_law
-from .homogeneity import ExperimentalNorm, HomNormSpec, WeightedSumNorm
+from .homogeneity import HomNormSpec
 
 __all__ = [
     "ReferenceSpec",
     "DisturbanceSpec",
     "JointConfig",
     "JointPlantConfig",
-    "closed_loop_field",
     "make_closed_loop_field",
     "reference_eval",
     "default_six_joint_plant",
 ]
 
 
-def closed_loop_field(x, gains: GainSet, mu: float, norm: HomNormSpec, norm_floor: float = 1e-9) -> np.ndarray:
-    """Extended closed-loop vector field of the hPID-controlled loop.
-
-    Returns (x2, pd + x3, ki * integrand) with (pd, integrand) the hPID law
-    (control.hpid_law) at (x1, x2).  At mu = 0 the field
-    is evaluated as A @ x with no norm evaluation at all, so the linear
-    case is exact.
-    """
-    return make_closed_loop_field(gains, mu, norm, norm_floor)(np.asarray(x, dtype=float))
-
-
 def make_closed_loop_field(
     gains: GainSet, mu: float, norm: HomNormSpec, norm_floor: float = 1e-9
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the extended field once; the returned closure is cheap per call."""
+    """Extended closed-loop vector field of the hPID-controlled loop.
+
+    The returned closure maps x to (x2, pd + x3, ki * integrand) with
+    (pd, integrand) the hPID law (control.hpid_law) at (x1, x2).  At mu = 0
+    it is A @ x with no norm evaluation at all, so the linear case is exact.
+    """
     if mu == 0.0:
         A = gains.a_matrix()
         return lambda x: A @ x
@@ -120,22 +115,15 @@ class DisturbanceSpec:
 
 @dataclass(frozen=True)
 class JointConfig:
-    """One joint of the decentralized plant: controller plus local signals.
+    """One joint of the decentralized plant: its reference and disturbance.
 
-    The joint starts from rest at zero position, so the initial tracking
-    error equals the reference value and rate at t = 0.
+    The joint runs the scenario's controller.  It starts from rest at zero
+    position, so the initial tracking error equals the reference value and
+    rate at t = 0.
     """
 
-    gains: GainSet
-    mu: float
-    norm: HomNormSpec
     reference: ReferenceSpec
     disturbance: DisturbanceSpec
-    norm_floor: float = 1e-9
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        hpid_law(self.gains, self.mu, self.norm, self.norm_floor)  # validates mu, floor and norm
 
 
 @dataclass(frozen=True)
@@ -161,28 +149,13 @@ _JOINT_OFFSETS = (0.5, 0.4, 0.3, 0.35, 0.25, 0.45)
 _JOINT_DIST_PHASES = (0.0, 0.7, 1.4, 2.1, 2.8, 3.5)
 
 
-def default_six_joint_plant(
-    mu: float = 0.0,
-    norm: HomNormSpec | None = None,
-    gains: GainSet | None = None,
-    disturbance_phases: tuple[float, ...] | None = None,
-) -> JointPlantConfig:
-    """The default six-joint desk plant used by the PID-vs-hPID comparison.
-
-    mu = 0 yields the linear PID joints; a nonzero mu needs a norm spec
-    (defaults to the error-pair norm with unit parameters).
-    """
-    gains = gains or GainSet(-3.0, -3.0, -1.0)
-    if norm is None:
-        norm = ExperimentalNorm(1.0, 1.0, mu) if mu != 0.0 else WeightedSumNorm((1.0, 1.0))
+def default_six_joint_plant(disturbance_phases: tuple[float, ...] | None = None) -> JointPlantConfig:
+    """The default six-joint desk plant used by the PID-vs-hPID comparison."""
     phases = disturbance_phases or _JOINT_DIST_PHASES
     joints = []
     for j in range(6):
         joints.append(
             JointConfig(
-                gains=gains,
-                mu=mu,
-                norm=norm,
                 reference=ReferenceSpec(
                     amplitude=_JOINT_AMPLITUDES[j],
                     angular_frequency=_JOINT_FREQUENCIES[j],

@@ -13,7 +13,8 @@ Two plants are supported:
   value of the third state, x3(0) = p.
 * "joints": n independent feedback-linearized joints, each a three-state
   block (tracking error, its rate, homogeneous integral), driven by its
-  bounded disturbance waveform sampled continuously in time.
+  bounded disturbance waveform sampled continuously in time.  Every joint
+  runs the scenario's controller.
 """
 
 from __future__ import annotations
@@ -53,9 +54,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one closed-loop run."""
+    """Everything needed to reproduce one closed-loop run.
 
-    plant: str = "extended"  # "extended" | "joints"
+    gains, mu, norm and norm_floor define the one controller of the run; on
+    the joints plant every joint runs it.  The plant is "joints" exactly
+    when joint_plant is set; x0 applies to the extended plant only.
+    """
+
     controller: str = "pid"  # "pid" | "hpid"
     gains: GainSet = GainSet(-3.0, -3.0, -1.0)
     mu: float = 0.0
@@ -69,8 +74,6 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
-        if self.plant not in ("extended", "joints"):
-            raise ValueError(f"unknown plant {self.plant!r}")
         if self.controller not in ("pid", "hpid"):
             raise ValueError(f"unknown controller {self.controller!r}")
         mu = float(self.mu)
@@ -92,12 +95,10 @@ class Scenario:
         if len(x0) != 3 or not all(math.isfinite(v) for v in x0):
             raise ValueError(f"x0 must be three finite reals, got {self.x0}")
         object.__setattr__(self, "x0", x0)
-        if self.plant == "joints" and self.joint_plant is None:
-            raise ValueError("a joints scenario needs a joint_plant config")
 
     @property
-    def effective_mu(self) -> float:
-        return 0.0 if self.controller == "pid" else self.mu
+    def plant(self) -> str:
+        return "extended" if self.joint_plant is None else "joints"
 
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
@@ -152,8 +153,8 @@ def simulate(scn: Scenario) -> Trajectory:
 
 
 def _simulate_extended(scn: Scenario) -> Trajectory:
-    fld = make_closed_loop_field(scn.gains, scn.effective_mu, scn.norm, scn.norm_floor)
-    law = hpid_law(scn.gains, scn.effective_mu, scn.norm, scn.norm_floor)
+    fld = make_closed_loop_field(scn.gains, scn.mu, scn.norm, scn.norm_floor)
+    law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
     p = scn.x0[2]  # disturbance sits in the integral channel at t = 0
 
     def control(y):
@@ -164,15 +165,14 @@ def _simulate_extended(scn: Scenario) -> Trajectory:
 
 
 def _simulate_joints(scn: Scenario) -> Trajectory:
-    joints = [
-        (hpid_law(jc.gains, jc.mu, jc.norm, jc.norm_floor), jc.gains.ki, jc.disturbance.eval)
-        for jc in scn.joint_plant.joints
-    ]
+    law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
+    ki = scn.gains.ki
+    dists = [jc.disturbance.eval for jc in scn.joint_plant.joints]
 
     def rhs(t, y):
         v = y.tolist()
         out = []
-        for j, (law, ki, dist) in enumerate(joints):
+        for j, dist in enumerate(dists):
             e, de, acc = v[3 * j : 3 * j + 3]
             pd, integrand = law(e, de)
             out += (de, pd + ki * acc - dist(t), integrand)
@@ -180,7 +180,7 @@ def _simulate_joints(scn: Scenario) -> Trajectory:
 
     def control(y):
         v = y.tolist()
-        return [law(v[3 * j], v[3 * j + 1])[0] + ki * v[3 * j + 2] for j, (law, ki, _) in enumerate(joints)]
+        return [law(v[3 * j], v[3 * j + 1])[0] + ki * v[3 * j + 2] for j in range(len(dists))]
 
     # joints start from rest at zero position: error = reference at t = 0
     y0 = []
@@ -233,7 +233,7 @@ def scaling_symmetry_run(scn: Scenario, s: float) -> ScalingReport:
     """
     if scn.plant != "extended":
         raise ValueError("scaling symmetry runs on the extended system")
-    mu = scn.effective_mu
+    mu = scn.mu
     dil = extended_state_dilation(mu)
     scales = dil.scales(s)
     dilated_x0 = tuple(float(v) for v in scales * np.array(scn.x0))
@@ -242,21 +242,13 @@ def scaling_symmetry_run(scn: Scenario, s: float) -> ScalingReport:
 
     factor = math.exp(mu * s)
     times = nominal.times
-    h = scn.step
     n = len(times) - 1
-    sup = 0.0
-    compared = 0
-    truncated = False
-    for i in range(n + 1):
-        tq = factor * times[i]
-        if tq > times[-1]:
-            truncated = True
-            break
-        pos = tq / h
-        j = min(int(pos), n - 1)
-        frac = pos - j
-        x_nom = (1.0 - frac) * nominal.states[j] + frac * nominal.states[j + 1]
-        diff = float(np.abs(dilated.states[i] - scales * x_nom).max())
-        sup = max(sup, diff)
-        compared += 1
-    return ScalingReport(s=float(s), mu=mu, sup_discrepancy=sup, n_compared=compared, truncated=truncated)
+    tq = factor * times
+    m = int(np.count_nonzero(tq <= times[-1]))  # tq is nondecreasing: a prefix is kept
+    pos = tq[:m] / scn.step
+    j = np.minimum(pos.astype(int), n - 1)
+    frac = (pos - j)[:, None]
+    x_nom = (1.0 - frac) * nominal.states[j] + frac * nominal.states[j + 1]
+    diff = np.abs(dilated.states[:m] - scales * x_nom).max(axis=1)
+    sup = float(diff.max(initial=0.0))
+    return ScalingReport(s=float(s), mu=mu, sup_discrepancy=sup, n_compared=m, truncated=m <= n)

@@ -247,21 +247,19 @@ def test_metrics_correctness():
 def test_qualitative_comparison_trend():
     with criterion("qualitative-comparison-trend", runtime_limit=60.0):
         pid_scn = Scenario(
-            plant="joints",
             controller="pid",
             gains=GAINS,
-            joint_plant=default_six_joint_plant(mu=0.0),
+            joint_plant=default_six_joint_plant(),
             horizon=9.0,
             step=1e-3,
             name="trend-pid",
         )
         hpid_scn = Scenario(
-            plant="joints",
             controller="hpid",
             gains=GAINS,
             mu=0.2,
             norm=ExperimentalNorm(1.0, 1.0, 0.2),
-            joint_plant=default_six_joint_plant(mu=0.2),
+            joint_plant=default_six_joint_plant(),
             horizon=9.0,
             step=1e-3,
             name="trend-hpid",

@@ -6,7 +6,6 @@ import pytest
 from hpid.control import GainSet
 from hpid.homogeneity import (
     CanonicalNorm,
-    ExperimentalNorm,
     SymMatrix,
     WeightedSumNorm,
     extended_state_dilation,
@@ -17,7 +16,6 @@ from hpid.plant import (
     JointConfig,
     JointPlantConfig,
     ReferenceSpec,
-    closed_loop_field,
     default_six_joint_plant,
     make_closed_loop_field,
     reference_eval,
@@ -32,12 +30,12 @@ class TestClosedLoopField:
         A = GAINS.a_matrix()
         for _ in range(50):
             x = RNG.uniform(-5, 5, size=3)
-            out = closed_loop_field(x, GAINS, 0.0, WeightedSumNorm((1.0, 1.0)))
+            out = make_closed_loop_field(GAINS, 0.0, WeightedSumNorm((1.0, 1.0)))(x)
             assert np.array_equal(out, A @ x)
 
     @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
     def test_equilibrium(self, mu):
-        out = closed_loop_field(np.zeros(3), GAINS, mu, WeightedSumNorm((1.0, 1.0)))
+        out = make_closed_loop_field(GAINS, mu, WeightedSumNorm((1.0, 1.0)))(np.zeros(3))
         assert np.array_equal(out, np.zeros(3))
 
     @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
@@ -71,14 +69,10 @@ class TestJointRhs:
         from hpid.sim import Scenario, simulate
 
         joint = JointConfig(
-            gains=GAINS,
-            mu=-0.1,
-            norm=WeightedSumNorm((1.0, 1.0)),
             reference=ReferenceSpec(amplitude=0.0, offset=1.0),
             disturbance=DisturbanceSpec(constant=0.3, bound=0.5),
         )
         scn = Scenario(
-            plant="joints",
             controller="hpid",
             mu=-0.1,
             joint_plant=JointPlantConfig((joint,)),
@@ -123,25 +117,10 @@ class TestDisturbance:
 
 class TestJointPlantConfig:
     def test_default_plant_shape(self):
-        plant = default_six_joint_plant(mu=0.2)
-        assert plant.n_joints == 6
-        assert all(isinstance(j.norm, ExperimentalNorm) for j in plant.joints)
-        assert all(j.disturbance.bound == 0.5 for j in plant.joints)
-
-    def test_linear_default(self):
         plant = default_six_joint_plant()
-        assert all(j.mu == 0.0 for j in plant.joints)
+        assert plant.n_joints == 6
+        assert all(j.disturbance.bound == 0.5 for j in plant.joints)
 
     def test_needs_at_least_one_joint(self):
         with pytest.raises(ValueError):
             JointPlantConfig(())
-
-    def test_joint_mu_range(self):
-        with pytest.raises(ValueError):
-            JointConfig(
-                gains=GAINS,
-                mu=0.6,
-                norm=WeightedSumNorm((1.0, 1.0)),
-                reference=ReferenceSpec(),
-                disturbance=DisturbanceSpec(),
-            )

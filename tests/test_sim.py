@@ -47,9 +47,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(controller="hpid", mu=0.7)
 
-    def test_joints_plant_needs_config(self):
-        with pytest.raises(ValueError):
-            Scenario(plant="joints")
 
 
 class TestSimulateExtended:
@@ -193,7 +190,7 @@ class TestScalingSymmetry:
         assert report.truncated  # e^{mu s} > 1 pushes the resample past T
 
     def test_requires_extended_plant(self):
-        scn = Scenario(plant="joints", joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-2)
+        scn = Scenario(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-2)
         with pytest.raises(ValueError):
             scaling_symmetry_run(scn, 0.5)
 
@@ -204,14 +201,10 @@ class TestSimulateJoints:
         # with x3(0) = p up to a sign flip of the disturbance channel
         p = -0.3  # joint rhs subtracts the disturbance
         joint = JointConfig(
-            gains=GAINS,
-            mu=0.0,
-            norm=WeightedSumNorm((1.0, 1.0)),
             reference=ReferenceSpec(amplitude=0.0, angular_frequency=0.0, phase=0.0, offset=1.0),
             disturbance=DisturbanceSpec(constant=-p, amplitude=0.0, bound=0.5),
         )
         scn = Scenario(
-            plant="joints",
             controller="pid",
             joint_plant=JointPlantConfig((joint,)),
             horizon=9.0,
@@ -235,24 +228,30 @@ class TestSimulateJoints:
         p = 0.3
         norm = WeightedSumNorm((1.0, 1.0)) if norm_kind == "weighted_sum" else ExperimentalNorm(1.0, 1.0, mu)
         joint = JointConfig(
-            gains=GAINS,
-            mu=mu,
-            norm=norm,
             reference=ReferenceSpec(amplitude=0.0, offset=1.0),
             disturbance=DisturbanceSpec(constant=-p, bound=0.5),
         )
         common = dict(controller="hpid", mu=mu, norm=norm, horizon=3.0, step=1e-3)
-        joints = simulate(Scenario(plant="joints", joint_plant=JointPlantConfig((joint,)), **common))
-        extended = simulate(Scenario(plant="extended", x0=(1.0, 0.0, p), **common))
+        joints = simulate(Scenario(joint_plant=JointPlantConfig((joint,)), **common))
+        extended = simulate(Scenario(x0=(1.0, 0.0, p), **common))
         assert np.abs(joints.errors - extended.errors).max() <= 1e-12
         assert np.abs(joints.controls - extended.controls).max() <= 1e-12
 
+    def test_scenario_degree_reaches_every_joint(self):
+        common = dict(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-3)
+        pid_scn = Scenario(controller="pid", **common)
+        hpid_scn = Scenario(controller="hpid", mu=0.2, norm=ExperimentalNorm(1.0, 1.0, 0.2), **common)
+        assert pid_scn.plant == hpid_scn.plant == "joints"
+        pid, hpid = simulate(pid_scn), simulate(hpid_scn)
+        for j in range(6):
+            assert not np.array_equal(pid.controls[:, j], hpid.controls[:, j]), f"joint {j} ran PID"
+
     def test_six_joint_shapes_and_determinism(self):
         scn = Scenario(
-            plant="joints",
             controller="hpid",
             mu=0.2,
-            joint_plant=default_six_joint_plant(mu=0.2),
+            norm=ExperimentalNorm(1.0, 1.0, 0.2),
+            joint_plant=default_six_joint_plant(),
             horizon=1.0,
             step=1e-3,
         )
