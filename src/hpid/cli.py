@@ -55,7 +55,7 @@ import numpy as np
 
 from . import checks, fixtures, metrics
 from .control import GainSet
-from .homogeneity import CanonicalNorm, ExperimentalNorm, HomNormSpec, SymMatrix, WeightedSumNorm
+from .homogeneity import CanonicalNorm, ExperimentalNorm, HomNormSpec, SymMatrix, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, reference_eval
 from .sim import DivergenceError, Scenario, Trajectory, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
@@ -280,10 +280,13 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
     # x0 configures the extended plant only; joints start from rest at zero
     x0 = r.numbers("x0", (1.0, 0.0, 0.3)) if plant == "extended" else (1.0, 0.0, 0.3)
     seed = r.integer("seed", default_seed if default_seed is not None else 0)
-    if mu is not None and not (-0.5 < mu < 0.5):
-        r.error("mu", None, "mu must lie in (-0.5, 0.5)")
-        r.finish(_SCENARIO_KEYS)
-        return None
+    if mu is not None:
+        try:
+            _check_degree(mu)
+        except ValueError as exc:
+            r.error("mu", None, str(exc))
+            r.finish(_SCENARIO_KEYS)
+            return None
     if controller == "pid" and mu:
         r.error("mu", None, "a pid scenario must keep mu = 0")
         r.finish(_SCENARIO_KEYS)
@@ -344,14 +347,13 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
         return Scenario(
             controller=controller,
             gains=GainSet(kp, kd, ki),
-            mu=0.0 if controller == "pid" else mu,
+            mu=mu,
             norm=norm,
             x0=tuple(x0),
             horizon=T,
             step=h,
             norm_floor=floor,
             joint_plant=joint_plant,
-            seed=seed or 0,
             name=r.name,
         )
     except ValueError as exc:
@@ -444,7 +446,6 @@ def format_config(cfg: RunConfig) -> str:
         lines.append(f"T = {_fmt(s.horizon)}")
         lines.append(f"h = {_fmt(s.step)}")
         lines.append(f"norm_floor = {_fmt(s.norm_floor)}")
-        lines.append(f"seed = {s.seed}")
         if s.plant == "extended":
             lines.append(f"x0 = {', '.join(_fmt(v) for v in s.x0)}")
         else:

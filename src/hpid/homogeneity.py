@@ -157,7 +157,8 @@ class SymMatrix:
         return np.array_equal(self.entries, other.entries)
 
     def __hash__(self) -> int:
-        return hash(self.entries.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal
+        return hash((self.entries + 0.0).tobytes())
 
     def __repr__(self) -> str:
         return f"SymMatrix({self.entries.tolist()!r})"

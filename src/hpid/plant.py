@@ -1,5 +1,6 @@
-"""Plant models: the extended closed-loop field of the disturbed double
-integrator, and the decentralized multi-joint tracking-error plant.
+"""Plant models: the closed-loop blocks both plants are built from, the
+extended closed-loop field of the disturbed double integrator, and the
+decentralized multi-joint tracking-error plant.
 
 The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,10 +27,46 @@ __all__ = [
     "DisturbanceSpec",
     "JointConfig",
     "JointPlantConfig",
+    "closed_loop_blocks",
     "make_closed_loop_field",
     "reference_eval",
     "default_six_joint_plant",
 ]
+
+
+def closed_loop_blocks(
+    gains: GainSet,
+    mu: float,
+    norm: HomNormSpec,
+    norm_floor: float,
+    disturbances: Sequence[Callable[[float], float]],
+    z0: Sequence[float],
+):
+    """Right-hand side and applied controls of n closed-loop blocks (e, de, z).
+
+    Block j follows e' = de, de' = pd + z - d_j(t), z' = ki * integrand, with
+    (pd, integrand) the hPID law (control.hpid_law) at (e, de).  z is the
+    integral action ki * integral(integrand) plus the constant z0[j] it
+    absorbed at t = 0, so the block's applied control is pd + z - z0[j].
+    Returns (rhs(t, x), control(x)) over the stacked state x of length 3n.
+    """
+    law = hpid_law(gains, mu, norm, norm_floor)
+    ki = gains.ki
+
+    def rhs(t: float, x: np.ndarray) -> np.ndarray:
+        v = x.tolist()
+        out = []
+        for j, dist in enumerate(disturbances):
+            e, de, z = v[3 * j : 3 * j + 3]
+            pd, integrand = law(e, de)
+            out += (de, pd + z - dist(t), ki * integrand)
+        return np.array(out)
+
+    def control(x: np.ndarray) -> list[float]:
+        v = x.tolist()
+        return [law(v[3 * j], v[3 * j + 1])[0] + v[3 * j + 2] - c for j, c in enumerate(z0)]
+
+    return rhs, control
 
 
 def make_closed_loop_field(
@@ -37,22 +74,13 @@ def make_closed_loop_field(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Extended closed-loop vector field of the hPID-controlled loop.
 
-    The returned closure maps x to (x2, pd + x3, ki * integrand) with
-    (pd, integrand) the hPID law (control.hpid_law) at (x1, x2).  At mu = 0
-    it is A @ x with no norm evaluation at all, so the linear case is exact.
+    The one undisturbed block of closed_loop_blocks: x maps to
+    (x2, pd + x3, ki * integrand) with (pd, integrand) the hPID law at
+    (x1, x2).  At mu = 0 the law evaluates no norm, so the field is the
+    linear (x2, kp x1 + kd x2 + x3, ki x1) exactly.
     """
-    if mu == 0.0:
-        A = gains.a_matrix()
-        return lambda x: A @ x
-    law = hpid_law(gains, mu, norm, norm_floor)
-    ki = gains.ki
-
-    def field(x: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = x
-        pd, integrand = law(x1, x2)
-        return np.array([x2, pd + x3, ki * integrand])
-
-    return field
+    rhs, _ = closed_loop_blocks(gains, mu, norm, norm_floor, (lambda t: 0.0,), (0.0,))
+    return lambda x: rhs(0.0, x)
 
 
 @dataclass(frozen=True)
@@ -149,9 +177,8 @@ _JOINT_OFFSETS = (0.5, 0.4, 0.3, 0.35, 0.25, 0.45)
 _JOINT_DIST_PHASES = (0.0, 0.7, 1.4, 2.1, 2.8, 3.5)
 
 
-def default_six_joint_plant(disturbance_phases: tuple[float, ...] | None = None) -> JointPlantConfig:
+def default_six_joint_plant() -> JointPlantConfig:
     """The default six-joint desk plant used by the PID-vs-hPID comparison."""
-    phases = disturbance_phases or _JOINT_DIST_PHASES
     joints = []
     for j in range(6):
         joints.append(
@@ -166,7 +193,7 @@ def default_six_joint_plant(disturbance_phases: tuple[float, ...] | None = None)
                     constant=0.3,
                     amplitude=0.15,
                     angular_frequency=2.0,
-                    phase=phases[j],
+                    phase=_JOINT_DIST_PHASES[j],
                     bound=0.5,
                 ),
             )

@@ -6,15 +6,15 @@ field is continuous but not Lipschitz at the origin, so the formal fourth
 order degrades in a small terminal neighbourhood; convergence tests exclude
 that ball.
 
-Two plants are supported:
+Both plants are closed-loop blocks of plant.closed_loop_blocks, three
+states (e, de, z) each, where z is the integral action
+ki * integral(nu^{3 mu} e) plus the constant it absorbed at t = 0:
 
-* "extended": the three-state closed loop (error, error rate, augmented
-  integral channel).  The constant disturbance is absorbed into the initial
-  value of the third state, x3(0) = p.
-* "joints": n independent feedback-linearized joints, each a three-state
-  block (tracking error, its rate, homogeneous integral), driven by its
-  bounded disturbance waveform sampled continuously in time.  Every joint
-  runs the scenario's controller.
+* "extended": one undisturbed block from x0; the constant disturbance p
+  sits in the third state, z(0) = p.
+* "joints": n independent feedback-linearized joints, one block each with
+  z(0) = 0, driven by its bounded disturbance waveform sampled continuously
+  in time.  Every joint runs the scenario's controller.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .control import GainSet, hpid_law
 from .homogeneity import HomNormSpec, WeightedSumNorm, extended_state_dilation
-from .plant import JointPlantConfig, make_closed_loop_field, reference_eval
+from .plant import JointPlantConfig, closed_loop_blocks, reference_eval
 
 __all__ = [
     "DivergenceError",
@@ -70,7 +70,6 @@ class Scenario:
     step: float = 1e-3
     norm_floor: float = 1e-9
     joint_plant: JointPlantConfig | None = None
-    seed: int = 0
     name: str = ""
 
     def __post_init__(self):
@@ -87,6 +86,8 @@ class Scenario:
             raise ValueError(f"step must be positive, got {h}")
         if h > T / 10.0:
             raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
+        if abs(round(T / h) * h - T) > 1e-9 * T:
+            raise ValueError(f"step {h} does not divide horizon {T}")
         object.__setattr__(self, "horizon", T)
         object.__setattr__(self, "step", h)
         object.__setattr__(self, "norm_floor", float(self.norm_floor))
@@ -145,63 +146,27 @@ def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], x: np.ndarray, t: f
 def simulate(scn: Scenario) -> Trajectory:
     """Integrate the scenario over [0, T]; deterministic for a fixed scenario.
 
-    Aborts with DivergenceError once the state norm exceeds DIVERGENCE_LIMIT.
+    Both plants are closed-loop blocks (plant.closed_loop_blocks), so the
+    tracking errors are every third state.  Aborts with DivergenceError once
+    the state norm exceeds DIVERGENCE_LIMIT.
     """
-    if scn.plant == "extended":
-        return _simulate_extended(scn)
-    return _simulate_joints(scn)
-
-
-def _simulate_extended(scn: Scenario) -> Trajectory:
-    fld = make_closed_loop_field(scn.gains, scn.mu, scn.norm, scn.norm_floor)
-    law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
-    p = scn.x0[2]  # disturbance sits in the integral channel at t = 0
-
-    def control(y):
-        # the acceleration channel is u + p
-        return law(y[0], y[1])[0] + y[2] - p
-
-    return _integrate(scn, np.array(scn.x0, dtype=float), lambda t, y: fld(y), control)
-
-
-def _simulate_joints(scn: Scenario) -> Trajectory:
-    law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
-    ki = scn.gains.ki
-    dists = [jc.disturbance.eval for jc in scn.joint_plant.joints]
-
-    def rhs(t, y):
-        v = y.tolist()
-        out = []
-        for j, dist in enumerate(dists):
-            e, de, acc = v[3 * j : 3 * j + 3]
-            pd, integrand = law(e, de)
-            out += (de, pd + ki * acc - dist(t), integrand)
-        return np.array(out)
-
-    def control(y):
-        v = y.tolist()
-        return [law(v[3 * j], v[3 * j + 1])[0] + ki * v[3 * j + 2] for j in range(len(dists))]
-
-    # joints start from rest at zero position: error = reference at t = 0
-    y0 = []
-    for jc in scn.joint_plant.joints:
-        pos, vel, _ = reference_eval(jc.reference, 0.0)
-        y0 += (pos, vel, 0.0)
-    return _integrate(scn, np.array(y0), rhs, control)
-
-
-def _integrate(scn: Scenario, y0: np.ndarray, rhs, control) -> Trajectory:
-    """RK4 on the scenario's grid; control(y) gives the applied control per channel.
-
-    Each channel is a three-state block (error, error rate, integral), so the
-    tracking errors are every third state.
-    """
+    if scn.joint_plant is None:
+        # one undisturbed block: the constant disturbance sits in z(0) = p
+        y0, disturbances = list(scn.x0), [lambda t: 0.0]
+    else:
+        # joints start from rest at zero position: error = reference at t = 0
+        y0, disturbances = [], []
+        for jc in scn.joint_plant.joints:
+            pos, vel, _ = reference_eval(jc.reference, 0.0)
+            y0 += (pos, vel, 0.0)
+            disturbances.append(jc.disturbance.eval)
+    rhs, control = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, disturbances, y0[2::3])
     n = scn.n_steps()
     h = scn.step
     times = np.arange(n + 1) * h
     states = np.empty((n + 1, len(y0)))
-    controls = np.empty((n + 1, len(y0) // 3))
-    y = states[0] = y0
+    controls = np.empty((n + 1, len(disturbances)))
+    y = states[0] = np.array(y0)
     controls[0] = control(y)
     for i in range(n):
         y = rk4_step(rhs, y, times[i], h)

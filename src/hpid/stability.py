@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _DIAG_DIR = np.diag([-1.0, 0.0, 1.0])
+# certify uses Q = I; a degree is admitted while P G(mu) + G(mu)' P keeps
+# this eigenvalue margin, and the interval is capped at the design range
+_EIG_MARGIN = 1e-8
+_MU_CAP = 0.5
 
 
 class InfeasibleGainsError(ValueError):
@@ -123,14 +127,15 @@ def _sqrt_factors(P: np.ndarray):
     return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
 
-def certify(gains: GainSet, Q=None, eig_margin: float = 1e-8, mu_cap: float = 0.5) -> StabilityCertificate:
+def certify(gains: GainSet) -> StabilityCertificate:
     """Build a stability certificate for the hPID upgrade of linear gains.
 
     The degree interval is found by bisection on the eigenvalue margin of
     P G(mu) + G(mu)' P (feasible set in mu is an interval containing 0),
-    capped at the design range (-mu_cap, mu_cap).
+    capped at the design range (-0.5, 0.5).  P solves the Lyapunov equation
+    with Q = I.
     """
-    P = solve_lyapunov(gains, Q)
+    P = solve_lyapunov(gains)
     Pe = P.entries
     S = Pe @ _DIAG_DIR + _DIAG_DIR @ Pe
 
@@ -138,13 +143,13 @@ def certify(gains: GainSet, Q=None, eig_margin: float = 1e-8, mu_cap: float = 0.
         return float(np.linalg.eigvalsh(2.0 * Pe + mu * S).min())
 
     def endpoint(sign: float) -> float:
-        cap = sign * mu_cap
-        if margin(cap) >= eig_margin:
+        cap = sign * _MU_CAP
+        if margin(cap) >= _EIG_MARGIN:
             return cap
         lo, hi = 0.0, cap
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if margin(mid) >= eig_margin:
+            if margin(mid) >= _EIG_MARGIN:
                 lo = mid
             else:
                 hi = mid
@@ -237,12 +242,12 @@ class ConvergenceReport:
     horizon: float
 
 
-def convergence_classifier(traj: Trajectory, settle_tol: float, margin_factor: float = 0.95) -> ConvergenceReport:
+def convergence_classifier(traj: Trajectory, settle_tol: float) -> ConvergenceReport:
     """Settle time and a finite-time verdict for a recorded trajectory.
 
     settle_time is the first sample time after which the Euclidean state
     norm stays at or below settle_tol for the rest of the horizon; the run
-    is classified finite-time when it settles before margin_factor * T.
+    is classified finite-time when it settles before 0.95 * T.
     """
     if not (math.isfinite(settle_tol) and settle_tol > 0.0):
         raise ValueError(f"settle_tol must be a positive real, got {settle_tol}")
@@ -255,4 +260,4 @@ def convergence_classifier(traj: Trajectory, settle_tol: float, margin_factor: f
     if last_above == len(norms) - 1:
         return ConvergenceReport(False, None, settle_tol, horizon)
     settle = float(traj.times[last_above + 1])
-    return ConvergenceReport(settle <= margin_factor * horizon, settle, settle_tol, horizon)
+    return ConvergenceReport(settle <= 0.95 * horizon, settle, settle_tol, horizon)

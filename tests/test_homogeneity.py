@@ -107,6 +107,12 @@ class TestSymMatrix:
         b = SymMatrix(np.eye(2))
         assert a == b and hash(a) == hash(b)
 
+    def test_signed_zeros_hash_equal(self):
+        a = SymMatrix([[1.0, 0.0], [0.0, 1.0]])
+        b = SymMatrix([[1.0, -0.0], [-0.0, 1.0]])
+        assert a == b and hash(a) == hash(b)
+        assert len({CanonicalNorm(a), CanonicalNorm(b)}) == 1
+
 
 class TestStrictMonotonicity:
     def test_identity_standard(self):

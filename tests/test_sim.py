@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hpid.control import GainSet, HpidState, hpid_step
+from hpid.control import GainSet, HpidState, hpid_law, hpid_step
 from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, default_six_joint_plant
 from hpid.sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
@@ -36,8 +36,10 @@ class TestRk4Step:
 
 class TestScenarioValidation:
     def test_step_must_resolve_horizon(self):
-        with pytest.raises(ValueError):
-            Scenario(horizon=1.0, step=0.2)
+        # too coarse, or a grid that would end at t = 1.045 or t = 0.98
+        for step in (0.2, 0.095, 0.07):
+            with pytest.raises(ValueError):
+                Scenario(horizon=1.0, step=step)
 
     def test_pid_requires_mu_zero(self):
         with pytest.raises(ValueError):
@@ -220,22 +222,46 @@ class TestSimulateJoints:
         assert sup <= 1e-6
         assert abs(traj.errors[-1, 0]) < 2e-2  # integral action rejects the bias
 
-    @pytest.mark.parametrize("mu", [-0.2, 0.2])
-    @pytest.mark.parametrize("norm_kind", ["weighted_sum", "experimental"])
+    @pytest.mark.parametrize("mu", [-0.2, 0.0, 0.2])
+    @pytest.mark.parametrize("norm_kind", ["weighted_sum", "experimental", "canonical"])
     def test_one_hpid_joint_matches_extended_hpid(self, mu, norm_kind):
         # both plants close the same hPID law: a joint holding offset 1 against
         # the constant disturbance -p is the extended loop from x0 = (1, 0, p)
         p = 0.3
-        norm = WeightedSumNorm((1.0, 1.0)) if norm_kind == "weighted_sum" else ExperimentalNorm(1.0, 1.0, mu)
+        norm = {
+            "weighted_sum": WeightedSumNorm((1.0, 1.0)),
+            "experimental": ExperimentalNorm(1.0, 1.0, mu),
+            "canonical": CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
+        }[norm_kind]
         joint = JointConfig(
             reference=ReferenceSpec(amplitude=0.0, offset=1.0),
             disturbance=DisturbanceSpec(constant=-p, bound=0.5),
         )
-        common = dict(controller="hpid", mu=mu, norm=norm, horizon=3.0, step=1e-3)
+        # the canonical norm is a root solve per evaluation: a shorter run
+        horizon = 1.0 if norm_kind == "canonical" else 3.0
+        common = dict(controller="hpid" if mu else "pid", mu=mu, norm=norm, horizon=horizon, step=1e-3)
         joints = simulate(Scenario(joint_plant=JointPlantConfig((joint,)), **common))
         extended = simulate(Scenario(x0=(1.0, 0.0, p), **common))
         assert np.abs(joints.errors - extended.errors).max() <= 1e-12
         assert np.abs(joints.controls - extended.controls).max() <= 1e-12
+
+    def test_third_state_is_integral_action(self):
+        # each joint's third state is z = ki * integral(nu^{3 mu} e), so the
+        # applied control is pd(e, de) + z; ki = -2 tells z from the integral
+        gains = GainSet(-3.0, -3.0, -2.0)
+        scn = Scenario(
+            controller="hpid",
+            gains=gains,
+            mu=0.2,
+            joint_plant=default_six_joint_plant(),
+            horizon=1.0,
+            step=1e-3,
+        )
+        traj = simulate(scn)
+        law = hpid_law(gains, scn.mu, scn.norm, scn.norm_floor)
+        e, de, z = traj.states[:, 0::3], traj.states[:, 1::3], traj.states[:, 2::3]
+        pd = np.vectorize(lambda a, b: law(a, b)[0])(e, de)
+        assert np.array_equal(traj.controls, pd + z)
 
     def test_scenario_degree_reaches_every_joint(self):
         common = dict(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-3)

@@ -158,6 +158,15 @@ class TestDecreaseCheck:
         with pytest.raises(ValueError):
             lyapunov_decrease_check(traj, cert, 0.49999 if cert.mu_hi < 0.49999 else 0.1 + 1e-3)
 
+    @pytest.mark.xfail(
+        reason="FOUND in CHANGES.md: certify takes beta at the ends of the degree "
+        "interval, so its rate gamma / (2 beta) overstates the decay trajectories "
+        "have; this linear run passes 0.8775 of its intervals",
+    )
+    def test_linear_run_from_unit_error_meets_certified_rate(self, cert):
+        traj = simulate(Scenario(controller="pid", x0=(1.0, 0.0, 0.0), horizon=2.0))
+        assert lyapunov_decrease_check(traj, cert, 0.0).passed
+
     def test_metadata_mismatch_rejected(self, cert):
         traj = simulate(Scenario(controller="hpid", mu=0.1, horizon=1.0, step=1e-2))
         with pytest.raises(ValueError):
