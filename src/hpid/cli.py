@@ -27,8 +27,8 @@ Config format: flat `key = value` lines under bracketed section headers,
         n_joints = int                     (joints plant; per-joint values
         ref_amplitude / ref_frequency / ref_phase / ref_offset = list|scalar
         dist_constant / dist_amplitude / dist_frequency = list|scalar
-        dist_phase = list | scalar | random
-        dist_bound = list|scalar)          seed = int
+        dist_phase = list | scalar | random   seed = int (for random)
+        dist_bound = list|scalar)
 
     [compare NAME]
         pid = scenario-name    hpid = scenario-name
@@ -278,8 +278,9 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
     h = r.number("h", 1e-3)
     floor = r.number("norm_floor", 1e-9)
     # x0 configures the extended plant only; joints start from rest at zero
-    x0 = r.numbers("x0", (1.0, 0.0, 0.3)) if plant == "extended" else (1.0, 0.0, 0.3)
-    seed = r.integer("seed", default_seed if default_seed is not None else 0)
+    x0 = r.numbers("x0", (1.0, 0.0, 0.3)) if plant == "extended" else None
+    # seed only resolves dist_phase = random, which the joints plant alone has
+    seed = r.integer("seed", default_seed if default_seed is not None else 0) if plant == "joints" else None
     if mu is not None:
         try:
             _check_degree(mu)
@@ -339,9 +340,10 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
             return None
 
     r.finish(_SCENARIO_KEYS)
-    if norm is None or None in (kp, kd, ki, mu, T, h, floor) or x0 is None or len(x0) != 3:
-        if x0 is not None and len(x0) != 3:
-            r.error("x0", None, f"expected three values, got {len(x0)}")
+    bad_x0 = x0 is not None and len(x0) != 3
+    if bad_x0:
+        r.error("x0", None, f"expected three values, got {len(x0)}")
+    if bad_x0 or norm is None or None in (kp, kd, ki, mu, T, h, floor):
         return None
     try:
         return Scenario(
@@ -349,7 +351,7 @@ def _build_scenario(section: dict, problems: list[str], default_seed: int | None
             gains=GainSet(kp, kd, ki),
             mu=mu,
             norm=norm,
-            x0=tuple(x0),
+            x0=x0,
             horizon=T,
             step=h,
             norm_floor=floor,
@@ -495,19 +497,20 @@ def trajectory_header(traj: Trajectory) -> list[str]:
 def trajectory_csv_text(traj: Trajectory) -> str:
     """Render a trajectory as CSV at full float64 precision."""
     header = trajectory_header(traj)
+    fmt = ",".join([_FMT] * len(header))  # one row, one format
     out = [",".join(header)]
     if traj.scenario.plant == "extended":
-        for i, t in enumerate(traj.times):
-            row = (t, traj.states[i, 0], traj.states[i, 1], traj.states[i, 2], traj.controls[i, 0])
-            out.append(",".join(_FMT % v for v in row))
+        for t, x, u in zip(traj.times, traj.states, traj.controls):
+            out.append(fmt % (t, *x.tolist(), *u.tolist()))
     else:
-        jp = traj.scenario.joint_plant
-        for i, t in enumerate(traj.times):
+        refs = [jc.reference for jc in traj.scenario.joint_plant.joints]
+        for t, err, ctl in zip(traj.times, traj.errors, traj.controls):
+            t = float(t)
             row = [t]
-            for k in range(traj.n_channels):
-                pos, _, _ = reference_eval(jp.joints[k].reference, float(t))
-                row.extend([pos - traj.errors[i, k], traj.controls[i, k], traj.errors[i, k]])
-            out.append(",".join(_FMT % v for v in row))
+            for ref, e, u in zip(refs, err.tolist(), ctl.tolist()):
+                pos, _, _ = reference_eval(ref, t)
+                row += (pos - e, u, e)
+            out.append(fmt % tuple(row))
     return "\n".join(out) + "\n"
 
 

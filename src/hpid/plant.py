@@ -48,23 +48,22 @@ def closed_loop_blocks(
     (pd, integrand) the hPID law (control.hpid_law) at (e, de).  z is the
     integral action ki * integral(integrand) plus the constant z0[j] it
     absorbed at t = 0, so the block's applied control is pd + z - z0[j].
-    Returns (rhs(t, x), control(x)) over the stacked state x of length 3n.
+    Returns (rhs(t, x), control(x)) over the stacked state x of length 3n,
+    a list of Python floats; both return lists of floats.
     """
     law = hpid_law(gains, mu, norm, norm_floor)
     ki = gains.ki
 
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        v = x.tolist()
+    def rhs(t: float, x: list[float]) -> list[float]:
         out = []
         for j, dist in enumerate(disturbances):
-            e, de, z = v[3 * j : 3 * j + 3]
+            e, de, z = x[3 * j : 3 * j + 3]
             pd, integrand = law(e, de)
             out += (de, pd + z - dist(t), ki * integrand)
-        return np.array(out)
+        return out
 
-    def control(x: np.ndarray) -> list[float]:
-        v = x.tolist()
-        return [law(v[3 * j], v[3 * j + 1])[0] + v[3 * j + 2] - c for j, c in enumerate(z0)]
+    def control(x: list[float]) -> list[float]:
+        return [law(x[3 * j], x[3 * j + 1])[0] + x[3 * j + 2] - c for j, c in enumerate(z0)]
 
     return rhs, control
 
@@ -80,7 +79,7 @@ def make_closed_loop_field(
     linear (x2, kp x1 + kd x2 + x3, ki x1) exactly.
     """
     rhs, _ = closed_loop_blocks(gains, mu, norm, norm_floor, (lambda t: 0.0,), (0.0,))
-    return lambda x: rhs(0.0, x)
+    return lambda x: np.array(rhs(0.0, np.asarray(x, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,14 +58,16 @@ class Scenario:
 
     gains, mu, norm and norm_floor define the one controller of the run; on
     the joints plant every joint runs it.  The plant is "joints" exactly
-    when joint_plant is set; x0 applies to the extended plant only.
+    when joint_plant is set.  x0 applies to the extended plant only: it
+    defaults to (1, 0, 0.3) there and must stay None on the joints plant,
+    whose joints start from rest.
     """
 
     controller: str = "pid"  # "pid" | "hpid"
     gains: GainSet = GainSet(-3.0, -3.0, -1.0)
     mu: float = 0.0
     norm: HomNormSpec = WeightedSumNorm((1.0, 1.0))
-    x0: tuple[float, float, float] = (1.0, 0.0, 0.3)
+    x0: tuple[float, float, float] | None = None
     horizon: float = 9.0
     step: float = 1e-3
     norm_floor: float = 1e-9
@@ -92,7 +94,11 @@ class Scenario:
         object.__setattr__(self, "step", h)
         object.__setattr__(self, "norm_floor", float(self.norm_floor))
         hpid_law(self.gains, mu, self.norm, self.norm_floor)  # validates mu, floor and norm
-        x0 = tuple(float(v) for v in self.x0)
+        if self.joint_plant is not None:
+            if self.x0 is not None:
+                raise ValueError("x0 applies to the extended plant only; joints start from rest")
+            return
+        x0 = (1.0, 0.0, 0.3) if self.x0 is None else tuple(float(v) for v in self.x0)
         if len(x0) != 3 or not all(math.isfinite(v) for v in x0):
             raise ValueError(f"x0 must be three finite reals, got {self.x0}")
         object.__setattr__(self, "x0", x0)
@@ -131,14 +137,24 @@ class Trajectory:
         return self.controls.shape[1]
 
 
-def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], x: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta update of x' = rhs(t, x)."""
+def rk4_step(
+    rhs: Callable[[float, Sequence[float]], Sequence[float]], x: Sequence[float], t: float, h: float
+) -> list[float]:
+    """One classical fourth-order Runge-Kutta update of x' = rhs(t, x).
+
+    x and the right-hand side values are float sequences, and the update is
+    a list.  The stages are x + (h/2) k and x + h k, and the update is
+    x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), element by element: the same
+    IEEE operations, in the same order, as the array expression.
+    """
+    hh = 0.5 * h
     k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = rhs(t + h, x + h * k3)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+    k2 = rhs(t + hh, [a + hh * k for a, k in zip(x, k1)])
+    k3 = rhs(t + hh, [a + hh * k for a, k in zip(x, k2)])
+    k4 = rhs(t + h, [a + h * k for a, k in zip(x, k3)])
+    h6 = h / 6.0
+    out = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise DivergenceError(t, "non-finite right-hand side")
     return out
 
@@ -147,8 +163,9 @@ def simulate(scn: Scenario) -> Trajectory:
     """Integrate the scenario over [0, T]; deterministic for a fixed scenario.
 
     Both plants are closed-loop blocks (plant.closed_loop_blocks), so the
-    tracking errors are every third state.  Aborts with DivergenceError once
-    the state norm exceeds DIVERGENCE_LIMIT.
+    tracking errors are every third state.  The state steps as a list of
+    Python floats and each step is stored into the preallocated arrays.
+    Aborts with DivergenceError once the state norm exceeds DIVERGENCE_LIMIT.
     """
     if scn.joint_plant is None:
         # one undisturbed block: the constant disturbance sits in z(0) = p
@@ -164,14 +181,16 @@ def simulate(scn: Scenario) -> Trajectory:
     n = scn.n_steps()
     h = scn.step
     times = np.arange(n + 1) * h
+    t = times.tolist()
     states = np.empty((n + 1, len(y0)))
     controls = np.empty((n + 1, len(disturbances)))
-    y = states[0] = np.array(y0)
+    y = y0
+    states[0] = y
     controls[0] = control(y)
     for i in range(n):
-        y = rk4_step(rhs, y, times[i], h)
-        if float(np.abs(y).max()) > DIVERGENCE_LIMIT:
-            raise DivergenceError(times[i + 1], f"|x| > {DIVERGENCE_LIMIT:g}")
+        y = rk4_step(rhs, y, t[i], h)
+        if max(map(abs, y)) > DIVERGENCE_LIMIT:
+            raise DivergenceError(t[i + 1], f"|x| > {DIVERGENCE_LIMIT:g}")
         states[i + 1] = y
         controls[i + 1] = control(y)
     return Trajectory(times=times, states=states, controls=controls, errors=states[:, 0::3].copy(), scenario=scn)

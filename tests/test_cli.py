@@ -77,6 +77,10 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config("[scenario e]\nref_amplitude = 1\n")
         assert any("does not apply" in p for p in err.value.problems)
+        # seed only resolves dist_phase = random, a joints key
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config("[scenario s]\nseed = 3\n")
+        assert any("line 2" in p and "'seed' does not apply" in p for p in err.value.problems)
 
     def test_malformed_line_reported(self):
         with pytest.raises(cli.ConfigError) as err:

@@ -7,7 +7,15 @@ from scipy.linalg import expm
 
 from hpid.control import GainSet, HpidState, hpid_law, hpid_step
 from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
-from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, default_six_joint_plant
+from hpid.plant import (
+    DisturbanceSpec,
+    JointConfig,
+    JointPlantConfig,
+    ReferenceSpec,
+    closed_loop_blocks,
+    default_six_joint_plant,
+    reference_eval,
+)
 from hpid.sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
 
 GAINS = GainSet(-3.0, -3.0, -1.0)
@@ -25,7 +33,7 @@ class TestRk4Step:
         assert np.array_equal(out, 0.25 * c)
 
     def test_exponential_decay_local_error(self):
-        out = rk4_step(lambda t, y: -y, np.array([1.0]), 0.0, 0.1)
+        out = rk4_step(lambda t, y: [-v for v in y], [1.0], 0.0, 0.1)
         assert abs(out[0] - math.exp(-0.1)) <= 1e-7
 
     def test_nonfinite_rhs_raises_with_time(self):
@@ -48,6 +56,13 @@ class TestScenarioValidation:
     def test_mu_range(self):
         with pytest.raises(ValueError):
             Scenario(controller="hpid", mu=0.7)
+
+    def test_x0_applies_to_extended_plant_only(self):
+        # joints start from rest, so an x0 there would be stored and ignored
+        with pytest.raises(ValueError):
+            Scenario(joint_plant=default_six_joint_plant(), x0=(5.0, 5.0, 5.0), horizon=0.1, step=0.01)
+        assert Scenario(joint_plant=default_six_joint_plant()).x0 is None
+        assert Scenario().x0 == (1.0, 0.0, 0.3)
 
 
 
@@ -82,6 +97,8 @@ class TestSimulateExtended:
         with pytest.raises(DivergenceError) as err:
             simulate(scn)
         assert 0.0 < err.value.time <= 9.0
+        assert err.value.time == 5463 * 1e-3
+        assert str(err.value) == "simulation diverged at t = 5.463 (|x| > 1e+09)"
 
     def test_deterministic_bitwise(self):
         scn = Scenario(controller="hpid", mu=-0.1, horizon=2.0, step=1e-3)
@@ -171,6 +188,71 @@ class TestStepHalving:
         d_coarse = self._sup_diff(scn)
         d_fine = self._sup_diff(replace(scn, step=5e-3))
         assert d_coarse / d_fine >= 8.0
+
+
+def _array_run(scn: Scenario):
+    """States and controls of scn, stepped as numpy arrays.
+
+    The array formulation of the RK4 loop: array stages x + 0.5 h k and
+    x + h k, each right-hand side turned into an array, and the update
+    x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) as one array expression.
+    """
+    if scn.joint_plant is None:
+        y0, dists = list(scn.x0), [lambda t: 0.0]
+    else:
+        y0, dists = [], []
+        for jc in scn.joint_plant.joints:
+            pos, vel, _ = reference_eval(jc.reference, 0.0)
+            y0 += (pos, vel, 0.0)
+            dists.append(jc.disturbance.eval)
+    rhs, control = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, dists, y0[2::3])
+    n, h = scn.n_steps(), scn.step
+    times = np.arange(n + 1) * h
+    states = np.empty((n + 1, len(y0)))
+    controls = np.empty((n + 1, len(dists)))
+    y = states[0] = np.array(y0)
+    controls[0] = control(y.tolist())
+    for i in range(n):
+        t = times[i]
+        k1 = np.array(rhs(t, y.tolist()))
+        k2 = np.array(rhs(t + 0.5 * h, (y + 0.5 * h * k1).tolist()))
+        k3 = np.array(rhs(t + 0.5 * h, (y + 0.5 * h * k2).tolist()))
+        k4 = np.array(rhs(t + h, (y + h * k3).tolist()))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = y
+        controls[i + 1] = control(y.tolist())
+    return states, controls
+
+
+class TestFloatKernelMatchesArrays:
+    """simulate steps on Python floats, element by element in the order of
+    the array expressions, so it matches the array formulation bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(scn: Scenario):
+        traj = simulate(scn)
+        states, controls = _array_run(scn)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.controls, controls)
+
+    def test_extended_pid(self):
+        self._assert_bitwise(Scenario(controller="pid", horizon=2.0, step=1e-3))
+
+    @pytest.mark.parametrize("mu", [-0.2, 0.2])
+    @pytest.mark.parametrize("norm_kind", ["weighted_sum", "experimental", "canonical"])
+    def test_extended_hpid(self, mu, norm_kind):
+        norm = {
+            "weighted_sum": WeightedSumNorm((1.0, 1.0)),
+            "experimental": ExperimentalNorm(1.0, 1.0, mu),
+            "canonical": CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
+        }[norm_kind]
+        # the canonical norm is a root solve per evaluation: a shorter run
+        horizon = 0.5 if norm_kind == "canonical" else 2.0
+        self._assert_bitwise(Scenario(controller="hpid", mu=mu, norm=norm, horizon=horizon, step=1e-3))
+
+    def test_six_joint_hpid(self):
+        scn = Scenario(controller="hpid", mu=0.2, joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3)
+        self._assert_bitwise(scn)
 
 
 class TestScalingSymmetry:
