@@ -19,9 +19,10 @@ Config format: flat `key = value` lines under bracketed section headers,
         plant = extended | joints          controller = pid | hpid
         kp/kd/ki = floats                  mu = float in (-0.5, 0.5)
         norm = weighted_sum | canonical | experimental
-        norm_coefficients = c1, c2         (weighted_sum)
-        norm_p = p11, p12, p21, p22        norm_tolerance = float (canonical)
-        zeta1_max / norm_gamma = floats    (experimental)
+        norm_coefficients = c1, c2         (norm = weighted_sum only)
+        norm_p = p11, p12, p21, p22        norm_tolerance = float
+                                           (norm = canonical only)
+        zeta1_max / norm_gamma = floats    (norm = experimental only)
         x0 = e, de, p                      (extended plant)
         T = float    h = float             norm_floor = float
         n_joints = int                     (joints plant; per-joint values
@@ -37,6 +38,10 @@ Config format: flat `key = value` lines under bracketed section headers,
     [certify NAME]
         kp/kd/ki = floats
 
+A key that does not apply as the section is configured (a norm key of
+another norm kind, x0 on the joints plant, a joints key on the extended
+plant) is rejected at its line, as is an unknown key.
+
 Trajectory CSV schema: header row, `t` first, then `x1,x2,x3,u` for the
 extended plant or `j<k>_q,j<k>_u,j<k>_eps` per joint; 17 significant
 digits, LF line endings, UTF-8.
@@ -48,15 +53,15 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, fixtures, metrics
 from .control import GainSet
-from .homogeneity import CanonicalNorm, ExperimentalNorm, HomNormSpec, SymMatrix, WeightedSumNorm, _check_degree
-from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, reference_eval
+from .homogeneity import CanonicalNorm, ExperimentalNorm, WeightedSumNorm, _check_degree
+from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
 from .sim import DivergenceError, Scenario, Trajectory, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
 
@@ -120,19 +125,57 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
+# the config schema
+#
+# Every scenario key is named once, in these tables, with what it applies to
+# and its default.  Reading, the applicability check and format_config all
+# work from them; a default the library defines is taken from the library.
+
+_GAIN_KEYS = ("kp", "kd", "ki")  # GainSet fields; defaults Scenario.gains
+_NUMBER_KEYS = {"mu": "mu", "T": "horizon", "h": "step", "norm_floor": "norm_floor"}  # -> Scenario field
+# norm kind -> (spec class, {key: (count, default)}, spec from mu and the
+# keys' values, the keys' values read back off a spec).  A kind's keys apply
+# only with that kind; count None takes any number of values.
+_NORMS = {
+    "weighted_sum": (
+        WeightedSumNorm,
+        {"norm_coefficients": (None, Scenario.norm.coefficients)},
+        lambda mu, coefficients: WeightedSumNorm(coefficients),
+        lambda spec: (spec.coefficients,),
+    ),
+    "canonical": (
+        CanonicalNorm,
+        {"norm_p": (4, (1.0, 0.0, 0.0, 1.0)), "norm_tolerance": (1, CanonicalNorm.tolerance)},
+        lambda mu, p, tolerance: CanonicalNorm(np.reshape(p, (2, 2)), tolerance),  # P row-major
+        lambda spec: (spec.P.entries, spec.tolerance),
+    ),
+    "experimental": (
+        ExperimentalNorm,
+        {"zeta1_max": (1, 1.0), "norm_gamma": (1, 1.0)},
+        lambda mu, zeta1_max, gamma: ExperimentalNorm(zeta1_max, gamma, mu),
+        lambda spec: (spec.zeta1_max, spec.gamma),
+    ),
+}
+_CHOICES = {  # key -> its values, the default first
+    "plant": ("extended", "joints"),
+    "controller": ("pid", "hpid"),
+    "norm": tuple(_NORMS),
+}
+# Per-joint keys of the joints plant, in ReferenceSpec and DisturbanceSpec
+# field order, with their defaults; a scalar applies to every joint.
+# dist_phase (None) defaults to phases 0.7 rad apart, and `random` draws
+# them uniformly from [0, 2 pi) with the scenario's seed.
+_REFERENCE_KEYS = {"ref_amplitude": 1.0, "ref_frequency": 1.0, "ref_phase": 0.0, "ref_offset": 0.0}
+_DISTURBANCE_KEYS = {
+    "dist_constant": 0.3, "dist_amplitude": 0.15, "dist_frequency": 2.0, "dist_phase": None, "dist_bound": 0.5,
+}
+_COMPARE_KEYS = {"pid": None, "hpid": None, "fixture": ("", fixtures.HARDWARE_FIXTURE_NAME)}  # key -> choices
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
 _SECTION_RE = re.compile(r"^\[(scenario|compare|certify)\s+([A-Za-z0-9_.-]+)\]$")
-
-_SCENARIO_KEYS = {
-    "plant", "controller", "kp", "kd", "ki", "mu", "norm", "norm_coefficients",
-    "norm_p", "norm_tolerance", "zeta1_max", "norm_gamma", "x0", "T", "h",
-    "norm_floor", "n_joints", "ref_amplitude", "ref_frequency", "ref_phase",
-    "ref_offset", "dist_constant", "dist_amplitude", "dist_frequency",
-    "dist_phase", "dist_bound", "seed",
-}
-_COMPARE_KEYS = {"pid", "hpid", "fixture"}
-_CERTIFY_KEYS = {"kp", "kd", "ki"}
 
 
 def _split_sections(text: str, problems: list[str]):
@@ -149,7 +192,10 @@ def _split_sections(text: str, problems: list[str]):
                 current = None
                 continue
             current = {"kind": m.group(1), "name": m.group(2), "line": lineno, "items": {}}
-            sections.append(current)
+            if any((s["kind"], s["name"]) == m.groups() for s in sections):
+                problems.append(f"line {lineno}: duplicate section [{m.group(1)} {m.group(2)}]")  # its keys are dropped
+            else:
+                sections.append(current)
             continue
         if "=" not in line:
             problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -165,320 +211,215 @@ def _split_sections(text: str, problems: list[str]):
 
 
 class _SectionReader:
-    """Typed accessors over one section's key/value pairs with line numbers."""
+    """One section's keys, each taken once by an accessor; problems cite its line.
+
+    An accessor returns a key's default when the key is absent, and None
+    when its value is bad or the key does not apply (both reported).
+    """
 
     def __init__(self, section: dict, problems: list[str]):
         self.name = section["name"]
         self.kind = section["kind"]
         self.line = section["line"]
-        self.items = dict(section["items"])
-        self.key_lines = {key: lineno for key, (_, lineno) in self.items.items()}
+        self.items = {key: value for key, (value, _) in section["items"].items()}
+        self.key_lines = {key: lineno for key, (_, lineno) in section["items"].items()}
         self.problems = problems
+        self.first_problem = len(problems)
 
-    def error(self, key: str, lineno: int | None, msg: str) -> None:
-        # a key's own line, even once an accessor has consumed it; else the header's
-        if lineno is None:
-            lineno = self.key_lines.get(key, self.line)
-        self.problems.append(f"line {lineno}: [{self.kind} {self.name}] {msg}" + (f" (key {key!r})" if key else ""))
+    @property
+    def ok(self) -> bool:
+        return len(self.problems) == self.first_problem
 
-    def raw(self, key: str, default: str | None = None):
-        if key in self.items:
-            value, lineno = self.items.pop(key)
-            return value, lineno
-        return default, None
+    def error(self, key: str, msg: str, named: bool = True) -> None:
+        # a key's own line, even once an accessor has taken it; else the header's
+        suffix = f" (key {key!r})" if key and named else ""
+        self.problems.append(f"line {self.key_lines.get(key, self.line)}: [{self.kind} {self.name}] {msg}{suffix}")
 
-    def text(self, key: str, default: str | None = None, choices: tuple[str, ...] | None = None):
-        value, lineno = self.raw(key, default)
-        if value is not None and choices is not None and value not in choices:
-            self.error(key, lineno, f"must be one of {', '.join(choices)}, got {value!r}")
-            return default
+    def text(self, key: str, choices: tuple[str, ...] | None = None) -> str | None:
+        """Free text ('' when absent), or one of choices (the first when absent)."""
+        value = self.items.pop(key, None)
+        if value is None:
+            return choices[0] if choices else ""
+        if choices is not None and value not in choices:
+            self.error(key, f"must be one of {', '.join(choices)}, got {value!r}")
+            return None
         return value
 
-    def number(self, key: str, default: float | None = None) -> float | None:
-        value, lineno = self.raw(key)
+    def values(self, key, default=None, count=1, broadcast=False, parse=float, applies=True, words=()):
+        """The key's comma-separated values, each read by parse.
+
+        count=1 gives the one value itself; count=n a tuple of exactly n
+        values, or with broadcast of one value repeated n times; count=None a
+        tuple of any length.  A value in words is returned as it is.
+        """
+        value = self.items.pop(key, None)
         if value is None:
             return default
-        try:
-            return float(value)
-        except ValueError:
-            self.error(key, lineno, f"expected a number, got {value!r}")
-            return default
-
-    def integer(self, key: str, default: int | None = None) -> int | None:
-        value, lineno = self.raw(key)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            self.error(key, lineno, f"expected an integer, got {value!r}")
-            return default
-
-    def numbers(self, key: str, default: tuple[float, ...] | None = None):
-        value, lineno = self.raw(key)
-        if value is None:
-            return default
-        try:
-            return tuple(float(part) for part in value.split(","))
-        except ValueError:
-            self.error(key, lineno, f"expected comma-separated numbers, got {value!r}")
-            return default
-
-    def finish(self, allowed: set[str]) -> None:
-        for key, (_, lineno) in self.items.items():
-            if key in allowed:
-                self.error("", lineno, f"key {key!r} does not apply to this section as configured")
-            else:
-                self.error("", lineno, f"unknown key {key!r}")
-
-
-def _per_joint(reader: _SectionReader, key: str, n: int, default: float):
-    """Scalar broadcast or an exact-length comma list."""
-    values = reader.numbers(key, (default,))
-    if values is None:
-        values = (default,)
-    if len(values) == 1:
-        return (values[0],) * n
-    if len(values) != n:
-        reader.error(key, None, f"expected 1 or {n} values, got {len(values)}")
-        return (default,) * n
-    return values
-
-
-def _build_norm(reader: _SectionReader, mu: float) -> HomNormSpec | None:
-    kind = reader.text("norm", "weighted_sum", choices=("weighted_sum", "canonical", "experimental"))
-    coeffs = reader.numbers("norm_coefficients", (1.0, 1.0))
-    p_entries = reader.numbers("norm_p", (1.0, 0.0, 0.0, 1.0))
-    tol = reader.number("norm_tolerance", 1e-12)
-    z1max = reader.number("zeta1_max", 1.0)
-    ngamma = reader.number("norm_gamma", 1.0)
-    try:
-        if kind == "weighted_sum":
-            return WeightedSumNorm(tuple(coeffs))
-        if kind == "canonical":
-            if len(p_entries) != 4:
-                reader.error("norm_p", None, f"expected 4 entries for a 2x2 matrix, got {len(p_entries)}")
-                return None
-            return CanonicalNorm(SymMatrix(np.array(p_entries).reshape(2, 2)), tol)
-        return ExperimentalNorm(z1max, ngamma, mu)
-    except ValueError as exc:
-        reader.error("norm", None, str(exc))
-        return None
-
-
-def _build_scenario(section: dict, problems: list[str], default_seed: int | None) -> Scenario | None:
-    r = _SectionReader(section, problems)
-    plant = r.text("plant", "extended", choices=("extended", "joints"))
-    controller = r.text("controller", "pid", choices=("pid", "hpid"))
-    kp = r.number("kp", -3.0)
-    kd = r.number("kd", -3.0)
-    ki = r.number("ki", -1.0)
-    mu = r.number("mu", 0.0)
-    T = r.number("T", 9.0)
-    h = r.number("h", 1e-3)
-    floor = r.number("norm_floor", 1e-9)
-    # x0 configures the extended plant only; joints start from rest at zero
-    x0 = r.numbers("x0", (1.0, 0.0, 0.3)) if plant == "extended" else None
-    # seed only resolves dist_phase = random, which the joints plant alone has
-    seed = r.integer("seed", default_seed if default_seed is not None else 0) if plant == "joints" else None
-    if mu is not None:
-        try:
-            _check_degree(mu)
-        except ValueError as exc:
-            r.error("mu", None, str(exc))
-            r.finish(_SCENARIO_KEYS)
+        if not applies:
+            self.error(key, f"key {key!r} does not apply to this section as configured", named=False)
             return None
+        if value in words:
+            return value
+        scalar = count == 1 and not broadcast
+        try:
+            parsed = (parse(value),) if scalar else tuple(parse(part) for part in value.split(","))
+        except ValueError:
+            what = "an integer" if parse is int else "a number" if scalar else "comma-separated numbers"
+            self.error(key, f"expected {' or '.join([what, *map(repr, words)])}, got {value!r}")
+            return None
+        if broadcast and count and len(parsed) == 1:
+            parsed *= count
+        if count is not None and len(parsed) != count:
+            self.error(key, f"expected {'1 or ' if broadcast else ''}{count} values, got {len(parsed)}")
+            return None
+        return parsed[0] if scalar else parsed
+
+    def check(self, key: str, build, *args, **kwargs):
+        """build(*args, **kwargs), or None with its ValueError cited at key's line.
+
+        None among args stands for an input already reported: nothing is
+        built from it.
+        """
+        if any(arg is None for arg in args):
+            return None
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            self.error(key, str(exc))
+            return None
+
+    def finish(self) -> None:
+        for key in self.items:
+            self.error(key, f"unknown key {key!r}", named=False)
+
+
+def _read_gains(r: _SectionReader) -> GainSet | None:
+    return r.check("", GainSet, *(r.values(key, getattr(Scenario.gains, key)) for key in _GAIN_KEYS))
+
+
+def _joint_plant(n: int, seed: int, columns: dict) -> JointPlantConfig:
+    """The joints plant from the per-joint keys' values; absent keys take their defaults."""
+
+    def column(key, default):
+        values = columns[key]
+        if values == "random":
+            return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=n).tolist()
+        if values is None:
+            return [0.7 * j for j in range(n)] if default is None else [default] * n
+        return values
+
+    refs = zip(*(column(key, default) for key, default in _REFERENCE_KEYS.items()))
+    dists = zip(*(column(key, default) for key, default in _DISTURBANCE_KEYS.items()))
+    return JointPlantConfig(tuple(JointConfig(ReferenceSpec(*ref), DisturbanceSpec(*dist)) for ref, dist in zip(refs, dists)))
+
+
+def _read_scenario(r: _SectionReader, default_seed: int | None) -> Scenario | None:
+    plant, controller, kind = (r.text(key, choices) for key, choices in _CHOICES.items())
+    # an invalid plant or norm kind applies every key that depends on it, so
+    # the one bad choice is the one problem reported
+    extended, joints = plant != "joints", plant != "extended"
+    gains = _read_gains(r)
+    numbers = {field: r.values(key, getattr(Scenario, field)) for key, field in _NUMBER_KEYS.items()}
+    mu = numbers["mu"]
     if controller == "pid" and mu:
-        r.error("mu", None, "a pid scenario must keep mu = 0")
-        r.finish(_SCENARIO_KEYS)
+        r.error("mu", "a pid scenario must keep mu = 0")
+    else:
+        r.check("mu", _check_degree, mu)
+    norm_values = {
+        name: [r.values(key, default, count, applies=kind in (name, None)) for key, (count, default) in keys.items()]
+        for name, (_, keys, _, _) in _NORMS.items()
+    }
+    x0 = r.values("x0", None, 3, applies=extended)  # Scenario resolves the default
+    seed = r.values("seed", default_seed or 0, parse=int, applies=joints)
+    n = r.values("n_joints", 6, parse=int, applies=joints)
+    if n is not None and n < 1:
+        r.error("n_joints", "need at least one joint")
+        n = None  # the per-joint lists are still read, at any length
+    columns = {
+        key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
+        for key, default in {**_REFERENCE_KEYS, **_DISTURBANCE_KEYS}.items()
+    }
+    r.finish()
+    if not r.ok:  # nothing is built from a section with a problem
         return None
-    norm = _build_norm(r, mu)
-
-    joint_plant = None
-    if plant == "joints":
-        n_joints = r.integer("n_joints", 6)
-        if n_joints is None or n_joints < 1:
-            r.error("n_joints", None, "need at least one joint")
-            r.finish(_SCENARIO_KEYS)
-            return None
-        amp = _per_joint(r, "ref_amplitude", n_joints, 1.0)
-        freq = _per_joint(r, "ref_frequency", n_joints, 1.0)
-        phase = _per_joint(r, "ref_phase", n_joints, 0.0)
-        offset = _per_joint(r, "ref_offset", n_joints, 0.0)
-        d_const = _per_joint(r, "dist_constant", n_joints, 0.3)
-        d_amp = _per_joint(r, "dist_amplitude", n_joints, 0.15)
-        d_freq = _per_joint(r, "dist_frequency", n_joints, 2.0)
-        d_bound = _per_joint(r, "dist_bound", n_joints, 0.5)
-        raw_phase, phase_line = r.raw("dist_phase", None)
-        if raw_phase is None:
-            d_phase = tuple(0.7 * j for j in range(n_joints))
-        elif raw_phase.strip() == "random":
-            rng = np.random.default_rng(seed)
-            d_phase = tuple(float(v) for v in rng.uniform(0.0, 2.0 * math.pi, size=n_joints))
-        else:
-            try:
-                vals = tuple(float(part) for part in raw_phase.split(","))
-                d_phase = vals * n_joints if len(vals) == 1 else vals
-                if len(d_phase) != n_joints:
-                    r.error("dist_phase", phase_line, f"expected 1 or {n_joints} values")
-                    d_phase = (0.0,) * n_joints
-            except ValueError:
-                r.error("dist_phase", phase_line, f"expected numbers or 'random', got {raw_phase!r}")
-                d_phase = (0.0,) * n_joints
-        try:
-            joints = tuple(
-                JointConfig(
-                    ReferenceSpec(amp[j], freq[j], phase[j], offset[j]),
-                    DisturbanceSpec(d_const[j], d_amp[j], d_freq[j], d_phase[j], d_bound[j]),
-                )
-                for j in range(n_joints)
-            )
-            joint_plant = JointPlantConfig(joints)
-        except ValueError as exc:
-            r.error("", None, str(exc))
-            r.finish(_SCENARIO_KEYS)
-            return None
-
-    r.finish(_SCENARIO_KEYS)
-    bad_x0 = x0 is not None and len(x0) != 3
-    if bad_x0:
-        r.error("x0", None, f"expected three values, got {len(x0)}")
-    if bad_x0 or norm is None or None in (kp, kd, ki, mu, T, h, floor):
+    norm = r.check("norm", _NORMS[kind][2], mu, *norm_values[kind])
+    joint_plant = r.check("", _joint_plant, n, seed, columns) if joints else None
+    if not r.ok:
         return None
-    try:
-        return Scenario(
-            controller=controller,
-            gains=GainSet(kp, kd, ki),
-            mu=mu,
-            norm=norm,
-            x0=x0,
-            horizon=T,
-            step=h,
-            norm_floor=floor,
-            joint_plant=joint_plant,
-            name=r.name,
-        )
-    except ValueError as exc:
-        r.error("", None, str(exc))
-        return None
+    return r.check("", Scenario, controller, gains, norm=norm, x0=x0, joint_plant=joint_plant, name=r.name, **numbers)
 
 
 def parse_config(text: str, default_seed: int | None = None) -> RunConfig:
     """Parse and validate a config document; raises ConfigError on problems."""
     problems: list[str] = []
     sections = _split_sections(text, problems)
-    scenarios: list[Scenario] = []
-    compares: list[CompareJob] = []
-    certifies: list[CertifyJob] = []
-    seen: set[tuple[str, str]] = set()
+    # a compare job may name a scenario whose own section has a problem
+    scenario_names = {s["name"] for s in sections if s["kind"] == "scenario"}
+    built: dict[str, list] = {"scenario": [], "compare": [], "certify": []}
     for section in sections:
-        key = (section["kind"], section["name"])
-        if key in seen:
-            problems.append(f"line {section['line']}: duplicate section [{key[0]} {key[1]}]")
-            continue
-        seen.add(key)
-        if section["kind"] == "scenario":
-            scn = _build_scenario(section, problems, default_seed)
-            if scn is not None:
-                scenarios.append(scn)
-        elif section["kind"] == "compare":
-            r = _SectionReader(section, problems)
-            pid = r.text("pid", "")
-            hpid = r.text("hpid", "")
-            fixture = r.text("fixture", "", choices=("", fixtures.HARDWARE_FIXTURE_NAME))
-            r.finish(_COMPARE_KEYS)
-            if not fixture and (not pid or not hpid):
-                r.error("", None, "needs either fixture = hardware or both pid = and hpid =")
-                continue
-            compares.append(CompareJob(name=r.name, pid=pid or "", hpid=hpid or "", fixture=fixture or ""))
+        r = _SectionReader(section, problems)
+        if r.kind == "scenario":
+            item = _read_scenario(r, default_seed)
+        elif r.kind == "compare":
+            item = CompareJob(r.name, *(r.text(key, choices) for key, choices in _COMPARE_KEYS.items()))
+            r.finish()
+            if item.fixture == "":
+                if not (item.pid and item.hpid):
+                    r.error("", "needs either fixture = hardware or both pid = and hpid =")
+                for key, ref in zip(_COMPARE_KEYS, (item.pid, item.hpid)):
+                    if ref and ref not in scenario_names:
+                        r.error(key, f"references unknown scenario {ref!r}")
         else:
-            r = _SectionReader(section, problems)
-            kp = r.number("kp", -3.0)
-            kd = r.number("kd", -3.0)
-            ki = r.number("ki", -1.0)
-            r.finish(_CERTIFY_KEYS)
-            if None not in (kp, kd, ki):
-                certifies.append(CertifyJob(name=r.name, gains=GainSet(kp, kd, ki)))
-
-    names = {s.name for s in scenarios}
-    for job in compares:
-        if job.fixture:
-            continue
-        for role, ref in (("pid", job.pid), ("hpid", job.hpid)):
-            if ref not in names:
-                problems.append(f"[compare {job.name}] references unknown scenario {ref!r} (key {role!r})")
+            item = CertifyJob(r.name, _read_gains(r))
+            r.finish()
+        if r.ok:
+            built[r.kind].append(item)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(tuple(scenarios), tuple(compares), tuple(certifies))
+    return RunConfig(*(tuple(items) for items in built.values()))
 
 
 # ---------------------------------------------------------------------------
 # emission (round-trips through parse_config)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _text(value) -> str:
+    """A value as config text that parses back to it; numbers at full float64 precision."""
+    if isinstance(value, str):
+        return value
+    return ", ".join(repr(float(v)) for v in np.ravel(value))
 
 
-def _norm_lines(norm: HomNormSpec) -> list[str]:
-    if isinstance(norm, WeightedSumNorm):
-        return ["norm = weighted_sum", f"norm_coefficients = {', '.join(_fmt(c) for c in norm.coefficients)}"]
-    if isinstance(norm, CanonicalNorm):
-        flat = ", ".join(_fmt(v) for v in norm.P.entries.reshape(-1))
-        return ["norm = canonical", f"norm_p = {flat}", f"norm_tolerance = {_fmt(norm.tolerance)}"]
-    return [
-        "norm = experimental",
-        f"zeta1_max = {_fmt(norm.zeta1_max)}",
-        f"norm_gamma = {_fmt(norm.gamma)}",
-    ]
+def _scenario_items(s: Scenario) -> dict:
+    kind = next(name for name, (spec, *_) in _NORMS.items() if isinstance(s.norm, spec))
+    _, norm_keys, _, norm_values = _NORMS[kind]
+    items = {
+        **dict(zip(_CHOICES, (s.plant, s.controller, kind))),
+        **{key: getattr(s.gains, key) for key in _GAIN_KEYS},
+        **{key: getattr(s, field) for key, field in _NUMBER_KEYS.items()},
+        **dict(zip(norm_keys, norm_values(s.norm))),
+    }
+    if s.joint_plant is None:
+        items["x0"] = s.x0
+    else:
+        items["n_joints"] = str(s.joint_plant.n_joints)
+        # astuple(joint) is (reference fields, disturbance fields), each in key order
+        for keys, specs in zip((_REFERENCE_KEYS, _DISTURBANCE_KEYS), zip(*map(astuple, s.joint_plant.joints))):
+            items.update(zip(keys, zip(*specs)))
+    return items
 
 
 def format_config(cfg: RunConfig) -> str:
     """Emit a config document that reparses to an equal RunConfig."""
+    sections = [("scenario", s.name, _scenario_items(s)) for s in cfg.scenarios]
+    sections += [
+        ("compare", job.name, {key: getattr(job, key) for key in _COMPARE_KEYS if getattr(job, key)})
+        for job in cfg.compares
+    ]
+    sections += [("certify", job.name, {key: getattr(job.gains, key) for key in _GAIN_KEYS}) for job in cfg.certifies]
     lines: list[str] = []
-    for s in cfg.scenarios:
-        lines.append(f"[scenario {s.name}]")
-        lines.append(f"plant = {s.plant}")
-        lines.append(f"controller = {s.controller}")
-        lines.append(f"kp = {_fmt(s.gains.kp)}")
-        lines.append(f"kd = {_fmt(s.gains.kd)}")
-        lines.append(f"ki = {_fmt(s.gains.ki)}")
-        lines.append(f"mu = {_fmt(s.mu)}")
-        lines.extend(_norm_lines(s.norm))
-        lines.append(f"T = {_fmt(s.horizon)}")
-        lines.append(f"h = {_fmt(s.step)}")
-        lines.append(f"norm_floor = {_fmt(s.norm_floor)}")
-        if s.plant == "extended":
-            lines.append(f"x0 = {', '.join(_fmt(v) for v in s.x0)}")
-        else:
-            jp = s.joint_plant
-            lines.append(f"n_joints = {jp.n_joints}")
-            refs = [jc.reference for jc in jp.joints]
-            dists = [jc.disturbance for jc in jp.joints]
-            lines.append(f"ref_amplitude = {', '.join(_fmt(r.amplitude) for r in refs)}")
-            lines.append(f"ref_frequency = {', '.join(_fmt(r.angular_frequency) for r in refs)}")
-            lines.append(f"ref_phase = {', '.join(_fmt(r.phase) for r in refs)}")
-            lines.append(f"ref_offset = {', '.join(_fmt(r.offset) for r in refs)}")
-            lines.append(f"dist_constant = {', '.join(_fmt(d.constant) for d in dists)}")
-            lines.append(f"dist_amplitude = {', '.join(_fmt(d.amplitude) for d in dists)}")
-            lines.append(f"dist_frequency = {', '.join(_fmt(d.angular_frequency) for d in dists)}")
-            lines.append(f"dist_phase = {', '.join(_fmt(d.phase) for d in dists)}")
-            lines.append(f"dist_bound = {', '.join(_fmt(d.bound) for d in dists)}")
-        lines.append("")
-    for job in cfg.compares:
-        lines.append(f"[compare {job.name}]")
-        if job.fixture:
-            lines.append(f"fixture = {job.fixture}")
-        else:
-            lines.append(f"pid = {job.pid}")
-            lines.append(f"hpid = {job.hpid}")
-        lines.append("")
-    for job in cfg.certifies:
-        lines.append(f"[certify {job.name}]")
-        lines.append(f"kp = {_fmt(job.gains.kp)}")
-        lines.append(f"kd = {_fmt(job.gains.kd)}")
-        lines.append(f"ki = {_fmt(job.gains.ki)}")
-        lines.append("")
+    for kind, name, items in sections:
+        lines += [f"[{kind} {name}]", *(f"{key} = {_text(value)}" for key, value in items.items()), ""]
     return "\n".join(lines)
 
 
@@ -503,13 +444,12 @@ def trajectory_csv_text(traj: Trajectory) -> str:
         for t, x, u in zip(traj.times, traj.states, traj.controls):
             out.append(fmt % (t, *x.tolist(), *u.tolist()))
     else:
-        refs = [jc.reference for jc in traj.scenario.joint_plant.joints]
+        positions = [jc.reference.position for jc in traj.scenario.joint_plant.joints]
         for t, err, ctl in zip(traj.times, traj.errors, traj.controls):
             t = float(t)
             row = [t]
-            for ref, e, u in zip(refs, err.tolist(), ctl.tolist()):
-                pos, _, _ = reference_eval(ref, t)
-                row += (pos - e, u, e)
+            for position, e, u in zip(positions, err.tolist(), ctl.tolist()):
+                row += (position(t) - e, u, e)
             out.append(fmt % tuple(row))
     return "\n".join(out) + "\n"
 

@@ -98,15 +98,15 @@ class ReferenceSpec:
                 raise ValueError(f"{name} must be finite, got {v}")
             object.__setattr__(self, name, v)
 
+    def position(self, t: float) -> float:
+        return self.offset + self.amplitude * math.sin(self.angular_frequency * t + self.phase)
+
 
 def reference_eval(spec: ReferenceSpec, t: float):
     """Reference position, velocity and acceleration at time t (analytic)."""
-    a, w, ph = spec.amplitude, spec.angular_frequency, spec.phase
-    arg = w * t + ph
-    pos = spec.offset + a * math.sin(arg)
-    vel = a * w * math.cos(arg)
-    acc = -a * w * w * math.sin(arg)
-    return pos, vel, acc
+    a, w = spec.amplitude, spec.angular_frequency
+    arg = w * t + spec.phase
+    return spec.position(t), a * w * math.cos(arg), -a * w * w * math.sin(arg)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpid import cli
+from hpid.plant import reference_eval
 from hpid.fixtures import (
     HARDWARE_COMPARISON_ROWS,
     HARDWARE_L2_CONTROL,
@@ -81,6 +87,40 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config("[scenario s]\nseed = 3\n")
         assert any("line 2" in p and "'seed' does not apply" in p for p in err.value.problems)
+        # a norm key applies only with its own norm kind
+        for text, line in [
+            ("[scenario s]\nnorm_p = 2, 0, 0, 1\n", 2),
+            ("[scenario s]\ncontroller = hpid\nmu = 0.1\nzeta1_max = 3\n", 4),
+            ("[scenario s]\nnorm = canonical\nnorm_coefficients = 5, 5\n", 3),
+            ("[scenario s]\nnorm_tolerance = 1e-3\n", 2),
+        ]:
+            with pytest.raises(cli.ConfigError) as err:
+                cli.parse_config(text)
+            [problem] = err.value.problems
+            assert problem.startswith(f"line {line}: ") and "does not apply" in problem, problem
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("[scenario j]\nplant = joints\nmu = 0.7\nn_joints = 2\nref_amplitude = 1\n", [(3, "'mu'")]),
+            ("[scenario a]\nx0 = 1, 2\nmu = 0.7\n", [(2, "'x0'"), (3, "'mu'")]),
+            ("[scenario a]\ncontroller = pid\nmu = 0.2\nnorm = bogus\n", [(3, "'mu'"), (4, "must be one of weighted_sum")]),
+            ("[compare c]\nfixture = foo\n", [(2, "'fixture'")]),
+            ("[certify c]\nkp = nan\n", [(1, "gain kp must be finite")]),
+            ("[scenario a]\nmu = 0.7\n\n[compare c]\npid = a\nhpid = a\n", [(2, "'mu'")]),
+            ("[compare c]\npid = a\nhpid = b\n", [(2, "unknown scenario 'a'"), (3, "unknown scenario 'b'")]),
+        ],
+        ids=["joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair"],
+    )
+    def test_each_problem_reported_once(self, text, expected):
+        # every key is read: no problem hides another, none is derived from another,
+        # and each cites its own line
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(text)
+        problems = err.value.problems
+        assert len(problems) == len(expected), problems
+        for line, fragment in expected:
+            assert sum(p.startswith(f"line {line}: ") and fragment in p for p in problems) == 1, problems
 
     def test_malformed_line_reported(self):
         with pytest.raises(cli.ConfigError) as err:
@@ -129,6 +169,24 @@ n_joints = 2
         again = cli.parse_config(cli.format_config(cfg))
         assert again == cfg
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        text = "".join(data.draw(scenario_texts(f"s{k}")) for k in range(data.draw(st.integers(1, 3))))
+        cfg = cli.parse_config(text)
+        emitted = cli.format_config(cfg)
+        again = cli.parse_config(emitted)
+        assert again == cfg
+        assert cli.format_config(again) == emitted
+
+    def test_readme_example_parses(self):
+        # the README's config example shows only keys the parser accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        cfg = cli.parse_config(block)
+        built = len(cfg.scenarios) + len(cfg.compares) + len(cfg.certifies)
+        assert built == len(re.findall(r"^\[", block, flags=re.M)) > 0
+
     def test_random_phases_resolved_by_seed(self):
         text = "[scenario s]\nplant = joints\ndist_phase = random\nseed = 7\n"
         a = cli.parse_config(text)
@@ -136,6 +194,58 @@ n_joints = 2
         assert a == b
         c = cli.parse_config(text.replace("seed = 7", "seed = 8"))
         assert c != a
+
+
+finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+positive = st.floats(0.1, 5, allow_nan=False, allow_infinity=False)
+
+
+def values_text(values) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+@st.composite
+def scenario_texts(draw, name):
+    """A valid [scenario] section: either plant, every norm kind, pid or hpid."""
+    lines = [f"[scenario {name}]"]
+    controller = draw(st.sampled_from(["pid", "hpid"]))
+    lines.append(f"controller = {controller}")
+    if controller == "hpid":
+        lines.append(f"mu = {draw(st.floats(-0.45, 0.45))!r}")
+    lines += [f"{key} = {draw(finite)!r}" for key in ("kp", "kd", "ki")]
+    kind = draw(st.sampled_from(["default", "weighted_sum", "canonical", "experimental"]))
+    if kind != "default":
+        lines.append(f"norm = {kind}")
+    if kind == "weighted_sum":
+        lines.append(f"norm_coefficients = {values_text(draw(st.lists(positive, min_size=2, max_size=2)))}")
+    elif kind == "canonical":
+        # positive definite, and strictly monotone under every admissible dilation
+        p11, p22 = draw(st.floats(0.5, 3)), draw(st.floats(0.5, 3))
+        p12 = draw(st.floats(-0.2, 0.2))
+        lines.append(f"norm_p = {values_text([p11, p12, p12, p22])}")
+        lines.append(f"norm_tolerance = {draw(st.floats(1e-13, 1e-6))!r}")
+    elif kind == "experimental":
+        lines += [f"zeta1_max = {draw(positive)!r}", f"norm_gamma = {draw(positive)!r}"]
+    h = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+    lines += [f"h = {h!r}", f"T = {h * draw(st.integers(10, 2000))!r}"]
+    lines.append(f"norm_floor = {draw(st.floats(1e-12, 1e-3))!r}")
+    if draw(st.booleans()):
+        lines.append(f"x0 = {values_text(draw(st.lists(finite, min_size=3, max_size=3)))}")
+        return "\n".join(lines) + "\n\n"
+    lines.append("plant = joints")
+    n = draw(st.integers(1, 4))
+    lines.append(f"n_joints = {n}")
+    # |constant| + |amplitude| <= 1 <= bound keeps every disturbance in its bound,
+    # so dist_bound is always given
+    for key, values in [
+        ("ref_amplitude", finite), ("ref_frequency", finite), ("ref_phase", finite), ("ref_offset", finite),
+        ("dist_constant", st.floats(-0.5, 0.5)), ("dist_amplitude", st.floats(-0.5, 0.5)),
+        ("dist_frequency", finite), ("dist_phase", finite), ("dist_bound", st.floats(1, 5)),
+    ]:
+        if key == "dist_bound" or draw(st.booleans()):  # else the key's default
+            per_joint = draw(st.one_of(st.lists(values, min_size=1, max_size=1), st.lists(values, min_size=n, max_size=n)))
+            lines.append(f"{key} = {values_text(per_joint)}")
+    return "\n".join(lines) + "\n\n"
 
 
 class TestSimulateCommand:
@@ -211,6 +321,16 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out1)]) == 0
         assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out2)]) == 0
         assert (out1 / "det.csv").read_bytes() == (out2 / "det.csv").read_bytes()
+
+    def test_joints_csv_position_is_the_reference_minus_error(self, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("[scenario j]\nplant = joints\nn_joints = 2\nref_phase = 0.3, 1.1\nT = 1.0\nh = 0.01\n")
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        _, data = cli.read_trajectory_csv(tmp_path / "out" / "j.csv")
+        refs = [jc.reference for jc in cli.parse_config(cfgfile.read_text()).scenario("j").joint_plant.joints]
+        for k, ref in enumerate(refs):
+            q, eps = data[:, 1 + 3 * k], data[:, 3 + 3 * k]
+            assert [reference_eval(ref, t)[0] - e for t, e in zip(data[:, 0].tolist(), eps.tolist())] == q.tolist()
 
     def test_joints_csv_schema(self, tmp_path):
         cfgfile = tmp_path / "cfg"
