@@ -16,13 +16,12 @@ from .homogeneity import (
     HomNormSpec,
     SymMatrix,
     WeightedSumNorm,
-    canonical_norm,
     canonical_norm_gradient,
     check_strict_monotonicity,
     dilation_apply,
     error_pair_dilation,
     extended_state_dilation,
-    hom_norm,
+    norm_evaluator,
     standard_dilation,
     verify_field_homogeneity,
 )

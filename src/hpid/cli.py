@@ -33,14 +33,16 @@ Config format: flat `key = value` lines under bracketed section headers,
 
     [compare NAME]
         pid = scenario-name    hpid = scenario-name
-        fixture = hardware     (instead of the pair: render stored numbers)
+        fixture = hardware     (instead of the pair: render stored numbers;
+                               pid and hpid then do not apply)
 
     [certify NAME]
         kp/kd/ki = floats
 
 A key that does not apply as the section is configured (a norm key of
 another norm kind, x0 on the joints plant, a joints key on the extended
-plant) is rejected at its line, as is an unknown key.
+plant, pid or hpid next to a fixture) is rejected at its line, as is an
+unknown key.
 
 Trajectory CSV schema: header row, `t` first, then `x1,x2,x3,u` for the
 extended plant or `j<k>_q,j<k>_u,j<k>_eps` per joint; 17 significant
@@ -135,11 +137,11 @@ _GAIN_KEYS = ("kp", "kd", "ki")  # GainSet fields; defaults Scenario.gains
 _NUMBER_KEYS = {"mu": "mu", "T": "horizon", "h": "step", "norm_floor": "norm_floor"}  # -> Scenario field
 # norm kind -> (spec class, {key: (count, default)}, spec from mu and the
 # keys' values, the keys' values read back off a spec).  A kind's keys apply
-# only with that kind; count None takes any number of values.
+# only with that kind.
 _NORMS = {
     "weighted_sum": (
         WeightedSumNorm,
-        {"norm_coefficients": (None, Scenario.norm.coefficients)},
+        {"norm_coefficients": (2, Scenario.norm.coefficients)},
         lambda mu, coefficients: WeightedSumNorm(coefficients),
         lambda spec: (spec.coefficients,),
     ),
@@ -169,7 +171,8 @@ _REFERENCE_KEYS = {"ref_amplitude": 1.0, "ref_frequency": 1.0, "ref_phase": 0.0,
 _DISTURBANCE_KEYS = {
     "dist_constant": 0.3, "dist_amplitude": 0.15, "dist_frequency": 2.0, "dist_phase": None, "dist_bound": 0.5,
 }
-_COMPARE_KEYS = {"pid": None, "hpid": None, "fixture": ("", fixtures.HARDWARE_FIXTURE_NAME)}  # key -> choices
+# key -> choices, in CompareJob field order; pid and hpid apply only without a fixture
+_COMPARE_KEYS = {"pid": None, "hpid": None, "fixture": ("", fixtures.HARDWARE_FIXTURE_NAME)}
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +238,10 @@ class _SectionReader:
         suffix = f" (key {key!r})" if key and named else ""
         self.problems.append(f"line {self.key_lines.get(key, self.line)}: [{self.kind} {self.name}] {msg}{suffix}")
 
-    def text(self, key: str, choices: tuple[str, ...] | None = None) -> str | None:
+    def text(self, key: str, choices: tuple[str, ...] | None = None, applies: bool = True) -> str | None:
         """Free text ('' when absent), or one of choices (the first when absent)."""
-        value = self.items.pop(key, None)
-        if value is None:
-            return choices[0] if choices else ""
-        if choices is not None and value not in choices:
+        value = self.values(key, choices[0] if choices else "", parse=str, applies=applies)
+        if value is not None and choices is not None and value not in choices:
             self.error(key, f"must be one of {', '.join(choices)}, got {value!r}")
             return None
         return value
@@ -361,7 +362,9 @@ def parse_config(text: str, default_seed: int | None = None) -> RunConfig:
         if r.kind == "scenario":
             item = _read_scenario(r, default_seed)
         elif r.kind == "compare":
-            item = CompareJob(r.name, *(r.text(key, choices) for key, choices in _COMPARE_KEYS.items()))
+            fixture = r.text("fixture", _COMPARE_KEYS["fixture"])
+            pair = (r.text(key, applies=not fixture) for key in ("pid", "hpid"))  # an invalid fixture applies them
+            item = CompareJob(r.name, *pair, fixture)
             r.finish()
             if item.fixture == "":
                 if not (item.pid and item.hpid):

@@ -15,8 +15,10 @@ provided:
 * an error-pair norm  |e|^{1/(1-mu)} / z1_max + c |de|  used by the
   homogeneous PID on the (error, error-rate) plane.
 
-norm_evaluator (and hom_norm on top of it) evaluates every kind on the
-two-dimensional error pair; canonical_norm also works in n dimensions.
+norm_evaluator is the one place a norm is evaluated: it checks the
+spec/dilation pairing once and returns the point -> norm closure, on the
+two-dimensional error pair for every kind and on any dimension for the
+canonical norm.
 The module also verifies numerically that a vector field g is
 d-homogeneous of degree mu, i.e. g(d(s) x) = e^{mu s} d(s) g(x).
 """
@@ -43,9 +45,7 @@ __all__ = [
     "extended_state_dilation",
     "dilation_apply",
     "check_strict_monotonicity",
-    "canonical_norm",
     "canonical_norm_gradient",
-    "hom_norm",
     "norm_evaluator",
     "verify_field_homogeneity",
 ]
@@ -233,24 +233,15 @@ def _p_norm(P: np.ndarray, z: np.ndarray) -> float:
     return math.sqrt(float(z @ P @ z))
 
 
-def canonical_norm(spec: CanonicalNorm, dil: Dilation, x) -> float:
+def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray, tolerance: float) -> float:
     """The unique lambda > 0 with ||d(-ln lambda) x||_P = 1 (0 at the origin).
 
     The map lambda -> ||d(-ln lambda) x||_P is strictly decreasing for a
-    strictly monotone dilation, so the root is found by doubling/halving
-    bracket expansion from lambda_0 = ||x||_P, bisection to 1e-12 relative,
-    and safeguarded Newton polish down to the spec residual tolerance.
+    strictly monotone dilation (vetted by the caller), so the root is found
+    by doubling/halving bracket expansion from lambda_0 = ||x||_P, bisection
+    to 1e-12 relative, and safeguarded Newton polish down to the residual
+    tolerance.
     """
-    x = np.asarray(x, dtype=float)
-    if not check_strict_monotonicity(dil, spec.P):
-        raise ValueError("P must make the dilation strictly monotone (P > 0, PG + G'P > 0)")
-    if x.shape != (dil.n,):
-        raise ValueError(f"expected vector of dimension {dil.n}, got shape {x.shape}")
-    return _canonical_core(spec.P.entries, np.asarray(dil.weights), x, spec.tolerance)
-
-
-def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray, tolerance: float) -> float:
-    """Root solve for the canonical norm; monotonicity of (P, w) already vetted."""
     with np.errstate(over="ignore"):  # overflow-scale x is reported, not warned
         nx = _p_norm(P, x)
     if not math.isfinite(nx):
@@ -317,11 +308,11 @@ def canonical_norm_gradient(spec: CanonicalNorm, dil: Dilation, x) -> np.ndarray
 
         lambda * z' P d(-ln lambda) / (z' P G z),
 
-    which matches central finite differences of canonical_norm away from
-    degenerate points.
+    which matches central finite differences of the canonical norm away
+    from degenerate points.
     """
     x = np.asarray(x, dtype=float)
-    lam = canonical_norm(spec, dil, x)
+    lam = norm_evaluator(spec, dil)(*x)
     if lam == 0.0:
         raise ValueError("canonical-norm gradient is undefined at the origin")
     w = np.asarray(dil.weights)
@@ -332,33 +323,33 @@ def canonical_norm_gradient(spec: CanonicalNorm, dil: Dilation, x) -> np.ndarray
     return lam * (Pz * scales) / denom
 
 
-def hom_norm(spec: HomNormSpec, dil: Dilation, x) -> float:
-    """Evaluate any homogeneous-norm variant at a point of the error-pair plane."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dil.n,):
-        raise ValueError(f"expected vector of dimension {dil.n}, got shape {x.shape}")
-    return norm_evaluator(spec, dil)(*x.tolist())
-
-
-def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[[float, float], float]:
-    """Fast (xi1, xi2) -> norm closure for two-dimensional specs.
+def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
+    """The point -> norm closure of spec under dil.
 
     Validates the spec/dilation pairing once so per-step controller and
-    vector-field evaluations stay cheap.
+    vector-field evaluations stay cheap.  The canonical closure takes the
+    dil.n coordinates of a point; the weighted-sum and experimental
+    closures take the error pair (xi1, xi2).
     """
+    if isinstance(spec, CanonicalNorm):
+        if not check_strict_monotonicity(dil, spec.P):
+            raise ValueError("P must make the dilation strictly monotone (P > 0, PG + G'P > 0)")
+        P, w, tol, n = spec.P.entries, np.asarray(dil.weights), spec.tolerance, dil.n
+
+        def canonical(*x: float) -> float:
+            if len(x) != n:
+                raise ValueError(f"expected {n} coordinates, got {len(x)}")
+            return _canonical_core(P, w, np.array(x), tol)
+
+        return canonical
     if dil.n != 2:
-        raise ValueError("norm_evaluator is for the two-dimensional error pair")
+        raise ValueError("the weighted-sum and experimental norms are for the two-dimensional error pair")
     if isinstance(spec, WeightedSumNorm):
         if len(spec.coefficients) != 2:
             raise ValueError("weighted-sum norm needs exactly two coefficients here")
         c1, c2 = spec.coefficients
         e1, e2 = 1.0 / dil.weights[0], 1.0 / dil.weights[1]
         return lambda a, b: c1 * abs(a) ** e1 + c2 * abs(b) ** e2
-    if isinstance(spec, CanonicalNorm):
-        if not check_strict_monotonicity(dil, spec.P):
-            raise ValueError("P must make the dilation strictly monotone (P > 0, PG + G'P > 0)")
-        P, w, tol = spec.P.entries, np.asarray(dil.weights), spec.tolerance
-        return lambda a, b: _canonical_core(P, w, np.array([a, b]), tol)
     if isinstance(spec, ExperimentalNorm):
         expected = (1.0 - spec.mu, 1.0)
         if any(abs(a - b) > 1e-12 for a, b in zip(dil.weights, expected)):

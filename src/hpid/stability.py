@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import GainSet
-from .homogeneity import SymMatrix, _canonical_core
+from .homogeneity import CanonicalNorm, SymMatrix, extended_state_dilation, norm_evaluator
 from .sim import Trajectory
 
 __all__ = [
@@ -212,9 +212,8 @@ def lyapunov_decrease_check(
     if not cert.admits(mu):
         raise ValueError(f"mu={mu} lies outside the certified interval ({cert.mu_lo}, {cert.mu_hi})")
 
-    w = np.array([1.0 - mu, 1.0, 1.0 + mu])
-    Pe = cert.P.entries
-    V = np.array([_canonical_core(Pe, w, x, 1e-12) for x in traj.states])
+    norm = norm_evaluator(CanonicalNorm(cert.P), extended_state_dilation(mu))
+    V = np.array([norm(*x) for x in traj.states])
     rate = cert.decrease_rate()
     Vi = V[:-1]
     live = Vi > 100.0 * scn.norm_floor

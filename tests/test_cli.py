@@ -109,8 +109,14 @@ class TestParseConfig:
             ("[certify c]\nkp = nan\n", [(1, "gain kp must be finite")]),
             ("[scenario a]\nmu = 0.7\n\n[compare c]\npid = a\nhpid = a\n", [(2, "'mu'")]),
             ("[compare c]\npid = a\nhpid = b\n", [(2, "unknown scenario 'a'"), (3, "unknown scenario 'b'")]),
+            ("[compare c]\nfixture = hardware\npid = nosuch\n", [(3, "key 'pid' does not apply")]),
+            ("[scenario s]\nnorm_coefficients = 1, 2, 3\n", [(2, "expected 2 values, got 3")]),
+            ("[scenario s]\ncontroller = hpid\nmu = 0.1\nnorm_coefficients = 1, 2, 3\n", [(4, "expected 2 values, got 3")]),
         ],
-        ids=["joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair"],
+        ids=[
+            "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
+            "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
+        ],
     )
     def test_each_problem_reported_once(self, text, expected):
         # every key is read: no problem hides another, none is derived from another,

@@ -12,13 +12,12 @@ from hpid.homogeneity import (
     ExperimentalNorm,
     SymMatrix,
     WeightedSumNorm,
-    canonical_norm,
     canonical_norm_gradient,
     check_strict_monotonicity,
     dilation_apply,
     error_pair_dilation,
     extended_state_dilation,
-    hom_norm,
+    norm_evaluator,
     standard_dilation,
     verify_field_homogeneity,
 )
@@ -131,13 +130,13 @@ class TestStrictMonotonicity:
 
 class TestWeightedSumNorm:
     def test_reduces_to_l1(self):
-        assert hom_norm(WeightedSumNorm((1.0, 1.0)), standard_dilation(2), [3.0, 4.0]) == 7.0
+        assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), standard_dilation(2))(3.0, 4.0) == 7.0
 
     def test_fractional_weight(self):
-        assert hom_norm(WeightedSumNorm((1.0, 1.0)), Dilation((2.0, 1.0)), [9.0, 0.0]) == 3.0
+        assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), Dilation((2.0, 1.0)))(9.0, 0.0) == 3.0
 
     def test_origin(self):
-        assert hom_norm(WeightedSumNorm((2.0, 1.0)), standard_dilation(2), [0.0, 0.0]) == 0.0
+        assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), standard_dilation(2))(0.0, 0.0) == 0.0
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
@@ -147,37 +146,53 @@ class TestWeightedSumNorm:
 class TestCanonicalNorm:
     def test_standard_dilation_is_euclidean(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        assert canonical_norm(spec, standard_dilation(2), [3.0, 4.0]) == pytest.approx(5.0, abs=1e-11)
+        assert norm_evaluator(spec, standard_dilation(2))(3.0, 4.0) == pytest.approx(5.0, abs=1e-11)
 
     def test_origin(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        assert canonical_norm(spec, error_pair_dilation(0.3), [0.0, 0.0]) == 0.0
+        assert norm_evaluator(spec, error_pair_dilation(0.3))(0.0, 0.0) == 0.0
 
     def test_quadratic_weight(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        val = canonical_norm(spec, Dilation((2.0, 1.0)), [4.0, 0.0])
+        val = norm_evaluator(spec, Dilation((2.0, 1.0)))(4.0, 0.0)
         assert val == pytest.approx(2.0, abs=1e-11)
 
     def test_defining_identity(self):
         spec = CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]]))
         dil = error_pair_dilation(-0.2)
+        norm = norm_evaluator(spec, dil)
         for _ in range(200):
             x = RNG.uniform(-5, 5, size=2)
             if np.linalg.norm(x) < 1e-6:
                 continue
-            lam = canonical_norm(spec, dil, x)
+            lam = norm(*x)
             z = dilation_apply(dil, -math.log(lam), x)
             assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= spec.tolerance
+
+    @pytest.mark.parametrize("mu", [-0.2, 0.2])
+    def test_defining_identity_on_extended_state(self, mu):
+        # the decrease check's norm: three coordinates under the extended dilation
+        spec = CanonicalNorm(SymMatrix([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]]))
+        dil = extended_state_dilation(mu)
+        norm = norm_evaluator(spec, dil)
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            x = rng.uniform(-5, 5, size=3)
+            lam = norm(*x)
+            z = dilation_apply(dil, -math.log(lam), x)
+            assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= spec.tolerance
+        with pytest.raises(ValueError):
+            norm(1.0, 1.0)
 
     def test_requires_monotone_p(self):
         spec = CanonicalNorm(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
-            canonical_norm(spec, standard_dilation(2), [1.0, 1.0])
+            norm_evaluator(spec, standard_dilation(2))(1.0, 1.0)
 
     def test_overflow_scale_input_raises(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         with pytest.raises(BracketError):
-            canonical_norm(spec, standard_dilation(2), [1e300, 1e300])
+            norm_evaluator(spec, standard_dilation(2))(1e300, 1e300)
 
 
 class TestCanonicalGradient:
@@ -190,6 +205,7 @@ class TestCanonicalGradient:
         # central differences with relative step are the independent oracle
         spec = CanonicalNorm(SymMatrix([[1.5, 0.2], [0.2, 0.9]]))
         dil = Dilation((2.0, 1.0))
+        norm = norm_evaluator(spec, dil)
         checked = 0
         for _ in range(300):
             x = RNG.uniform(-4, 4, size=2)
@@ -202,7 +218,7 @@ class TestCanonicalGradient:
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = step
-                fd[k] = (canonical_norm(spec, dil, x + e) - canonical_norm(spec, dil, x - e)) / (2 * step)
+                fd[k] = (norm(*(x + e)) - norm(*(x - e))) / (2 * step)
             assert np.abs(grad - fd).max() <= 1e-5 * max(1e-9, np.abs(grad).max())
             checked += 1
             if checked >= 100:
@@ -212,6 +228,7 @@ class TestCanonicalGradient:
     def test_specific_points_against_differences(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         dil = Dilation((2.0, 1.0))
+        norm = norm_evaluator(spec, dil)
         for x in ([4.0, 0.0], [1.0, 1.0]):
             x = np.asarray(x)
             grad = canonical_norm_gradient(spec, dil, x)
@@ -220,7 +237,7 @@ class TestCanonicalGradient:
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = step
-                fd[k] = (canonical_norm(spec, dil, x + e) - canonical_norm(spec, dil, x - e)) / (2 * step)
+                fd[k] = (norm(*(x + e)) - norm(*(x - e))) / (2 * step)
             assert np.abs(grad - fd).max() <= 1e-5 * np.abs(grad).max()
 
     def test_origin_raises(self):
@@ -231,23 +248,22 @@ class TestCanonicalGradient:
 
 class TestExperimentalNorm:
     def test_reduces_to_l1(self):
-        assert hom_norm(ExperimentalNorm(1.0, 1.0, 0.0), error_pair_dilation(0.0), [3.0, 4.0]) == 7.0
+        assert norm_evaluator(ExperimentalNorm(1.0, 1.0, 0.0), error_pair_dilation(0.0))(3.0, 4.0) == 7.0
 
     def test_power(self):
-        assert hom_norm(ExperimentalNorm(1.0, 1.0, 0.4999), error_pair_dilation(0.4999), [4.0, 0.0]) == pytest.approx(
-            4.0 ** (1.0 / (1.0 - 0.4999))
-        )
+        norm = norm_evaluator(ExperimentalNorm(1.0, 1.0, 0.4999), error_pair_dilation(0.4999))
+        assert norm(4.0, 0.0) == pytest.approx(4.0 ** (1.0 / (1.0 - 0.4999)))
         # at mu = 0.5 the exponent would be exactly 2; the admissible range is open
         with pytest.raises(ValueError):
             ExperimentalNorm(1.0, 1.0, 0.5)
 
     def test_origin(self):
-        assert hom_norm(ExperimentalNorm(2.0, 3.0, -0.2), error_pair_dilation(-0.2), [0.0, 0.0]) == 0.0
+        assert norm_evaluator(ExperimentalNorm(2.0, 3.0, -0.2), error_pair_dilation(-0.2))(0.0, 0.0) == 0.0
 
     def test_requires_matching_dilation(self):
         spec = ExperimentalNorm(1.0, 1.0, 0.2)
         with pytest.raises(ValueError):
-            hom_norm(spec, standard_dilation(2), [1.0, 1.0])
+            norm_evaluator(spec, standard_dilation(2))(1.0, 1.0)
 
 
 class TestNormHomogeneity:
@@ -256,11 +272,12 @@ class TestNormHomogeneity:
     @pytest.mark.parametrize("mu", [-0.3, 0.0, 0.2])
     def test_scaling_identity(self, mu):
         for spec, dil in _norm_specs(mu) if mu != 0.0 else _norm_specs(0.0):
+            norm = norm_evaluator(spec, dil)
             for _ in range(100):
                 s = RNG.uniform(-5, 5)
                 x = RNG.uniform(-10, 10, size=2)
-                base = hom_norm(spec, dil, x)
-                scaled = hom_norm(spec, dil, dilation_apply(dil, s, x))
+                base = norm(*x)
+                scaled = norm(*dilation_apply(dil, s, x))
                 assert abs(scaled - math.exp(s) * base) <= 1e-9 * math.exp(s) * (1.0 + base)
 
     def test_norm_equivalence_on_unit_sphere(self):
@@ -273,7 +290,7 @@ class TestNormHomogeneity:
         for _ in range(400):
             z = RNG.normal(size=2)
             z /= math.sqrt(z @ P @ z)  # unit P-sphere
-            values = [hom_norm(spec, dil, z) for spec in specs]
+            values = [norm_evaluator(spec, dil)(*z) for spec in specs]
             assert all(v > 0.0 for v in values)
             for (i, j), acc in ratios.items():
                 acc.append(values[i] / values[j])
