@@ -20,15 +20,14 @@ Config format: flat `key = value` lines under bracketed section headers,
         kp/kd/ki = floats                  mu = float in (-0.5, 0.5)
         norm = weighted_sum | canonical | experimental
         norm_coefficients = c1, c2         (norm = weighted_sum only)
-        norm_p = p11, p12, p21, p22        norm_tolerance = float
-                                           (norm = canonical only)
+        norm_p = p11, p12, p21, p22        (norm = canonical only)
         zeta1_max / norm_gamma = floats    (norm = experimental only)
         x0 = e, de, p                      (extended plant)
         T = float    h = float             norm_floor = float
         n_joints = int                     (joints plant; per-joint values
         ref_amplitude / ref_frequency / ref_phase / ref_offset = list|scalar
         dist_constant / dist_amplitude / dist_frequency = list|scalar
-        dist_phase = list | scalar | random   seed = int (for random)
+        dist_phase = list | scalar | random   seed = int (for random, 0)
         dist_bound = list|scalar)
 
     [compare NAME]
@@ -42,7 +41,7 @@ Config format: flat `key = value` lines under bracketed section headers,
 A key that does not apply as the section is configured (a norm key of
 another norm kind, x0 on the joints plant, a joints key on the extended
 plant, pid or hpid next to a fixture) is rejected at its line, as is an
-unknown key.
+unknown key.  A value a library check rejects is cited at its key's line.
 
 Trajectory CSV schema: header row, `t` first, then `x1,x2,x3,u` for the
 extended plant or `j<k>_q,j<k>_u,j<k>_eps` per joint; 17 significant
@@ -61,10 +60,10 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, fixtures, metrics
-from .control import GainSet
+from .control import GainSet, _check_floor, hpid_law
 from .homogeneity import CanonicalNorm, ExperimentalNorm, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
-from .sim import DivergenceError, Scenario, Trajectory, simulate
+from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _initial_state, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
 
 __all__ = [
@@ -147,9 +146,9 @@ _NORMS = {
     ),
     "canonical": (
         CanonicalNorm,
-        {"norm_p": (4, (1.0, 0.0, 0.0, 1.0)), "norm_tolerance": (1, CanonicalNorm.tolerance)},
-        lambda mu, p, tolerance: CanonicalNorm(np.reshape(p, (2, 2)), tolerance),  # P row-major
-        lambda spec: (spec.P.entries, spec.tolerance),
+        {"norm_p": (4, (1.0, 0.0, 0.0, 1.0))},
+        lambda mu, p: CanonicalNorm(np.reshape(p, (2, 2))),  # P row-major
+        lambda spec: (spec.P.entries,),
     ),
     "experimental": (
         ExperimentalNorm,
@@ -275,6 +274,10 @@ class _SectionReader:
             return None
         return parsed[0] if scalar else parsed
 
+    def first(self, *keys: str) -> str:
+        """The first of keys the section sets ('' for none): where a problem of several keys is cited."""
+        return next((key for key in keys if key in self.key_lines), "")
+
     def check(self, key: str, build, *args, **kwargs):
         """build(*args, **kwargs), or None with its ValueError cited at key's line.
 
@@ -298,8 +301,11 @@ def _read_gains(r: _SectionReader) -> GainSet | None:
     return r.check("", GainSet, *(r.values(key, getattr(Scenario.gains, key)) for key in _GAIN_KEYS))
 
 
-def _joint_plant(n: int, seed: int, columns: dict) -> JointPlantConfig:
-    """The joints plant from the per-joint keys' values; absent keys take their defaults."""
+def _joint_plant(r: _SectionReader, n: int, seed: int, columns: dict) -> JointPlantConfig | None:
+    """The joints plant from the per-joint keys' values; absent keys take their defaults.
+
+    A rejected reference or disturbance is reported once, at its first key set.
+    """
 
     def column(key, default):
         values = columns[key]
@@ -309,12 +315,16 @@ def _joint_plant(n: int, seed: int, columns: dict) -> JointPlantConfig:
             return [0.7 * j for j in range(n)] if default is None else [default] * n
         return values
 
-    refs = zip(*(column(key, default) for key, default in _REFERENCE_KEYS.items()))
-    dists = zip(*(column(key, default) for key, default in _DISTURBANCE_KEYS.items()))
-    return JointPlantConfig(tuple(JointConfig(ReferenceSpec(*ref), DisturbanceSpec(*dist)) for ref, dist in zip(refs, dists)))
+    def specs(spec, keys, cited):
+        return r.check(r.first(*cited), lambda: [spec(*v) for v in zip(*(column(k, d) for k, d in keys.items()))])
+
+    refs = specs(ReferenceSpec, _REFERENCE_KEYS, _REFERENCE_KEYS)
+    bound_keys = ("dist_constant", "dist_amplitude", "dist_bound")  # cited first: the bound check's keys
+    dists = specs(DisturbanceSpec, _DISTURBANCE_KEYS, (*bound_keys, *_DISTURBANCE_KEYS))
+    return None if refs is None or dists is None else JointPlantConfig(tuple(map(JointConfig, refs, dists)))
 
 
-def _read_scenario(r: _SectionReader, default_seed: int | None) -> Scenario | None:
+def _read_scenario(r: _SectionReader) -> Scenario | None:
     plant, controller, kind = (r.text(key, choices) for key, choices in _CHOICES.items())
     # an invalid plant or norm kind applies every key that depends on it, so
     # the one bad choice is the one problem reported
@@ -326,12 +336,15 @@ def _read_scenario(r: _SectionReader, default_seed: int | None) -> Scenario | No
         r.error("mu", "a pid scenario must keep mu = 0")
     else:
         r.check("mu", _check_degree, mu)
+    r.check("norm_floor", _check_floor, numbers["norm_floor"])
+    r.check(r.first("h", "T"), _check_grid, numbers["horizon"], numbers["step"])
     norm_values = {
         name: [r.values(key, default, count, applies=kind in (name, None)) for key, (count, default) in keys.items()]
         for name, (_, keys, _, _) in _NORMS.items()
     }
     x0 = r.values("x0", None, 3, applies=extended)  # Scenario resolves the default
-    seed = r.values("seed", default_seed or 0, parse=int, applies=joints)
+    r.check("x0", _initial_state, x0)
+    seed = r.values("seed", 0, parse=int, applies=joints)
     n = r.values("n_joints", 6, parse=int, applies=joints)
     if n is not None and n < 1:
         r.error("n_joints", "need at least one joint")
@@ -343,14 +356,17 @@ def _read_scenario(r: _SectionReader, default_seed: int | None) -> Scenario | No
     r.finish()
     if not r.ok:  # nothing is built from a section with a problem
         return None
-    norm = r.check("norm", _NORMS[kind][2], mu, *norm_values[kind])
-    joint_plant = r.check("", _joint_plant, n, seed, columns) if joints else None
+    # the norm, and its pairing with the error-pair dilation, cited at its first key set
+    norm_key = r.first(*_NORMS[kind][1], "norm")
+    norm = r.check(norm_key, _NORMS[kind][2], mu, *norm_values[kind])
+    r.check(norm_key, hpid_law, gains, mu, norm, numbers["norm_floor"])
+    joint_plant = _joint_plant(r, n, seed, columns) if joints else None
     if not r.ok:
         return None
     return r.check("", Scenario, controller, gains, norm=norm, x0=x0, joint_plant=joint_plant, name=r.name, **numbers)
 
 
-def parse_config(text: str, default_seed: int | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document; raises ConfigError on problems."""
     problems: list[str] = []
     sections = _split_sections(text, problems)
@@ -360,7 +376,7 @@ def parse_config(text: str, default_seed: int | None = None) -> RunConfig:
     for section in sections:
         r = _SectionReader(section, problems)
         if r.kind == "scenario":
-            item = _read_scenario(r, default_seed)
+            item = _read_scenario(r)
         elif r.kind == "compare":
             fixture = r.text("fixture", _COMPARE_KEYS["fixture"])
             pair = (r.text(key, applies=not fixture) for key in ("pid", "hpid"))  # an invalid fixture applies them
@@ -458,12 +474,24 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 
 def read_trajectory_csv(path):
-    """Read a trajectory CSV back as (header list, 2-D float array)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line]
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return header, data
+    """Read a trajectory CSV back as (header list, 2-D float array).
+
+    Raises ValueError with the path and 1-based line for an empty file, a
+    row whose field count differs from the header's, or a non-finite field.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ValueError(f"{path}: line 1: empty file, expected a header row")
+    header, rows = lines[0].split(","), []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected numbers, got {line!r}") from None
+        if len(fields) != len(header) or not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"{path}: line {lineno}: expected {len(header)} finite numbers, got {line!r}")
+    return header, np.array(rows).reshape(len(rows), len(header))
 
 
 def comparison_csv_text(
@@ -491,13 +519,9 @@ def comparison_csv_text(
         iavc_wins = sum(float(r[3]) < float(r[2]) for r in fixture_rows)
         n = len(fixture_rows)
     else:
-        for j in range(report.n_joints):
-            row = (
-                report.ivc_pid[j], report.ivc_hpid[j],
-                report.iavc_pid[j], report.iavc_hpid[j],
-                report.itae_pid[j], report.itae_hpid[j],
-            )
-            lines.append(f"{j + 1}," + ",".join(_FMT % v for v in row))
+        pairs = (report.ivc_pid, report.ivc_hpid, report.iavc_pid, report.iavc_hpid, report.itae_pid, report.itae_hpid)
+        for j, row in enumerate(zip(*pairs), start=1):
+            lines.append(f"{j}," + ",".join(_FMT % v for v in row))
         lines.append(f"aggregate,l2_control,{_FMT % report.l2_control_pid},{_FMT % report.l2_control_hpid},,,")
         lines.append(f"aggregate,l2_error,{_FMT % report.l2_error_pid},{_FMT % report.l2_error_hpid},,,")
         ivc_wins, iavc_wins, _ = report.hpid_win_counts()
@@ -507,17 +531,10 @@ def comparison_csv_text(
 
 
 def certificate_csv_text(cert: StabilityCertificate) -> str:
-    lines = ["field,value"]
-    for name in ("kp", "kd", "ki"):
-        lines.append(f"{name},{_FMT % getattr(cert.gains, name)}")
-    for i in range(3):
-        for j in range(3):
-            lines.append(f"p{i + 1}{j + 1},{_FMT % cert.P.entries[i, j]}")
-    lines.append(f"beta,{_FMT % cert.beta}")
-    lines.append(f"gamma,{_FMT % cert.gamma}")
-    lines.append(f"mu_lo,{_FMT % cert.mu_lo}")
-    lines.append(f"mu_hi,{_FMT % cert.mu_hi}")
-    return "\n".join(lines) + "\n"
+    rows = [(name, getattr(cert.gains, name)) for name in ("kp", "kd", "ki")]
+    rows += [(f"p{i + 1}{j + 1}", cert.P.entries[i, j]) for i in range(3) for j in range(3)]
+    rows += [(name, getattr(cert, name)) for name in ("beta", "gamma", "mu_lo", "mu_hi")]
+    return "\n".join(["field,value", *(f"{name},{_FMT % value}" for name, value in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +666,12 @@ def cmd_verify(seed: int = 0, break_norm: bool = False) -> int:
 # argument parsing
 
 
-def _load_config(path: str, seed: int | None) -> RunConfig:
+def _load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
-    return parse_config(text, default_seed=seed)
+    return parse_config(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -664,12 +681,10 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="integrate scenarios to CSV trajectories")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="PID vs hPID index table")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--seed", type=int, default=None)
 
     p_cert = sub.add_parser("certify", help="stability certificate for gain sets")
     p_cert.add_argument("--config", required=True)
@@ -682,14 +697,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = _load_config(args.config, args.seed)
-            return cmd_simulate(cfg, args.out)
+            return cmd_simulate(_load_config(args.config), args.out)
         if args.command == "compare":
-            cfg = _load_config(args.config, args.seed)
-            return cmd_compare(cfg, args.out)
+            return cmd_compare(_load_config(args.config), args.out)
         if args.command == "certify":
-            cfg = _load_config(args.config, None)
-            return cmd_certify(cfg, args.out)
+            return cmd_certify(_load_config(args.config), args.out)
         return cmd_verify(seed=args.seed, break_norm=args.inject_broken_norm)
     except ConfigError as exc:
         for problem in exc.problems:

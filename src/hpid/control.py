@@ -88,8 +88,7 @@ def hpid_law(
     norm_floor).  At mu = 0 no norm is evaluated and the pair is the linear
     (kp e + kd de, e).  Every plant and the discrete stepper share this law.
     """
-    if not (math.isfinite(norm_floor) and norm_floor > 0.0):
-        raise ValueError(f"norm_floor must be a positive real, got {norm_floor}")
+    _check_floor(norm_floor)
     kp, kd = gains.kp, gains.kd
     if mu == 0.0:
         return lambda e, de: (kp * e + kd * de, e)
@@ -144,6 +143,11 @@ def hpid_step(state: HpidState, eps: float, deps: float, dt: float):
 def reset(state: HpidState) -> HpidState:
     """Zero the integral accumulator; every other field is preserved."""
     return replace(state, integral_acc=0.0)
+
+
+def _check_floor(norm_floor: float) -> None:
+    if not (math.isfinite(norm_floor) and norm_floor > 0.0):
+        raise ValueError(f"norm_floor must be a positive real, got {norm_floor}")
 
 
 def _require_finite(**values: float) -> None:

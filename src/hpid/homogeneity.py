@@ -119,6 +119,9 @@ def dilation_apply(dil: Dilation, s: float, x) -> np.ndarray:
     return dil.scales(s) * x
 
 
+_PD_MARGIN = 1e-10  # eigenvalue margin above which a symmetric matrix is positive definite
+
+
 class SymMatrix:
     """A validated symmetric real matrix (dense, small n).
 
@@ -145,11 +148,8 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).min())
-
-    def is_positive_definite(self, tol: float = 1e-10) -> bool:
-        return self.min_eigenvalue() > tol
+    def is_positive_definite(self) -> bool:
+        return float(np.linalg.eigvalsh(self.entries).min()) > _PD_MARGIN
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
@@ -187,15 +187,10 @@ class CanonicalNorm:
     """
 
     P: SymMatrix
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         if not isinstance(self.P, SymMatrix):
             object.__setattr__(self, "P", SymMatrix(self.P))
-        tol = float(self.tolerance)
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError("tolerance must be a positive real")
-        object.__setattr__(self, "tolerance", tol)
 
 
 @dataclass(frozen=True)
@@ -217,30 +212,33 @@ class ExperimentalNorm:
 HomNormSpec = WeightedSumNorm | CanonicalNorm | ExperimentalNorm
 
 
-def check_strict_monotonicity(dil: Dilation, P, tol: float = 1e-10) -> bool:
-    """True iff P > 0 and P G + G' P > 0 (eigenvalue margin above tol)."""
+def check_strict_monotonicity(dil: Dilation, P) -> bool:
+    """True iff P > 0 and P G + G' P > 0, each by an eigenvalue margin above _PD_MARGIN."""
     P = P if isinstance(P, SymMatrix) else SymMatrix(P)
     if P.n != dil.n:
         raise ValueError(f"dimension mismatch: P is {P.n}x{P.n}, dilation is {dil.n}-dimensional")
-    if P.min_eigenvalue() <= tol:
+    if not P.is_positive_definite():
         return False
     G = dil.generator()
     M = P.entries @ G + G.T @ P.entries
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()) > tol
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min()) > _PD_MARGIN
 
 
 def _p_norm(P: np.ndarray, z: np.ndarray) -> float:
     return math.sqrt(float(z @ P @ z))
 
 
-def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray, tolerance: float) -> float:
+CANONICAL_TOLERANCE = 1e-12  # the defining-equation residual Newton polish reaches
+
+
+def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray) -> float:
     """The unique lambda > 0 with ||d(-ln lambda) x||_P = 1 (0 at the origin).
 
     The map lambda -> ||d(-ln lambda) x||_P is strictly decreasing for a
     strictly monotone dilation (vetted by the caller), so the root is found
     by doubling/halving bracket expansion from lambda_0 = ||x||_P, bisection
     to 1e-12 relative, and safeguarded Newton polish down to the residual
-    tolerance.
+    CANONICAL_TOLERANCE.
     """
     with np.errstate(over="ignore"):  # overflow-scale x is reported, not warned
         nx = _p_norm(P, x)
@@ -289,7 +287,7 @@ def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray, tolerance: floa
     for _ in range(30):
         z = x * lam ** (-w)
         nz = _p_norm(P, z)
-        if abs(nz - 1.0) <= tolerance:
+        if abs(nz - 1.0) <= CANONICAL_TOLERANCE:
             break
         Pz = P @ z
         deriv = -float(Pz @ (w * z)) / (lam * nz)
@@ -334,12 +332,12 @@ def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
     if isinstance(spec, CanonicalNorm):
         if not check_strict_monotonicity(dil, spec.P):
             raise ValueError("P must make the dilation strictly monotone (P > 0, PG + G'P > 0)")
-        P, w, tol, n = spec.P.entries, np.asarray(dil.weights), spec.tolerance, dil.n
+        P, w, n = spec.P.entries, np.asarray(dil.weights), dil.n
 
         def canonical(*x: float) -> float:
             if len(x) != n:
                 raise ValueError(f"expected {n} coordinates, got {len(x)}")
-            return _canonical_core(P, w, np.array(x), tol)
+            return _canonical_core(P, w, np.array(x))
 
         return canonical
     if dil.n != 2:
@@ -360,6 +358,9 @@ def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
     raise TypeError(f"unknown norm spec {type(spec).__name__}")
 
 
+_HOMOGENEITY_TOLERANCE = 1e-9  # the largest residual verify_field_homogeneity passes
+
+
 @dataclass(frozen=True)
 class HomogeneityReport:
     """Outcome of a numerical degree-mu homogeneity check for a vector field."""
@@ -377,31 +378,28 @@ def verify_field_homogeneity(
     dil: Dilation,
     mu: float,
     samples: Sequence[tuple[float, Sequence[float]]],
-    tolerance: float = 1e-9,
 ) -> HomogeneityReport:
     """Check g(d(s) x) = e^{mu s} d(s) g(x) on the given (s, x) samples.
 
     The residual for one sample is
     ||g(d(s)x) - e^{mu s} d(s) g(x)|| / max(1, ||e^{mu s} d(s) g(x)||);
-    the report carries the maximum over samples.
+    the report carries the maximum over samples, which passes at or below
+    _HOMOGENEITY_TOLERANCE.
     """
-    worst = 0.0
-    worst_sample = (0.0, ())
-    count = 0
+    worst, worst_sample = 0.0, (0.0, ())
     for s, x in samples:
         x = np.asarray(x, dtype=float)
         lhs = np.asarray(field_fn(dilation_apply(dil, s, x)), dtype=float)
         rhs = math.exp(mu * s) * dilation_apply(dil, s, np.asarray(field_fn(x), dtype=float))
         resid = float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs)))
-        count += 1
         if resid > worst:
             worst = resid
             worst_sample = (float(s), tuple(float(v) for v in x))
     return HomogeneityReport(
         degree=float(mu),
         max_residual=worst,
-        tolerance=float(tolerance),
-        passed=worst <= tolerance,
-        n_samples=count,
+        tolerance=_HOMOGENEITY_TOLERANCE,
+        passed=worst <= _HOMOGENEITY_TOLERANCE,
+        n_samples=len(samples),
         worst_sample=worst_sample,
     )

@@ -22,47 +22,45 @@ from .sim import Trajectory
 __all__ = ["MetricsReport", "ivc", "iavc", "itae", "l2_norm", "pointwise_norm", "compare"]
 
 
-def _channel(traj: Trajectory, signal: str, joint: int) -> np.ndarray:
+def _signal(traj: Trajectory, signal: str) -> np.ndarray:
+    """The "control" or "error" samples, one column per channel."""
     if signal == "control":
-        data = traj.controls
-    elif signal == "error":
-        data = traj.errors
-    else:
-        raise ValueError(f"unknown signal {signal!r}")
+        return traj.controls
+    if signal == "error":
+        return traj.errors
+    raise ValueError(f"unknown signal {signal!r}")
+
+
+def _channel(traj: Trajectory, signal: str, joint: int) -> np.ndarray:
+    data = _signal(traj, signal)
     if not 0 <= joint < data.shape[1]:
         raise ValueError(f"joint index {joint} out of range for {data.shape[1]} channels")
+    if len(data) < 2:
+        raise ValueError("need at least two samples")
     return data[:, joint]
 
 
 def ivc(traj: Trajectory, joint: int = 0) -> float:
     """Integral of |du/dt| over the horizon for one control channel."""
     u = _channel(traj, "control", joint)
-    if len(u) < 2:
-        raise ValueError("need at least two samples")
     return float(np.abs(np.diff(u)).sum())
 
 
 def iavc(traj: Trajectory, joint: int = 0) -> float:
     """Integral of |u| over the horizon for one control channel."""
     u = _channel(traj, "control", joint)
-    if len(u) < 2:
-        raise ValueError("need at least two samples")
     return float(np.trapezoid(np.abs(u), traj.times))
 
 
 def itae(traj: Trajectory, joint: int = 0) -> float:
     """Integral of t * |error| over the horizon for one error channel."""
     e = _channel(traj, "error", joint)
-    if len(e) < 2:
-        raise ValueError("need at least two samples")
     return float(np.trapezoid(traj.times * np.abs(e), traj.times))
 
 
 def l2_norm(traj: Trajectory, signal: str) -> float:
     """sqrt(integral of sum_j s_j^2 dt) across all channels of a signal."""
-    data = traj.controls if signal == "control" else traj.errors if signal == "error" else None
-    if data is None:
-        raise ValueError(f"unknown signal {signal!r}")
+    data = _signal(traj, signal)
     if len(data) < 2:
         raise ValueError("need at least two samples")
     return float(np.sqrt(np.trapezoid((data * data).sum(axis=1), traj.times)))
@@ -70,9 +68,7 @@ def l2_norm(traj: Trajectory, signal: str) -> float:
 
 def pointwise_norm(traj: Trajectory, signal: str, t_index: int) -> float:
     """Euclidean norm across channels at one sample."""
-    data = traj.controls if signal == "control" else traj.errors if signal == "error" else None
-    if data is None:
-        raise ValueError(f"unknown signal {signal!r}")
+    data = _signal(traj, signal)
     if not 0 <= t_index < len(data):
         raise ValueError(f"sample index {t_index} out of range")
     return float(np.linalg.norm(data[t_index]))

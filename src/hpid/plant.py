@@ -178,23 +178,8 @@ _JOINT_DIST_PHASES = (0.0, 0.7, 1.4, 2.1, 2.8, 3.5)
 
 def default_six_joint_plant() -> JointPlantConfig:
     """The default six-joint desk plant used by the PID-vs-hPID comparison."""
-    joints = []
-    for j in range(6):
-        joints.append(
-            JointConfig(
-                reference=ReferenceSpec(
-                    amplitude=_JOINT_AMPLITUDES[j],
-                    angular_frequency=_JOINT_FREQUENCIES[j],
-                    phase=0.0,
-                    offset=_JOINT_OFFSETS[j],
-                ),
-                disturbance=DisturbanceSpec(
-                    constant=0.3,
-                    amplitude=0.15,
-                    angular_frequency=2.0,
-                    phase=_JOINT_DIST_PHASES[j],
-                    bound=0.5,
-                ),
-            )
-        )
-    return JointPlantConfig(tuple(joints))
+    columns = zip(_JOINT_AMPLITUDES, _JOINT_FREQUENCIES, _JOINT_OFFSETS, _JOINT_DIST_PHASES)
+    return JointPlantConfig(tuple(
+        JointConfig(ReferenceSpec(amplitude, frequency, 0.0, offset), DisturbanceSpec(0.3, 0.15, 2.0, phase, 0.5))
+        for amplitude, frequency, offset, phase in columns
+    ))

@@ -81,27 +81,16 @@ class Scenario:
         if self.controller == "pid" and mu != 0.0:
             raise ValueError("a pid scenario must keep mu = 0")
         object.__setattr__(self, "mu", mu)
-        T, h = float(self.horizon), float(self.step)
-        if not (math.isfinite(T) and T > 0.0):
-            raise ValueError(f"horizon must be positive, got {T}")
-        if not (math.isfinite(h) and h > 0.0):
-            raise ValueError(f"step must be positive, got {h}")
-        if h > T / 10.0:
-            raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
-        if abs(round(T / h) * h - T) > 1e-9 * T:
-            raise ValueError(f"step {h} does not divide horizon {T}")
-        object.__setattr__(self, "horizon", T)
-        object.__setattr__(self, "step", h)
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "step", float(self.step))
+        _check_grid(self.horizon, self.step)
         object.__setattr__(self, "norm_floor", float(self.norm_floor))
         hpid_law(self.gains, mu, self.norm, self.norm_floor)  # validates mu, floor and norm
         if self.joint_plant is not None:
             if self.x0 is not None:
                 raise ValueError("x0 applies to the extended plant only; joints start from rest")
             return
-        x0 = (1.0, 0.0, 0.3) if self.x0 is None else tuple(float(v) for v in self.x0)
-        if len(x0) != 3 or not all(math.isfinite(v) for v in x0):
-            raise ValueError(f"x0 must be three finite reals, got {self.x0}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _initial_state(self.x0))
 
     @property
     def plant(self) -> str:
@@ -111,26 +100,47 @@ class Scenario:
         return int(round(self.horizon / self.step))
 
 
+def _check_grid(T: float, h: float) -> None:
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"horizon must be positive, got {T}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step must be positive, got {h}")
+    if h > T / 10.0:
+        raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
+    if abs(round(T / h) * h - T) > 1e-9 * T:
+        raise ValueError(f"step {h} does not divide horizon {T}")
+
+
+def _initial_state(x0) -> tuple[float, float, float]:
+    state = (1.0, 0.0, 0.3) if x0 is None else tuple(float(v) for v in x0)
+    if len(state) != 3 or not all(math.isfinite(v) for v in state):
+        raise ValueError(f"x0 must be three finite reals, got {x0}")
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled closed-loop run: states, controls, tracking errors."""
+    """Uniformly sampled closed-loop run: states (stacked (e, de, z) blocks) and controls."""
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
-    errors: np.ndarray
     scenario: Scenario = field(repr=False)
 
     def __post_init__(self):
-        for name in ("times", "states", "controls", "errors"):
+        for name in ("times", "states", "controls"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if not np.isfinite(arr).all():
                 raise ValueError(f"trajectory {name} contain non-finite samples")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        n = len(self.times)
-        if not (len(self.states) == len(self.controls) == len(self.errors) == n):
+        if not (len(self.states) == len(self.controls) == len(self.times)):
             raise ValueError("trajectory arrays must have equal lengths")
+
+    @property
+    def errors(self) -> np.ndarray:
+        """Tracking errors, one column per channel: a read-only view of the states."""
+        return self.states[:, 0::3]
 
     @property
     def n_channels(self) -> int:
@@ -163,8 +173,9 @@ def simulate(scn: Scenario) -> Trajectory:
     """Integrate the scenario over [0, T]; deterministic for a fixed scenario.
 
     Both plants are closed-loop blocks (plant.closed_loop_blocks), so the
-    tracking errors are every third state.  The state steps as a list of
-    Python floats and each step is stored into the preallocated arrays.
+    tracking errors are every third state (Trajectory.errors).  The state
+    steps as a list of Python floats and each step is stored into the
+    preallocated arrays.
     Aborts with DivergenceError once the state norm exceeds DIVERGENCE_LIMIT.
     """
     if scn.joint_plant is None:
@@ -193,7 +204,7 @@ def simulate(scn: Scenario) -> Trajectory:
             raise DivergenceError(t[i + 1], f"|x| > {DIVERGENCE_LIMIT:g}")
         states[i + 1] = y
         controls[i + 1] = control(y)
-    return Trajectory(times=times, states=states, controls=controls, errors=states[:, 0::3].copy(), scenario=scn)
+    return Trajectory(times=times, states=states, controls=controls, scenario=scn)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Stability certificates for the homogeneous PID upgrade.
 
 Given stabilizing linear gains, a Lyapunov matrix P is obtained from
-P A + A' P = -Q, then the admissible degree interval is the set of mu
+P A + A' P = -I, then the admissible degree interval is the set of mu
 around zero where P keeps the extended dilation strictly monotone,
 P G(mu) + G(mu)' P > 0 with G(mu) = I + mu diag(-1, 0, 1).  The proof
 constants
@@ -70,24 +70,20 @@ def solve_lyapunov_matrix(A, Q) -> SymMatrix:
     return SymMatrix(0.5 * (P + P.T))
 
 
-def solve_lyapunov(gains: GainSet, Q=None) -> SymMatrix:
-    """Lyapunov matrix P > 0 for the extended linear closed loop.
+def solve_lyapunov(gains: GainSet) -> SymMatrix:
+    """Lyapunov matrix P > 0 of P A + A' P = -I for the extended linear closed loop.
 
     Raises InfeasibleGainsError (naming the violated Routh-Hurwitz
     condition) when the gains are not stabilizing; the returned P satisfies
-    ||P A + A' P + Q||_max <= 1e-9.
+    ||P A + A' P + I||_max <= 1e-9.
     """
     failures = gains.routh_hurwitz_failures()
     if failures:
         raise InfeasibleGainsError(failures)
-    Qm = SymMatrix(np.eye(3)) if Q is None else (Q if isinstance(Q, SymMatrix) else SymMatrix(Q))
-    if Qm.n != 3:
-        raise ValueError("Q must be 3x3")
-    if not Qm.is_positive_definite():
-        raise ValueError("Q must be positive definite")
     A = gains.a_matrix()
-    P = solve_lyapunov_matrix(A, Qm)
-    resid = float(np.abs(P.entries @ A + A.T @ P.entries + Qm.entries).max())
+    Q = np.eye(3)
+    P = solve_lyapunov_matrix(A, Q)
+    resid = float(np.abs(P.entries @ A + A.T @ P.entries + Q).max())
     if resid > 1e-9 or not P.is_positive_definite():
         raise ArithmeticError(f"Lyapunov solve failed (residual {resid:.3e})")
     return P
@@ -174,6 +170,11 @@ def certify(gains: GainSet) -> StabilityCertificate:
     return StabilityCertificate(P=P, beta=beta, gamma=gamma, mu_lo=mu_lo, mu_hi=mu_hi, gains=gains)
 
 
+# the decrease check's slack on dV/dt, absolute and relative to |rhs|, and
+# the share of live intervals that must meet the slackened inequality
+_SLACK_ABS, _SLACK_REL, _PASS_FRACTION = 1e-6, 0.05, 0.99
+
+
 @dataclass(frozen=True)
 class DecreaseReport:
     """Fraction of trajectory intervals satisfying the certified decay."""
@@ -186,21 +187,16 @@ class DecreaseReport:
     pass_fraction: float
 
 
-def lyapunov_decrease_check(
-    traj: Trajectory,
-    cert: StabilityCertificate,
-    mu: float,
-    slack_abs: float = 1e-6,
-    slack_rel: float = 0.05,
-    pass_fraction: float = 0.99,
-) -> DecreaseReport:
+def lyapunov_decrease_check(traj: Trajectory, cert: StabilityCertificate, mu: float) -> DecreaseReport:
     """Check dV/dt <= -(gamma/2 beta) V^{1+mu} + slack along a trajectory.
 
     V is the canonical homogeneous norm induced by the certificate's P and
     the extended dilation for mu.  Discrete slopes are formed between
     adjacent samples; intervals inside a terminal ball of radius
     100 * norm_floor are excluded (slope noise dominates there).  The slack
-    slack_abs + slack_rel * |rhs| absorbs finite-difference slope error.
+    _SLACK_ABS + _SLACK_REL * |rhs| absorbs finite-difference slope error,
+    and the check passes when a share _PASS_FRACTION of the remaining
+    intervals meets it.
     """
     scn = traj.scenario
     if scn.plant != "extended":
@@ -220,16 +216,16 @@ def lyapunov_decrease_check(
     slope = np.diff(V) / np.diff(traj.times)
     rhs = -rate * Vi ** (1.0 + mu)
     total = int(np.count_nonzero(live))
-    ok = int(np.count_nonzero(live & (slope <= rhs + slack_abs + slack_rel * np.abs(rhs))))
+    ok = int(np.count_nonzero(live & (slope <= rhs + _SLACK_ABS + _SLACK_REL * np.abs(rhs))))
     excluded = len(Vi) - total
     fraction = 1.0 if total == 0 else ok / total
     return DecreaseReport(
         fraction=fraction,
-        passed=fraction >= pass_fraction,
+        passed=fraction >= _PASS_FRACTION,
         rate=rate,
         n_intervals=total,
         n_excluded=excluded,
-        pass_fraction=pass_fraction,
+        pass_fraction=_PASS_FRACTION,
     )
 
 

@@ -92,12 +92,20 @@ class TestParseConfig:
             ("[scenario s]\nnorm_p = 2, 0, 0, 1\n", 2),
             ("[scenario s]\ncontroller = hpid\nmu = 0.1\nzeta1_max = 3\n", 4),
             ("[scenario s]\nnorm = canonical\nnorm_coefficients = 5, 5\n", 3),
-            ("[scenario s]\nnorm_tolerance = 1e-3\n", 2),
         ]:
             with pytest.raises(cli.ConfigError) as err:
                 cli.parse_config(text)
             [problem] = err.value.problems
             assert problem.startswith(f"line {line}: ") and "does not apply" in problem, problem
+        # the canonical norm's residual tolerance is a library constant, not a key
+        for text, line in [
+            ("[scenario s]\nnorm_tolerance = 1e-3\n", 2),
+            ("[scenario s]\nnorm = canonical\nnorm_tolerance = 1e-3\n", 3),
+        ]:
+            with pytest.raises(cli.ConfigError) as err:
+                cli.parse_config(text)
+            [problem] = err.value.problems
+            assert problem.startswith(f"line {line}: ") and "unknown key 'norm_tolerance'" in problem, problem
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -112,10 +120,20 @@ class TestParseConfig:
             ("[compare c]\nfixture = hardware\npid = nosuch\n", [(3, "key 'pid' does not apply")]),
             ("[scenario s]\nnorm_coefficients = 1, 2, 3\n", [(2, "expected 2 values, got 3")]),
             ("[scenario s]\ncontroller = hpid\nmu = 0.1\nnorm_coefficients = 1, 2, 3\n", [(4, "expected 2 values, got 3")]),
+            # values only a library check rejects are cited at their key, not the header
+            ("[scenario a]\n\nT = 1\nh = 0.3\n", [(4, "too coarse for horizon")]),
+            ("[scenario a]\n\nT = 0.005\n", [(3, "too coarse for horizon")]),
+            ("[scenario a]\nx0 = nan, 0, 0\n", [(2, "x0 must be three finite reals")]),
+            ("[scenario j]\nplant = joints\ndist_constant = 0.6\n", [(3, "exceeds the disturbance bound")]),
+            ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = canonical\nnorm_p = 1, 0, 0, -1\n",
+             [(5, "strictly monotone")]),
+            ("[scenario s]\nnorm_coefficients = -1, 1\n", [(2, "coefficients must be finite and positive")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
+            "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
+            "negative_coefficient",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -229,7 +247,6 @@ def scenario_texts(draw, name):
         p11, p22 = draw(st.floats(0.5, 3)), draw(st.floats(0.5, 3))
         p12 = draw(st.floats(-0.2, 0.2))
         lines.append(f"norm_p = {values_text([p11, p12, p12, p22])}")
-        lines.append(f"norm_tolerance = {draw(st.floats(1e-13, 1e-6))!r}")
     elif kind == "experimental":
         lines += [f"zeta1_max = {draw(positive)!r}", f"norm_gamma = {draw(positive)!r}"]
     h = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
@@ -345,6 +362,43 @@ class TestSimulateCommand:
         header, data = cli.read_trajectory_csv(tmp_path / "out" / "j.csv")
         assert header == ["t", "j1_q", "j1_u", "j1_eps", "j2_q", "j2_u", "j2_eps"]
         assert data.shape[1] == 7
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_seed_flag_is_a_usage_error(self, command, capsys):
+        # the config's seed = key is the one way to seed dist_phase = random
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "1", "--config", "c", "--out", "o"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+class TestReadTrajectoryCsv:
+    HEADER = "t,x1,x2,x3,u\n"
+
+    def read_error(self, tmp_path, text) -> str:
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            cli.read_trajectory_csv(path)
+        assert str(path) in str(err.value)
+        return str(err.value)
+
+    def test_short_row(self, tmp_path):
+        error = self.read_error(tmp_path, self.HEADER + "0,1,0,0.3,2\n0.1,1,0,0.3\n")
+        assert "line 3: expected 5 finite numbers" in error
+
+    def test_long_row(self, tmp_path):
+        assert "line 2: expected 5 finite numbers" in self.read_error(tmp_path, self.HEADER + "0,1,0,0.3,2,7\n")
+
+    def test_not_a_number(self, tmp_path):
+        assert "line 2: expected numbers" in self.read_error(tmp_path, self.HEADER + "0,1,zero,0.3,2\n")
+
+    def test_nonfinite_value(self, tmp_path):
+        error = self.read_error(tmp_path, self.HEADER + "0,1,0,0.3,2\nnan,nan,nan,nan,nan\n")
+        assert "line 3: expected 5 finite numbers" in error
+
+    def test_empty_file(self, tmp_path):
+        assert "line 1: empty file" in self.read_error(tmp_path, "")
 
 
 class TestCompareCommand:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpid.homogeneity import (
+    CANONICAL_TOLERANCE,
     BracketError,
     CanonicalNorm,
     Dilation,
@@ -167,7 +168,7 @@ class TestCanonicalNorm:
                 continue
             lam = norm(*x)
             z = dilation_apply(dil, -math.log(lam), x)
-            assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= spec.tolerance
+            assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= CANONICAL_TOLERANCE
 
     @pytest.mark.parametrize("mu", [-0.2, 0.2])
     def test_defining_identity_on_extended_state(self, mu):
@@ -180,7 +181,7 @@ class TestCanonicalNorm:
             x = rng.uniform(-5, 5, size=3)
             lam = norm(*x)
             z = dilation_apply(dil, -math.log(lam), x)
-            assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= spec.tolerance
+            assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= CANONICAL_TOLERANCE
         with pytest.raises(ValueError):
             norm(1.0, 1.0)
 

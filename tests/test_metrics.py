@@ -16,8 +16,9 @@ def _traj(times, u, e=None):
     if e.ndim == 1:
         e = e[:, None]
     scn = Scenario(horizon=float(times[-1]) if times[-1] > 0 else 1.0, step=float(times[1] - times[0]))
-    states = np.zeros((len(times), 3))
-    return Trajectory(times=np.asarray(times, float), states=states, controls=u, errors=e, scenario=scn)
+    states = np.zeros((len(times), 3 * e.shape[1]))
+    states[:, 0::3] = e  # the error channels
+    return Trajectory(times=np.asarray(times, float), states=states, controls=u, scenario=scn)
 
 
 GRID = np.arange(0.0, 9.0 + 1e-12, 1e-3)
@@ -41,7 +42,6 @@ class TestIvc:
             times=np.array([0.0]),
             states=np.zeros((1, 3)),
             controls=np.zeros((1, 1)),
-            errors=np.zeros((1, 1)),
             scenario=scn,
         )
         with pytest.raises(ValueError):

@@ -377,6 +377,14 @@ class TestTrajectoryInvariants:
         traj = simulate(Scenario(horizon=1.0, step=1e-2))
         assert np.allclose(np.diff(traj.times), 1e-2)
 
+    def test_errors_are_a_read_only_view_of_the_states(self):
+        traj = simulate(Scenario(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-2))
+        assert traj.errors.shape == (101, 6)
+        assert np.shares_memory(traj.errors, traj.states)
+        assert np.array_equal(traj.errors, traj.states[:, 0::3])
+        with pytest.raises(ValueError):
+            traj.errors[0, 0] = 1.0
+
     def test_rejects_mismatched_lengths(self):
         scn = Scenario(horizon=1.0, step=1e-2)
         with pytest.raises(ValueError):
@@ -384,7 +392,6 @@ class TestTrajectoryInvariants:
                 times=np.arange(3.0),
                 states=np.zeros((4, 3)),
                 controls=np.zeros((3, 1)),
-                errors=np.zeros((3, 1)),
                 scenario=scn,
             )
 
@@ -395,6 +402,5 @@ class TestTrajectoryInvariants:
                 times=np.arange(3.0),
                 states=np.full((3, 3), np.nan),
                 controls=np.zeros((3, 1)),
-                errors=np.zeros((3, 1)),
                 scenario=scn,
             )

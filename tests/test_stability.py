@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hpid.checks import CheckResult
 from hpid.control import GainSet
 from hpid.homogeneity import SymMatrix
 from hpid.sim import Scenario, Trajectory, simulate
@@ -45,16 +48,6 @@ class TestSolveLyapunov:
         Q = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
         P = solve_lyapunov_matrix(-np.eye(2), Q)
         assert np.allclose(P.entries, Q.entries / 2.0, atol=1e-14)
-
-    def test_custom_q(self):
-        Q = SymMatrix(np.diag([1.0, 2.0, 3.0]))
-        P = solve_lyapunov(GAINS, Q)
-        A = GAINS.a_matrix()
-        assert np.abs(P.entries @ A + A.T @ P.entries + Q.entries).max() <= 1e-9
-
-    def test_rejects_indefinite_q(self):
-        with pytest.raises(ValueError):
-            solve_lyapunov(GAINS, SymMatrix(np.diag([1.0, -1.0, 1.0])))
 
 
 class TestCertify:
@@ -146,7 +139,6 @@ class TestDecreaseCheck:
             times=times,
             states=states,
             controls=np.zeros((len(times), 1)),
-            errors=states[:, :1].copy(),
             scenario=scn,
         )
         report = lyapunov_decrease_check(traj, cert, 0.0)
@@ -166,6 +158,18 @@ class TestDecreaseCheck:
     def test_linear_run_from_unit_error_meets_certified_rate(self, cert):
         traj = simulate(Scenario(controller="pid", x0=(1.0, 0.0, 0.0), horizon=2.0))
         assert lyapunov_decrease_check(traj, cert, 0.0).passed
+
+    def test_verify_verdict_is_the_report_verdict(self, cert):
+        # verify reports the decrease check as residual 1 - fraction against
+        # tolerance 1 - pass_fraction; that verdict is report.passed for every
+        # fraction ok / n of up to 20000 intervals near the pass fraction
+        report = lyapunov_decrease_check(simulate(Scenario(controller="hpid", mu=0.1, horizon=2.0)), cert, 0.1)
+        pass_fraction = report.pass_fraction
+        assert CheckResult("", 1.0 - report.fraction, 1.0 - pass_fraction).passed == report.passed
+        for n in range(1, 20001):
+            for ok in range(max(0, math.floor(pass_fraction * n) - 2), min(n, math.ceil(pass_fraction * n) + 2) + 1):
+                verdict = CheckResult("", 1.0 - ok / n, 1.0 - pass_fraction).passed
+                assert verdict == (ok / n >= pass_fraction), (ok, n)
 
     def test_metadata_mismatch_rejected(self, cert):
         traj = simulate(Scenario(controller="hpid", mu=0.1, horizon=1.0, step=1e-2))
@@ -191,7 +195,6 @@ class TestConvergenceClassifier:
             times=times,
             states=states,
             controls=np.zeros((len(times), 1)),
-            errors=states[:, :1].copy(),
             scenario=scn,
         )
         report = convergence_classifier(traj, settle_tol=0.5)
