@@ -54,7 +54,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -298,13 +298,16 @@ class _SectionReader:
 
 
 def _read_gains(r: _SectionReader) -> GainSet | None:
-    return r.check("", GainSet, *(r.values(key, getattr(Scenario.gains, key)) for key in _GAIN_KEYS))
+    # each gain is checked alone, at its own key
+    gains = [r.check(key, GainSet.check_field, key, r.values(key, getattr(Scenario.gains, key))) for key in _GAIN_KEYS]
+    return r.check("", GainSet, *gains)
 
 
 def _joint_plant(r: _SectionReader, n: int, seed: int, columns: dict) -> JointPlantConfig | None:
     """The joints plant from the per-joint keys' values; absent keys take their defaults.
 
-    A rejected reference or disturbance is reported once, at its first key set.
+    Each key's values are checked alone, at that key.  The one rule across
+    keys, the disturbance bound, is cited at the first of its keys set.
     """
 
     def column(key, default):
@@ -316,11 +319,14 @@ def _joint_plant(r: _SectionReader, n: int, seed: int, columns: dict) -> JointPl
         return values
 
     def specs(spec, keys, cited):
-        return r.check(r.first(*cited), lambda: [spec(*v) for v in zip(*(column(k, d) for k, d in keys.items()))])
+        columns = [
+            r.check(key, lambda: [spec.check_field(f.name, v) for v in column(key, default)])
+            for (key, default), f in zip(keys.items(), fields(spec))
+        ]
+        return r.check(r.first(*cited), lambda *cols: [spec(*v) for v in zip(*cols)], *columns)
 
-    refs = specs(ReferenceSpec, _REFERENCE_KEYS, _REFERENCE_KEYS)
-    bound_keys = ("dist_constant", "dist_amplitude", "dist_bound")  # cited first: the bound check's keys
-    dists = specs(DisturbanceSpec, _DISTURBANCE_KEYS, (*bound_keys, *_DISTURBANCE_KEYS))
+    refs = specs(ReferenceSpec, _REFERENCE_KEYS, ())
+    dists = specs(DisturbanceSpec, _DISTURBANCE_KEYS, ("dist_constant", "dist_amplitude", "dist_bound"))
     return None if refs is None or dists is None else JointPlantConfig(tuple(map(JointConfig, refs, dists)))
 
 
@@ -356,10 +362,14 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     r.finish()
     if not r.ok:  # nothing is built from a section with a problem
         return None
-    # the norm, and its pairing with the error-pair dilation, cited at its first key set
-    norm_key = r.first(*_NORMS[kind][1], "norm")
-    norm = r.check(norm_key, _NORMS[kind][2], mu, *norm_values[kind])
-    r.check(norm_key, hpid_law, gains, mu, norm, numbers["norm_floor"])
+    # each norm key alone, the kind's other keys at their defaults, cited at
+    # that key; then the norm's pairing with the error-pair dilation, cited
+    # at its first key set
+    norm_keys, build_norm, values = _NORMS[kind][1], _NORMS[kind][2], norm_values[kind]
+    defaults = [default for _, default in norm_keys.values()]
+    alone = [r.check(key, build_norm, mu, *defaults[:i], values[i], *defaults[i + 1 :]) for i, key in enumerate(norm_keys)]
+    norm = None if None in alone else build_norm(mu, *values)
+    r.check(r.first(*norm_keys, "norm"), hpid_law, gains, mu, norm, numbers["norm_floor"])
     joint_plant = _joint_plant(r, n, seed, columns) if joints else None
     if not r.ok:
         return None

@@ -36,10 +36,15 @@ class GainSet:
 
     def __post_init__(self):
         for name in ("kp", "kd", "ki"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"gain {name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, self.check_field(name, getattr(self, name)))
+
+    @staticmethod
+    def check_field(name: str, value: float) -> float:
+        """One gain alone, as a float; ValueError unless it is finite."""
+        v = float(value)
+        if not math.isfinite(v):
+            raise ValueError(f"gain {name} must be finite, got {v}")
+        return v
 
     def a_matrix(self) -> np.ndarray:
         """Closed-loop matrix of the extended linear system (mu = 0)."""

@@ -2,6 +2,10 @@
 extended closed-loop field of the disturbed double integrator, and the
 decentralized multi-joint tracking-error plant.
 
+closed_loop_blocks is the reference right-hand side of the blocks:
+make_closed_loop_field and verify evaluate it, and sim.rk4_step writes the
+same field inline in its stages, bitwise equal to it.
+
 The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual
 and a bounded disturbance standing in for cancellation mismatch and
@@ -40,16 +44,16 @@ def closed_loop_blocks(
     norm: HomNormSpec,
     norm_floor: float,
     disturbances: Sequence[Callable[[float], float]],
-    z0: Sequence[float],
-):
-    """Right-hand side and applied controls of n closed-loop blocks (e, de, z).
+) -> Callable[[float, list[float]], list[float]]:
+    """Right-hand side of n closed-loop blocks (e, de, z).
 
     Block j follows e' = de, de' = pd + z - d_j(t), z' = ki * integrand, with
     (pd, integrand) the hPID law (control.hpid_law) at (e, de).  z is the
-    integral action ki * integral(integrand) plus the constant z0[j] it
-    absorbed at t = 0, so the block's applied control is pd + z - z0[j].
-    Returns (rhs(t, x), control(x)) over the stacked state x of length 3n,
-    a list of Python floats; both return lists of floats.
+    integral action ki * integral(integrand) plus the constant z(0) it
+    absorbed at t = 0, so the block's applied control is pd + z - z(0).
+    Returns rhs(t, x) over the stacked state x of length 3n, a list of
+    Python floats, as a list of floats.  sim.rk4_step writes this field
+    inline in its stages; a test ties the two together bit for bit.
     """
     law = hpid_law(gains, mu, norm, norm_floor)
     ki = gains.ki
@@ -62,10 +66,7 @@ def closed_loop_blocks(
             out += (de, pd + z - dist(t), ki * integrand)
         return out
 
-    def control(x: list[float]) -> list[float]:
-        return [law(x[3 * j], x[3 * j + 1])[0] + x[3 * j + 2] - c for j, c in enumerate(z0)]
-
-    return rhs, control
+    return rhs
 
 
 def make_closed_loop_field(
@@ -78,8 +79,15 @@ def make_closed_loop_field(
     (x1, x2).  At mu = 0 the law evaluates no norm, so the field is the
     linear (x2, kp x1 + kd x2 + x3, ki x1) exactly.
     """
-    rhs, _ = closed_loop_blocks(gains, mu, norm, norm_floor, (lambda t: 0.0,), (0.0,))
+    rhs = closed_loop_blocks(gains, mu, norm, norm_floor, (lambda t: 0.0,))
     return lambda x: np.array(rhs(0.0, np.asarray(x, dtype=float).tolist()))
+
+
+def _finite(name: str, value: float) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -93,10 +101,12 @@ class ReferenceSpec:
 
     def __post_init__(self):
         for name in ("amplitude", "angular_frequency", "phase", "offset"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, self.check_field(name, getattr(self, name)))
+
+    @staticmethod
+    def check_field(name: str, value: float) -> float:
+        """One field alone, as a float; ValueError unless it is finite."""
+        return _finite(name, value)
 
     def position(self, t: float) -> float:
         return self.offset + self.amplitude * math.sin(self.angular_frequency * t + self.phase)
@@ -124,17 +134,24 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         for name in ("constant", "amplitude", "angular_frequency", "phase", "bound"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-        if self.bound < 0.0:
-            raise ValueError(f"disturbance bound must be nonnegative, got {self.bound}")
+            object.__setattr__(self, name, self.check_field(name, getattr(self, name)))
         if abs(self.constant) + abs(self.amplitude) > self.bound + 1e-15:
             raise ValueError(
                 f"|constant| + |amplitude| = {abs(self.constant) + abs(self.amplitude)} "
                 f"exceeds the disturbance bound {self.bound}"
             )
+
+    @staticmethod
+    def check_field(name: str, value: float) -> float:
+        """One field alone, as a float: finite, and a bound nonnegative.
+
+        The one rule across fields, |constant| + |amplitude| <= bound, is
+        left to the constructor.
+        """
+        v = _finite(name, value)
+        if name == "bound" and v < 0.0:
+            raise ValueError(f"disturbance bound must be nonnegative, got {v}")
+        return v
 
     def eval(self, t: float) -> float:
         return self.constant + self.amplitude * math.sin(self.angular_frequency * t + self.phase)

@@ -15,6 +15,15 @@ ki * integral(nu^{3 mu} e) plus the constant it absorbed at t = 0:
 * "joints": n independent feedback-linearized joints, one block each with
   z(0) = 0, driven by its bounded disturbance waveform sampled continuously
   in time.  Every joint runs the scenario's controller.
+
+rk4_step is the one RK4 scheme: it steps every block on local Python
+floats, with the block field written inline, and takes its first stage
+from the law value simulate computed at the accepted state for the applied
+control.  Per block and step the law is evaluated four times and the
+disturbance three times (once at t + h/2 for stages 2 and 3).  The IEEE
+operations are those of the array formulation, in the same order, so the
+states and controls are bitwise those of the numpy-array RK4 over
+plant.closed_loop_blocks (a test compares the two).
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from .control import GainSet, hpid_law
 from .homogeneity import HomNormSpec, WeightedSumNorm, extended_state_dilation
-from .plant import JointPlantConfig, closed_loop_blocks, reference_eval
+from .plant import JointPlantConfig, reference_eval
 
 __all__ = [
     "DivergenceError",
@@ -148,22 +157,48 @@ class Trajectory:
 
 
 def rk4_step(
-    rhs: Callable[[float, Sequence[float]], Sequence[float]], x: Sequence[float], t: float, h: float
+    law: Callable[[float, float], tuple[float, float]],
+    ki: float,
+    disturbances: Sequence[Callable[[float], float]],
+    x: list[float],
+    first: Sequence[tuple[float, float]],
+    t: float,
+    h: float,
 ) -> list[float]:
-    """One classical fourth-order Runge-Kutta update of x' = rhs(t, x).
+    """One classical fourth-order Runge-Kutta update of the closed-loop blocks.
 
-    x and the right-hand side values are float sequences, and the update is
-    a list.  The stages are x + (h/2) k and x + h k, and the update is
+    x stacks the (e, de, z) blocks of plant.closed_loop_blocks, each with
+    field (de, pd + z - d_j(t), ki * integrand), where (pd, integrand) =
+    law(e, de).  first[j] is the law value at block j of x itself, the one
+    simulate computed for the applied control, so it serves as the first
+    stage.  Each block's stages are local floats, d_j is evaluated once at
+    t + h/2 for stages 2 and 3, and the field is written inline.  The stage
+    inputs are x + (h/2) k and x + h k and the update is
     x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), element by element: the same
     IEEE operations, in the same order, as the array expression.
     """
     hh = 0.5 * h
-    k1 = rhs(t, x)
-    k2 = rhs(t + hh, [a + hh * k for a, k in zip(x, k1)])
-    k3 = rhs(t + hh, [a + hh * k for a, k in zip(x, k2)])
-    k4 = rhs(t + h, [a + h * k for a, k in zip(x, k3)])
     h6 = h / 6.0
-    out = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    tm, t1 = t + hh, t + h
+    out = []
+    for (pd, integrand), dist, k in zip(first, disturbances, range(0, len(x), 3)):
+        e, de, z = x[k], x[k + 1], x[k + 2]
+        dm = dist(tm)
+        f1, g1 = pd + z - dist(t), ki * integrand
+        e2, de2, z2 = e + hh * de, de + hh * f1, z + hh * g1
+        pd, integrand = law(e2, de2)
+        f2, g2 = pd + z2 - dm, ki * integrand
+        e3, de3, z3 = e + hh * de2, de + hh * f2, z + hh * g2
+        pd, integrand = law(e3, de3)
+        f3, g3 = pd + z3 - dm, ki * integrand
+        e4, de4, z4 = e + h * de3, de + h * f3, z + h * g3
+        pd, integrand = law(e4, de4)
+        f4, g4 = pd + z4 - dist(t1), ki * integrand
+        out += (
+            e + h6 * (((de + 2.0 * de2) + 2.0 * de3) + de4),
+            de + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4),
+            z + h6 * (((g1 + 2.0 * g2) + 2.0 * g3) + g4),
+        )
     if not all(map(math.isfinite, out)):
         raise DivergenceError(t, "non-finite right-hand side")
     return out
@@ -174,8 +209,10 @@ def simulate(scn: Scenario) -> Trajectory:
 
     Both plants are closed-loop blocks (plant.closed_loop_blocks), so the
     tracking errors are every third state (Trajectory.errors).  The state
-    steps as a list of Python floats and each step is stored into the
-    preallocated arrays.
+    steps as a list of Python floats through rk4_step and each step is
+    stored into the preallocated arrays.  The law is evaluated once per
+    block at each accepted state: for the applied control pd + z - z(0),
+    and as the next step's first stage.
     Aborts with DivergenceError once the state norm exceeds DIVERGENCE_LIMIT.
     """
     if scn.joint_plant is None:
@@ -188,7 +225,8 @@ def simulate(scn: Scenario) -> Trajectory:
             pos, vel, _ = reference_eval(jc.reference, 0.0)
             y0 += (pos, vel, 0.0)
             disturbances.append(jc.disturbance.eval)
-    rhs, control = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, disturbances, y0[2::3])
+    law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
+    ki, z0, blocks = scn.gains.ki, y0[2::3], range(0, len(y0), 3)
     n = scn.n_steps()
     h = scn.step
     times = np.arange(n + 1) * h
@@ -196,14 +234,14 @@ def simulate(scn: Scenario) -> Trajectory:
     states = np.empty((n + 1, len(y0)))
     controls = np.empty((n + 1, len(disturbances)))
     y = y0
-    states[0] = y
-    controls[0] = control(y)
-    for i in range(n):
-        y = rk4_step(rhs, y, t[i], h)
-        if max(map(abs, y)) > DIVERGENCE_LIMIT:
-            raise DivergenceError(t[i + 1], f"|x| > {DIVERGENCE_LIMIT:g}")
-        states[i + 1] = y
-        controls[i + 1] = control(y)
+    for i in range(n + 1):
+        if i:
+            y = rk4_step(law, ki, disturbances, y, laws, t[i - 1], h)
+            if max(map(abs, y)) > DIVERGENCE_LIMIT:
+                raise DivergenceError(t[i], f"|x| > {DIVERGENCE_LIMIT:g}")
+        laws = [law(y[k], y[k + 1]) for k in blocks]
+        states[i] = y
+        controls[i] = [pd + y[k + 2] - c for (pd, _), k, c in zip(laws, blocks, z0)]
     return Trajectory(times=times, states=states, controls=controls, scenario=scn)
 
 

@@ -114,7 +114,7 @@ class TestParseConfig:
             ("[scenario a]\nx0 = 1, 2\nmu = 0.7\n", [(2, "'x0'"), (3, "'mu'")]),
             ("[scenario a]\ncontroller = pid\nmu = 0.2\nnorm = bogus\n", [(3, "'mu'"), (4, "must be one of weighted_sum")]),
             ("[compare c]\nfixture = foo\n", [(2, "'fixture'")]),
-            ("[certify c]\nkp = nan\n", [(1, "gain kp must be finite")]),
+            ("[certify c]\nkp = nan\n", [(2, "gain kp must be finite")]),
             ("[scenario a]\nmu = 0.7\n\n[compare c]\npid = a\nhpid = a\n", [(2, "'mu'")]),
             ("[compare c]\npid = a\nhpid = b\n", [(2, "unknown scenario 'a'"), (3, "unknown scenario 'b'")]),
             ("[compare c]\nfixture = hardware\npid = nosuch\n", [(3, "key 'pid' does not apply")]),
@@ -128,12 +128,18 @@ class TestParseConfig:
             ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = canonical\nnorm_p = 1, 0, 0, -1\n",
              [(5, "strictly monotone")]),
             ("[scenario s]\nnorm_coefficients = -1, 1\n", [(2, "coefficients must be finite and positive")]),
+            # a several-key spec cites a one-key problem at that key, not at its first key set
+            ("[scenario s]\nkp = nan\n", [(2, "gain kp must be finite")]),
+            ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = experimental\nzeta1_max = 1\nnorm_gamma = -1\n",
+             [(6, "gamma must be a positive real (key 'norm_gamma')")]),
+            ("[scenario j]\nplant = joints\ndist_constant = 0.1\ndist_bound = -1\n",
+             [(4, "disturbance bound must be nonnegative, got -1.0 (key 'dist_bound')")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
             "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
-            "negative_coefficient",
+            "negative_coefficient", "scenario_gain", "experimental_gamma", "negative_disturbance_bound",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):

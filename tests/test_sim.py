@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hpid import control as control_module
 from hpid.control import GainSet, HpidState, hpid_law, hpid_step
 from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
@@ -22,23 +23,38 @@ GAINS = GainSet(-3.0, -3.0, -1.0)
 
 
 class TestRk4Step:
+    """The RK4 kernel on one (e, de, z) block, driven with its own law."""
+
+    @staticmethod
+    def _step(law, ki, dist, x, t, h):
+        return rk4_step(law, ki, [dist], list(x), [law(x[0], x[1])], t, h)
+
     def test_zero_field(self):
-        x = np.array([1.0, -2.0])
-        out = rk4_step(lambda t, y: np.zeros(2), x, 0.0, 0.1)
-        assert np.array_equal(out, x)
+        law = hpid_law(GAINS, 0.2, WeightedSumNorm((1.0, 1.0)), 1e-9)
+        out = self._step(law, GAINS.ki, lambda t: 0.0, [0.0, 0.0, 0.0], 0.0, 0.1)
+        assert np.array_equal(out, np.zeros(3))
 
     def test_constant_field_exact(self):
-        c = np.array([1.0, -2.0, 3.0])
-        out = rk4_step(lambda t, y: c, np.zeros(3), 0.0, 0.25)
-        assert np.array_equal(out, 0.25 * c)
+        # no control and z cancelling the disturbance: the field is (1, 0, 0) everywhere
+        out = self._step(lambda e, de: (0.0, 0.0), 0.0, lambda t: -2.0, [0.0, 1.0, -2.0], 0.0, 0.25)
+        assert out == [0.25, 1.0, -2.0]
 
     def test_exponential_decay_local_error(self):
-        out = rk4_step(lambda t, y: [-v for v in y], [1.0], 0.0, 0.1)
-        assert abs(out[0] - math.exp(-0.1)) <= 1e-7
+        # one step of the linear extended block against expm(A h): the local
+        # error is O(h^5), so halving h shrinks it about 32x
+        law = hpid_law(GAINS, 0.0, WeightedSumNorm((1.0, 1.0)), 1e-9)
+        x0 = np.array([1.0, 0.0, 0.3])
+        errors = []
+        for h in (0.1, 0.05):
+            out = self._step(law, GAINS.ki, lambda t: 0.0, x0.tolist(), 0.0, h)
+            errors.append(float(np.abs(np.array(out) - expm(GAINS.a_matrix() * h) @ x0).max()))
+        assert errors[0] / errors[1] >= 24.0
 
     def test_nonfinite_rhs_raises_with_time(self):
+        # the disturbance is finite at the step's start and infinite at its midpoint
+        law = hpid_law(GAINS, 0.0, WeightedSumNorm((1.0, 1.0)), 1e-9)
         with pytest.raises(DivergenceError) as err:
-            rk4_step(lambda t, y: np.array([math.inf]), np.array([1.0]), 2.5, 0.1)
+            self._step(law, GAINS.ki, lambda t: 0.0 if t == 2.5 else math.inf, [1.0, 0.0, 0.0], 2.5, 0.1)
         assert err.value.time == 2.5
 
 
@@ -112,6 +128,15 @@ class TestSimulateExtended:
         assert np.linalg.norm(traj.states[-1]) <= 1e-6
 
 
+def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of the autonomous field y' = f(y) on arrays."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestIntegrationPathsAgree:
     """Co-integrated integral channel vs accumulation inside hpid_step.
 
@@ -131,10 +156,7 @@ class TestIntegrationPathsAgree:
         for i in range(n):
             u, state = hpid_step(state, eps, deps, h)
 
-            def rhs(t, y):
-                return np.array([y[1], u + p])
-
-            eps, deps = rk4_step(rhs, np.array([eps, deps]), i * h, h)
+            eps, deps = _rk4(lambda y: np.array([y[1], u + p]), np.array([eps, deps]), h)
             out[i + 1] = (eps, deps, p + state.gains.ki * state.integral_acc)
         return out
 
@@ -205,7 +227,13 @@ def _array_run(scn: Scenario):
             pos, vel, _ = reference_eval(jc.reference, 0.0)
             y0 += (pos, vel, 0.0)
             dists.append(jc.disturbance.eval)
-    rhs, control = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, dists, y0[2::3])
+    rhs = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, dists)
+    law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
+
+    def control(x: list[float]) -> list[float]:
+        # the applied control pd + z - z(0) of each block
+        return [law(x[j], x[j + 1])[0] + x[j + 2] - y0[j + 2] for j in range(0, len(x), 3)]
+
     n, h = scn.n_steps(), scn.step
     times = np.arange(n + 1) * h
     states = np.empty((n + 1, len(y0)))
@@ -253,6 +281,64 @@ class TestFloatKernelMatchesArrays:
     def test_six_joint_hpid(self):
         scn = Scenario(controller="hpid", mu=0.2, joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3)
         self._assert_bitwise(scn)
+
+    def test_six_joint_pid(self):
+        self._assert_bitwise(Scenario(joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3))
+
+    def test_six_joint_negative_degree(self):
+        scn = Scenario(controller="hpid", mu=-0.2, joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3)
+        self._assert_bitwise(scn)
+
+
+class TestKernelEvaluationCounts:
+    """Per step, each block evaluates the law at its three later stages and
+    once at the accepted state, whose value is both the applied control and
+    the next step's first stage; the disturbance is evaluated at t, once at
+    t + h/2, and at t + h."""
+
+    @staticmethod
+    def _count_norm_evals(monkeypatch) -> list[int]:
+        count = [0]
+        real = control_module.norm_evaluator
+
+        def counting(spec, dil):
+            nu_of = real(spec, dil)
+
+            def counted(*x):
+                count[0] += 1
+                return nu_of(*x)
+
+            return counted
+
+        monkeypatch.setattr(control_module, "norm_evaluator", counting)
+        return count
+
+    @pytest.mark.parametrize("joint_plant", [None, default_six_joint_plant()], ids=["extended", "joints"])
+    def test_hpid_norm_evaluated_4n_plus_1_times_per_block(self, monkeypatch, joint_plant):
+        count = self._count_norm_evals(monkeypatch)
+        scn = Scenario(controller="hpid", mu=0.2, joint_plant=joint_plant, horizon=0.1, step=1e-3)
+        simulate(scn)
+        n_blocks = 1 if joint_plant is None else joint_plant.n_joints
+        assert count[0] == n_blocks * (4 * scn.n_steps() + 1)
+
+    def test_pid_evaluates_no_norm(self, monkeypatch):
+        count = self._count_norm_evals(monkeypatch)
+        simulate(Scenario(controller="pid", joint_plant=default_six_joint_plant(), horizon=0.1, step=1e-3))
+        assert count[0] == 0
+
+    def test_disturbance_evaluated_3n_times_per_joint(self, monkeypatch):
+        calls = {}
+        real = DisturbanceSpec.eval
+
+        def counting(self, t):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return real(self, t)
+
+        monkeypatch.setattr(DisturbanceSpec, "eval", counting)
+        plant = default_six_joint_plant()
+        scn = Scenario(controller="hpid", mu=-0.2, joint_plant=plant, horizon=0.1, step=1e-3)
+        simulate(scn)
+        assert [calls.get(id(jc.disturbance)) for jc in plant.joints] == [3 * scn.n_steps()] * plant.n_joints
 
 
 class TestScalingSymmetry:
