@@ -88,6 +88,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 _FMT = "%.17g"  # round-trips float64 exactly
+CSV_BLOCK_ROWS = 1024  # trajectory rows rendered and written at a time
 
 
 class ConfigError(ValueError):
@@ -292,6 +293,12 @@ class _SectionReader:
             self.error(key, str(exc))
             return None
 
+    def checked(self, key: str, check, value):
+        """value, or None once check(value) raises a ValueError (cited at key's line)."""
+        failed = len(self.problems)
+        self.check(key, check, value)
+        return value if len(self.problems) == failed else None
+
     def finish(self) -> None:
         for key in self.items:
             self.error(key, f"unknown key {key!r}", named=False)
@@ -303,7 +310,7 @@ def _read_gains(r: _SectionReader) -> GainSet | None:
     return r.check("", GainSet, *gains)
 
 
-def _joint_plant(r: _SectionReader, n: int, seed: int, columns: dict) -> JointPlantConfig | None:
+def _joint_plant(r: _SectionReader, n: int, seed: int | None, columns: dict) -> JointPlantConfig | None:
     """The joints plant from the per-joint keys' values; absent keys take their defaults.
 
     Each key's values are checked alone, at that key.  The one rule across
@@ -311,16 +318,17 @@ def _joint_plant(r: _SectionReader, n: int, seed: int, columns: dict) -> JointPl
     """
 
     def column(key, default):
+        # the key's n values; None for values already reported, or random phases without a valid seed
         values = columns[key]
-        if values == "random":
-            return np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=n).tolist()
-        if values is None:
+        if key not in r.key_lines:
             return [0.7 * j for j in range(n)] if default is None else [default] * n
+        if values == "random":
+            return None if seed is None else np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=n).tolist()
         return values
 
     def specs(spec, keys, cited):
         columns = [
-            r.check(key, lambda: [spec.check_field(f.name, v) for v in column(key, default)])
+            r.check(key, lambda values: [spec.check_field(f.name, v) for v in values], column(key, default))
             for (key, default), f in zip(keys.items(), fields(spec))
         ]
         return r.check(r.first(*cited), lambda *cols: [spec(*v) for v in zip(*cols)], *columns)
@@ -340,9 +348,10 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     mu = numbers["mu"]
     if controller == "pid" and mu:
         r.error("mu", "a pid scenario must keep mu = 0")
+        mu = None
     else:
-        r.check("mu", _check_degree, mu)
-    r.check("norm_floor", _check_floor, numbers["norm_floor"])
+        mu = r.checked("mu", _check_degree, mu)
+    floor = r.checked("norm_floor", _check_floor, numbers["norm_floor"])
     r.check(r.first("h", "T"), _check_grid, numbers["horizon"], numbers["step"])
     norm_values = {
         name: [r.values(key, default, count, applies=kind in (name, None)) for key, (count, default) in keys.items()]
@@ -360,18 +369,22 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         for key, default in {**_REFERENCE_KEYS, **_DISTURBANCE_KEYS}.items()
     }
     r.finish()
-    if not r.ok:  # nothing is built from a section with a problem
-        return None
-    # each norm key alone, the kind's other keys at their defaults, cited at
-    # that key; then the norm's pairing with the error-pair dilation, cited
-    # at its first key set
-    norm_keys, build_norm, values = _NORMS[kind][1], _NORMS[kind][2], norm_values[kind]
-    defaults = [default for _, default in norm_keys.values()]
-    alone = [r.check(key, build_norm, mu, *defaults[:i], values[i], *defaults[i + 1 :]) for i, key in enumerate(norm_keys)]
-    norm = None if None in alone else build_norm(mu, *values)
-    r.check(r.first(*norm_keys, "norm"), hpid_law, gains, mu, norm, numbers["norm_floor"])
-    joint_plant = _joint_plant(r, n, seed, columns) if joints else None
-    if not r.ok:
+    # what is built from several keys is built once its inputs are valid, so
+    # each of its problems is reported alongside the other keys' problems
+    norm = None
+    if kind is not None:
+        # each norm key alone, the kind's other keys at their defaults, cited
+        # at that key; then the norm's pairing with the error-pair dilation,
+        # cited at its first key set
+        norm_keys, build_norm, values = _NORMS[kind][1], _NORMS[kind][2], norm_values[kind]
+        defaults = [default for _, default in norm_keys.values()]
+        alone = [
+            r.check(key, build_norm, mu, *defaults[:i], values[i], *defaults[i + 1 :]) for i, key in enumerate(norm_keys)
+        ]
+        norm = None if None in alone else build_norm(mu, *values)
+        r.check(r.first(*norm_keys, "norm"), hpid_law, gains, mu, norm, floor)
+    joint_plant = _joint_plant(r, n, seed, columns) if joints and n is not None else None
+    if not r.ok:  # the scenario is built only from a section without a problem
         return None
     return r.check("", Scenario, controller, gains, norm=norm, x0=x0, joint_plant=joint_plant, name=r.name, **numbers)
 
@@ -464,23 +477,27 @@ def trajectory_header(traj: Trajectory) -> list[str]:
     return cols
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    """Render a trajectory as CSV at full float64 precision."""
+def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None) -> str:
+    """Render rows [start, stop) of a trajectory as CSV at full float64 precision.
+
+    The header row comes first when start == 0.  Each array of the range is
+    converted to Python floats once, so a range costs no per-row numpy call.
+    """
     header = trajectory_header(traj)
     fmt = ",".join([_FMT] * len(header))  # one row, one format
-    out = [",".join(header)]
+    lines = [",".join(header)] if start == 0 else []
+    times = traj.times[start:stop].tolist()
+    controls = traj.controls[start:stop].tolist()
     if traj.scenario.plant == "extended":
-        for t, x, u in zip(traj.times, traj.states, traj.controls):
-            out.append(fmt % (t, *x.tolist(), *u.tolist()))
+        lines += [fmt % (t, *x, *u) for t, x, u in zip(times, traj.states[start:stop].tolist(), controls)]
     else:
         positions = [jc.reference.position for jc in traj.scenario.joint_plant.joints]
-        for t, err, ctl in zip(traj.times, traj.errors, traj.controls):
-            t = float(t)
+        for t, err, ctl in zip(times, traj.errors[start:stop].tolist(), controls):
             row = [t]
-            for position, e, u in zip(positions, err.tolist(), ctl.tolist()):
+            for position, e, u in zip(positions, err, ctl):
                 row += (position(t) - e, u, e)
-            out.append(fmt % tuple(row))
-    return "\n".join(out) + "\n"
+            lines.append(fmt % tuple(row))
+    return "\n".join([*lines, ""])
 
 
 def read_trajectory_csv(path):
@@ -567,7 +584,11 @@ def _warn_uncertified(scn: Scenario) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
-    """Run every scenario; one CSV per scenario in out_dir, none if any diverges."""
+    """Run every scenario; one CSV per scenario in out_dir, none if any diverges.
+
+    Every run finishes before any file is opened.  Each file is then
+    written CSV_BLOCK_ROWS rows at a time, so no whole file's text is held.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.scenarios:
@@ -576,13 +597,15 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     for scn in cfg.scenarios:
         _warn_uncertified(scn)
     try:
-        texts = [trajectory_csv_text(simulate(scn)) for scn in cfg.scenarios]
+        runs = [simulate(scn) for scn in cfg.scenarios]
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    for scn, text in zip(cfg.scenarios, texts):
+    for scn, traj in zip(cfg.scenarios, runs):
         path = out / f"{scn.name}.csv"
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as f:
+            for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS))
         print(f"wrote {path}")
     return EXIT_OK
 

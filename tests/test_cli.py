@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,12 +135,20 @@ class TestParseConfig:
              [(6, "gamma must be a positive real (key 'norm_gamma')")]),
             ("[scenario j]\nplant = joints\ndist_constant = 0.1\ndist_bound = -1\n",
              [(4, "disturbance bound must be nonnegative, got -1.0 (key 'dist_bound')")]),
+            # a problem elsewhere in the section hides neither the per-joint nor the norm checks
+            ("[scenario j]\nplant = joints\nmu = 0.7\ndist_bound = -1\n",
+             [(3, "'mu'"), (4, "disturbance bound must be nonnegative, got -1.0 (key 'dist_bound')")]),
+            ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm_floor = 0\nnorm = experimental\nnorm_gamma = -1\n",
+             [(4, "norm_floor must be a positive real"), (6, "gamma must be a positive real (key 'norm_gamma')")]),
+            # an unparsed bound is not replaced by its default, which 0.4 + 0.15 would exceed
+            ("[scenario j]\nplant = joints\ndist_constant = 0.4\ndist_bound = x\n", [(4, "(key 'dist_bound')")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
             "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "negative_disturbance_bound",
+            "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -368,6 +377,53 @@ class TestSimulateCommand:
         header, data = cli.read_trajectory_csv(tmp_path / "out" / "j.csv")
         assert header == ["t", "j1_q", "j1_u", "j1_eps", "j2_q", "j2_u", "j2_eps"]
         assert data.shape[1] == 7
+
+    def test_divergence_writes_no_csv(self, tmp_path, capsys):
+        # every run finishes before any file is opened: a later divergence
+        # leaves out/ as it was, an earlier good run's file included
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("[scenario good]\nT = 1.0\n\n[scenario bad]\nkp = 3\nkd = 3\nki = 1\nT = 9.0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "good.csv").write_bytes(b"earlier contents\n")
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_DIVERGENCE
+        assert "diverged" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["good.csv"]
+        assert (out / "good.csv").read_bytes() == b"earlier contents\n"
+
+    @pytest.mark.parametrize("plant", ["extended", "joints"])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1, cli.CSV_BLOCK_ROWS], ids=["below", "equal", "above", "twice"])
+    def test_blocks_write_the_whole_file_text(self, tmp_path, plant, extra_rows):
+        # row counts around the block size; h = 1/128 puts T on the grid exactly
+        rows = cli.CSV_BLOCK_ROWS + extra_rows
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"[scenario b]\nplant = {plant}\ncontroller = hpid\nmu = 0.1\nT = {(rows - 1) / 128}\nh = 0.0078125\n")
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        from hpid.sim import simulate
+
+        # the benchmark measures the renderer's output, so it stays the CSV str
+        text = cli.trajectory_csv_text(simulate(cli.parse_config(cfgfile.read_text()).scenario("b")), 0, None)
+        assert isinstance(text, str)
+        written = (tmp_path / "out" / "b.csv").read_bytes()
+        assert written == text.encode("utf-8")
+        assert written.count(b"\n") == rows + 1
+
+    def test_writing_holds_no_whole_file_text(self, tmp_path, monkeypatch, capsys):
+        # the runs are made before tracing starts, so the peak is what writing
+        # the files holds: at most a block of text, far below the files' bytes
+        cfg = cli.parse_config(
+            "[scenario p]\nplant = joints\nT = 9.0\nh = 0.001\n\n"
+            "[scenario q]\nplant = joints\ncontroller = hpid\nmu = 0.2\nT = 9.0\nh = 0.001\n"
+        )
+        runs = {scn.name: cli.simulate(scn) for scn in cfg.scenarios}
+        monkeypatch.setattr(cli, "simulate", lambda scn: runs[scn.name])
+        tracemalloc.start()
+        try:
+            assert cli.cmd_simulate(cfg, tmp_path) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(path.stat().st_size for path in tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_seed_flag_is_a_usage_error(self, command, capsys):
