@@ -1,13 +1,13 @@
 """Homogeneous PID control toolkit.
 
-Dilation-group algebra and homogeneous norms, linear and homogeneous PID
-step evaluators, the disturbed double-integrator and decentralized joint
+Dilation-group algebra and homogeneous norms, the homogeneous PID law and
+its discrete step, the disturbed double-integrator and decentralized joint
 plants, Lyapunov stability certificates for the homogeneous upgrade of a
 linear PID, a deterministic RK4 simulation harness, and the performance
 indices used to compare the two controllers.
 """
 
-from .control import GainSet, HpidState, hpid_law, hpid_step, pid_step, reset
+from .control import GainSet, HpidState, hpid_law, hpid_step, reset
 from .homogeneity import (
     BracketError,
     CanonicalNorm,

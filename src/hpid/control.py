@@ -1,4 +1,4 @@
-"""Linear and homogeneous PID step evaluators with explicit integral state.
+"""The homogeneous PID law and its discrete step, with explicit integral state.
 
 The linear law is u = kp*e + kd*de + ki * integral(e).  The homogeneous
 variant modulates each action by powers of a homogeneous norm nu of the
@@ -23,7 +23,7 @@ import numpy as np
 
 from .homogeneity import HomNormSpec, WeightedSumNorm, error_pair_dilation, norm_evaluator
 
-__all__ = ["GainSet", "HpidState", "hpid_law", "pid_step", "hpid_step", "reset"]
+__all__ = ["GainSet", "HpidState", "hpid_law", "hpid_step", "reset"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,6 @@ class GainSet:
 
     def is_stabilizing(self) -> bool:
         return not self.routh_hurwitz_failures()
-
-
-def pid_step(gains: GainSet, integral_acc: float, eps: float, deps: float, dt: float):
-    """One linear PID evaluation; returns (u, updated integral accumulator).
-
-    The integral uses the rectangle rule: acc' = acc + e * dt, and the output
-    already includes the current sample, u = kp*e + kd*de + ki*acc'.
-    """
-    _require_finite(eps=eps, deps=deps, dt=dt, integral_acc=integral_acc)
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    acc = integral_acc + eps * dt
-    u = gains.kp * eps + gains.kd * deps + gains.ki * acc
-    return u, acc
 
 
 def hpid_law(
@@ -135,7 +121,8 @@ def hpid_step(state: HpidState, eps: float, deps: float, dt: float):
     """One homogeneous PID evaluation; returns (u, new state).
 
     The integral accumulates nu^{3 mu} * e by the rectangle rule, and the
-    output includes the current sample, matching pid_step exactly at mu = 0.
+    output includes the current sample: at mu = 0 the step is the linear
+    u = kp*e + kd*de + ki*acc' with acc' = acc + e*dt.
     """
     _require_finite(eps=eps, deps=deps, dt=dt)
     if dt < 0.0:

@@ -385,13 +385,13 @@ def verify_field_homogeneity(
     the report carries the maximum over samples, which passes at or below
     _HOMOGENEITY_TOLERANCE.
     """
-    worst = 0.0
+    residuals = []
     for s, x in samples:
         x = np.asarray(x, dtype=float)
         lhs = np.asarray(field_fn(dilation_apply(dil, s, x)), dtype=float)
         rhs = math.exp(mu * s) * dilation_apply(dil, s, np.asarray(field_fn(x), dtype=float))
-        resid = float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs)))
-        worst = max(worst, resid)
+        residuals.append(float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs))))
+    worst = float(np.max(residuals, initial=0.0))  # a NaN residual stays NaN and fails
     return HomogeneityReport(
         degree=float(mu),
         max_residual=worst,

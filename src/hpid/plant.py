@@ -113,10 +113,9 @@ class ReferenceSpec:
 
 
 def reference_eval(spec: ReferenceSpec, t: float):
-    """Reference position, velocity and acceleration at time t (analytic)."""
-    a, w = spec.amplitude, spec.angular_frequency
-    arg = w * t + spec.phase
-    return spec.position(t), a * w * math.cos(arg), -a * w * w * math.sin(arg)
+    """Reference position and velocity at time t (analytic)."""
+    w = spec.angular_frequency
+    return spec.position(t), spec.amplitude * w * math.cos(w * t + spec.phase)
 
 
 @dataclass(frozen=True)

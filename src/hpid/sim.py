@@ -222,7 +222,7 @@ def simulate(scn: Scenario) -> Trajectory:
         # joints start from rest at zero position: error = reference at t = 0
         y0, disturbances = [], []
         for jc in scn.joint_plant.joints:
-            pos, vel, _ = reference_eval(jc.reference, 0.0)
+            pos, vel = reference_eval(jc.reference, 0.0)
             y0 += (pos, vel, 0.0)
             disturbances.append(jc.disturbance.eval)
     law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)

@@ -111,12 +111,6 @@ class StabilityCertificate:
     def decrease_rate(self) -> float:
         return self.gamma / (2.0 * self.beta)
 
-    def monotonicity_margin(self, mu: float) -> float:
-        """Smallest eigenvalue of P G(mu) + G(mu)' P."""
-        G = np.eye(3) + mu * _DIAG_DIR
-        M = self.P.entries @ G + G.T @ self.P.entries
-        return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-
 
 def _sqrt_factors(P: np.ndarray):
     w, V = np.linalg.eigh(P)

@@ -5,7 +5,6 @@ real stdout so the lines survive pytest capture) and enforces the stated
 runtime budget where one applies.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -15,32 +14,19 @@ from scipy.linalg import expm
 
 from conftest import ACCEPTANCE_LINES
 
-from hpid import cli
-from hpid.control import GainSet, HpidState, hpid_step, pid_step
+from hpid import checks, cli
+from hpid.control import GainSet
 from hpid.fixtures import (
     HARDWARE_COMPARISON_ROWS,
     HARDWARE_L2_CONTROL,
     HARDWARE_L2_ERROR,
     HARDWARE_L2_ERROR_ALT,
 )
-from hpid.homogeneity import (
-    CanonicalNorm,
-    Dilation,
-    ExperimentalNorm,
-    SymMatrix,
-    WeightedSumNorm,
-    canonical_norm_gradient,
-    dilation_apply,
-    error_pair_dilation,
-    extended_state_dilation,
-    norm_evaluator,
-    standard_dilation,
-    verify_field_homogeneity,
-)
-from hpid.metrics import compare, iavc, itae, ivc, l2_norm, pointwise_norm
-from hpid.plant import default_six_joint_plant, make_closed_loop_field
-from hpid.sim import Scenario, Trajectory, scaling_symmetry_run, simulate
-from hpid.stability import certify, convergence_classifier, lyapunov_decrease_check
+from hpid.homogeneity import CanonicalNorm, Dilation, ExperimentalNorm, SymMatrix, WeightedSumNorm, error_pair_dilation
+from hpid.metrics import compare, iavc, itae, ivc
+from hpid.plant import default_six_joint_plant
+from hpid.sim import Scenario, Trajectory, simulate
+from hpid.stability import certify, convergence_classifier
 
 GAINS = GainSet(-3.0, -3.0, -1.0)
 RNG = np.random.default_rng(2024)
@@ -65,106 +51,28 @@ def criterion(name: str, runtime_limit: float | None = None):
     _emit(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s)")
 
 
+def _passes(result) -> None:
+    assert result.passed, result.line()
+
+
 def test_homogeneity_algebra_suite():
     with criterion("homogeneity-algebra-suite", runtime_limit=5.0):
-        dilations = [
-            standard_dilation(2),
-            error_pair_dilation(0.2),
-            error_pair_dilation(-0.3),
-            extended_state_dilation(0.1),
-            Dilation((0.5, 1.0, 2.0)),
-        ]
-        # group law
-        for dil in dilations:
-            for _ in range(60):
-                s, t = RNG.uniform(-5, 5, size=2)
-                x = RNG.uniform(-10, 10, size=dil.n)
-                once = dilation_apply(dil, s + t, x)
-                twice = dilation_apply(dil, s, dilation_apply(dil, t, x))
-                scale = 1.0 + max(np.linalg.norm(x), np.linalg.norm(once))
-                assert np.linalg.norm(twice - once) <= 1e-10 * scale
-
-        # norm scaling for all three variants
-        mu = 0.2
-        dil = error_pair_dilation(mu)
-        specs = [
-            WeightedSumNorm((1.0, 1.0)),
-            WeightedSumNorm((2.0, 0.5)),
-            CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
-            ExperimentalNorm(1.5, 0.7, mu),
-        ]
-        for spec in specs:
-            norm = norm_evaluator(spec, dil)
-            for _ in range(80):
-                s = RNG.uniform(-5, 5)
-                x = RNG.uniform(-10, 10, size=2)
-                base = norm(*x)
-                scaled = norm(*dilation_apply(dil, s, x))
-                assert abs(scaled - math.exp(s) * base) <= 1e-9 * math.exp(s) * (1.0 + base)
-
-        # canonical defining-equation residual
-        spec = CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]]))
-        norm = norm_evaluator(spec, dil)
-        for _ in range(200):
-            x = RNG.uniform(-8, 8, size=2)
-            if np.linalg.norm(x) < 1e-6:
-                continue
-            lam = norm(*x)
-            z = dilation_apply(dil, -math.log(lam), x)
-            assert abs(math.sqrt(z @ spec.P.entries @ z) - 1.0) <= 1e-10
-
-        # gradient vs central differences on 100 random points
-        gspec = CanonicalNorm(SymMatrix([[1.5, 0.2], [0.2, 0.9]]))
-        gdil = Dilation((2.0, 1.0))
-        gnorm = norm_evaluator(gspec, gdil)
-        checked = 0
-        while checked < 100:
-            x = RNG.uniform(-4, 4, size=2)
-            if np.linalg.norm(x) < 1e-2 or min(abs(x)) < 1e-2:
-                continue
-            grad = canonical_norm_gradient(gspec, gdil, x)
-            step = 1e-6 * float(np.linalg.norm(x))
-            fd = np.zeros(2)
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = step
-                fd[k] = (gnorm(*(x + e)) - gnorm(*(x - e))) / (2 * step)
-            assert np.abs(grad - fd).max() <= 1e-5 * np.abs(grad).max()
-            checked += 1
+        _passes(checks._check_group_law(RNG, draws=60))
+        P = SymMatrix([[2.0, 0.3], [0.3, 1.0]])
+        specs = [WeightedSumNorm((1.0, 1.0)), WeightedSumNorm((2.0, 0.5)), CanonicalNorm(P), ExperimentalNorm(1.5, 0.7, 0.2)]
+        _passes(checks._check_norm_scaling(RNG, error_pair_dilation(0.2), specs, draws=80))
+        _passes(checks._check_canonical_identity(RNG, error_pair_dilation(0.2), half_width=8.0, draws=200))
+        _passes(checks._check_gradient(RNG, Dilation((2.0, 1.0)), points=100, min_norm=1e-2, min_coord=1e-2))
 
 
 def test_closed_loop_field_homogeneity():
     with criterion("closed-loop-field-homogeneity", runtime_limit=5.0):
-        for mu in (-0.2, -0.1, 0.0, 0.1, 0.2):
-            fld = make_closed_loop_field(GAINS, mu, WeightedSumNorm((1.0, 1.0)))
-            dil = extended_state_dilation(mu)
-            samples = []
-            while len(samples) < 200:
-                s = RNG.uniform(-5, 5)
-                x = RNG.uniform(-2, 2, size=3)
-                if math.hypot(x[0], x[1]) < 1e-8:
-                    continue
-                samples.append((s, x))
-            report = verify_field_homogeneity(fld, dil, mu, samples)
-            assert report.passed, f"mu={mu}: residual {report.max_residual:.3e}"
+        _passes(checks._check_field_homogeneity(RNG, samples=200))
 
 
 def test_mu_zero_degeneration():
     with criterion("mu-zero-degeneration"):
-        for _ in range(1000):
-            gains = GainSet(*RNG.uniform(-5, 5, size=3))
-            eps, deps = RNG.uniform(-5, 5, size=2)
-            acc = RNG.uniform(-2, 2)
-            dt = RNG.uniform(1e-4, 1e-1)
-            u_lin, _ = pid_step(gains, acc, eps, deps, dt)
-            u_hom, _ = hpid_step(HpidState(gains, 0.0, integral_acc=acc), eps, deps, dt)
-            assert abs(u_hom - u_lin) <= 1e-12 * (1.0 + abs(u_lin))
-        # elementwise, not A @ x: a BLAS product may fuse multiply-adds
-        kp, kd, ki = GAINS.kp, GAINS.kd, GAINS.ki
-        fld = make_closed_loop_field(GAINS, 0.0, WeightedSumNorm((1.0, 1.0)))
-        for _ in range(200):
-            x1, x2, x3 = x = RNG.uniform(-5, 5, size=3)
-            assert np.array_equal(fld(x), [x2, kp * x1 + kd * x2 + x3, ki * x1])
+        _passes(checks._check_mu_zero_field(RNG, draws=1000))
 
 
 def test_linear_case_oracle():
@@ -185,23 +93,12 @@ def test_theorem_reproduction_desk_scale():
         cert = certify(GAINS)
         assert cert.mu_lo < 0.0 < cert.mu_hi
         assert cert.beta > 0.0 and cert.gamma > 0.0
-        for mu in (-0.1, 0.0, 0.1):
-            scn = Scenario(
-                controller="hpid" if mu else "pid", gains=GAINS, mu=mu, horizon=9.0, step=1e-3
-            )
-            report = lyapunov_decrease_check(simulate(scn), cert, mu)
-            assert report.passed, f"mu={mu}: fraction {report.fraction:.4f}"
+        _passes(checks._check_lyapunov_decrease([-0.1, 0.0, 0.1]))
 
 
 def test_solution_scaling_symmetry():
     with criterion("solution-scaling-symmetry"):
-        for mu in (-0.1, 0.1):
-            for s in (-0.5, 0.5):
-                scn = Scenario(controller="hpid", gains=GAINS, mu=mu, horizon=3.0, step=1e-4)
-                report = scaling_symmetry_run(scn, s)
-                assert report.sup_discrepancy <= 1e-4, (
-                    f"mu={mu}, s={s}: discrepancy {report.sup_discrepancy:.3e}"
-                )
+        _passes(checks._check_scaling_symmetry([(mu, s) for mu in (-0.1, 0.1) for s in (-0.5, 0.5)], step=1e-4))
 
 
 def test_rate_taxonomy():
@@ -236,11 +133,7 @@ def test_metrics_correctness():
         u6 = np.random.default_rng(8).normal(size=(len(grid), 6))
         states6 = np.zeros((len(grid), 18))
         states6[:, 0::3] = u6  # the error channels
-        traj6 = Trajectory(times=grid, states=states6, controls=u6, scenario=scn)
-        l2 = l2_norm(traj6, "control")
-        squares = np.array([pointwise_norm(traj6, "control", i) ** 2 for i in range(len(grid))])
-        via_pointwise = math.sqrt(np.trapezoid(squares, grid))
-        assert abs(l2 - via_pointwise) <= 1e-9 * l2
+        _passes(checks._check_metrics_identity(Trajectory(times=grid, states=states6, controls=u6, scenario=scn)))
 
 
 def test_qualitative_comparison_trend():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import tracemalloc
 from pathlib import Path
@@ -548,21 +550,32 @@ class TestCertifyCommand:
         assert "infeasible" in capsys.readouterr().out
 
 
+def _verify(*args: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", *args])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def verify_seed_0():
+    return _verify("--seed", "0")
+
+
 class TestVerifyCommand:
-    def test_default_suite_passes(self, capsys):
-        assert cli.main(["verify", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
+    def test_default_suite_passes(self, verify_seed_0):
+        code, out = verify_seed_0
+        assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
 
-    def test_broken_norm_negative_control(self, capsys):
-        assert cli.main(["verify", "--seed", "0", "--inject-broken-norm"]) == cli.EXIT_FAILURE
-        out = capsys.readouterr().out
-        assert "FAIL" in out and "norm scaling" in out
+    def test_broken_norm_negative_control(self):
+        code, out = _verify("--seed", "0", "--inject-broken-norm")
+        assert code == cli.EXIT_FAILURE
+        *lines, summary = out.splitlines()
+        failed = [line for line in lines if not line.startswith("PASS  ")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL  homogeneous norm scaling: ")
+        assert summary == f"{len(lines) - 1}/{len(lines)} checks passed"
 
-    def test_repeat_run_identical_report(self, capsys):
-        cli.main(["verify", "--seed", "3"])
-        first = capsys.readouterr().out
-        cli.main(["verify", "--seed", "3"])
-        second = capsys.readouterr().out
-        assert first == second
+    def test_repeat_run_identical_report(self, verify_seed_0):
+        assert _verify("--seed", "0") == verify_seed_0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpid.control import GainSet, HpidState, hpid_step, pid_step, reset
+from hpid.control import GainSet, HpidState, hpid_step, reset
 from hpid.homogeneity import ExperimentalNorm, WeightedSumNorm, dilation_apply, error_pair_dilation
 
 RNG = np.random.default_rng(77)
@@ -37,35 +37,23 @@ class TestGainSet:
             GainSet(math.nan, 0.0, 0.0)
 
 
-class TestPidStep:
-    def test_zero_error(self):
-        assert pid_step(GainSet(1.0, 1.0, 1.0), 0.0, 0.0, 0.0, 0.01) == (0.0, 0.0)
-
-    def test_pure_proportional(self):
-        u, acc = pid_step(GainSet(2.0, 0.0, 0.0), 0.0, 3.0, 5.0, 0.01)
-        assert u == 6.0
-        assert acc == pytest.approx(0.03)
-
-    def test_pure_integral_rectangle_rule(self):
-        u, acc = pid_step(GainSet(0.0, 0.0, 1.0), 1.0, 1.0, 0.0, 0.5)
-        assert (u, acc) == (1.5, 1.5)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            pid_step(GainSet(1.0, 1.0, 1.0), 0.0, math.inf, 0.0, 0.01)
-
-
 class TestHpidStep:
     def test_mu_zero_reduces_to_pid(self):
+        # the linear step written out: acc' = acc + e dt, u = kp e + kd de + ki acc'
         for _ in range(1000):
             gains = GainSet(*RNG.uniform(-5, 5, size=3))
             eps, deps = RNG.uniform(-5, 5, size=2)
             acc = RNG.uniform(-2, 2)
             dt = RNG.uniform(1e-4, 1e-1)
-            u_lin, acc_lin = pid_step(gains, acc, eps, deps, dt)
+            acc_lin = acc + eps * dt
+            u_lin = gains.kp * eps + gains.kd * deps + gains.ki * acc_lin
             u_hom, state = hpid_step(HpidState(gains, 0.0, integral_acc=acc), eps, deps, dt)
-            assert abs(u_hom - u_lin) <= 1e-12 * (1.0 + abs(u_lin))
-            assert abs(state.integral_acc - acc_lin) <= 1e-12 * (1.0 + abs(acc_lin))
+            assert (u_hom, state.integral_acc) == (u_lin, acc_lin)
+
+    def test_mu_zero_rectangle_rule(self):
+        # the output already includes the current sample: acc' = 1 + 1 * 0.5
+        u, state = hpid_step(HpidState(GainSet(0.0, 0.0, 1.0), 0.0, integral_acc=1.0), 1.0, 0.0, 0.5)
+        assert (u, state.integral_acc) == (1.5, 1.5)
 
     def test_hand_evaluated_static_output(self):
         # mu=0.2, unit weighted-sum norm: ||(1,0)||_d = 1, so u = kp = -3

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpid import checks
 from hpid.homogeneity import (
     CANONICAL_TOLERANCE,
     BracketError,
@@ -203,28 +204,8 @@ class TestCanonicalGradient:
         assert np.allclose(grad, [0.6, 0.8], atol=1e-12)
 
     def test_matches_finite_differences(self):
-        # central differences with relative step are the independent oracle
-        spec = CanonicalNorm(SymMatrix([[1.5, 0.2], [0.2, 0.9]]))
-        dil = Dilation((2.0, 1.0))
-        norm = norm_evaluator(spec, dil)
-        checked = 0
-        for _ in range(300):
-            x = RNG.uniform(-4, 4, size=2)
-            nx = float(np.linalg.norm(x))
-            if nx < 1e-2 or min(abs(x)) < 1e-2:
-                continue
-            grad = canonical_norm_gradient(spec, dil, x)
-            step = 1e-6 * nx
-            fd = np.zeros(2)
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = step
-                fd[k] = (norm(*(x + e)) - norm(*(x - e))) / (2 * step)
-            assert np.abs(grad - fd).max() <= 1e-5 * max(1e-9, np.abs(grad).max())
-            checked += 1
-            if checked >= 100:
-                break
-        assert checked >= 100
+        result = checks._check_gradient(RNG, Dilation((2.0, 1.0)), points=100, min_norm=1e-2, min_coord=1e-2)
+        assert result.passed, result.line()
 
     def test_specific_points_against_differences(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
@@ -272,14 +253,9 @@ class TestNormHomogeneity:
 
     @pytest.mark.parametrize("mu", [-0.3, 0.0, 0.2])
     def test_scaling_identity(self, mu):
-        for spec, dil in _norm_specs(mu) if mu != 0.0 else _norm_specs(0.0):
-            norm = norm_evaluator(spec, dil)
-            for _ in range(100):
-                s = RNG.uniform(-5, 5)
-                x = RNG.uniform(-10, 10, size=2)
-                base = norm(*x)
-                scaled = norm(*dilation_apply(dil, s, x))
-                assert abs(scaled - math.exp(s) * base) <= 1e-9 * math.exp(s) * (1.0 + base)
+        specs = [spec for spec, _ in _norm_specs(mu)]
+        result = checks._check_norm_scaling(RNG, error_pair_dilation(mu), specs, draws=100)
+        assert result.passed, result.line()
 
     def test_norm_equivalence_on_unit_sphere(self):
         # any two homogeneous norms for one dilation stay within fixed ratios
@@ -316,3 +292,8 @@ class TestFieldHomogeneity:
         samples = [(RNG.uniform(-3, 3), RNG.uniform(-2, 2, size=1)) for _ in range(20)]
         report = verify_field_homogeneity(lambda x: x**2, standard_dilation(1), 1.0, samples)
         assert report.passed
+
+    def test_nan_residual_after_a_finite_one_fails(self):
+        samples = [(0.5, np.array([1.0])), (0.5, np.array([-1.0]))]
+        report = verify_field_homogeneity(lambda x: x if x[0] > 0 else np.nan * x, standard_dilation(1), 0.0, samples)
+        assert not report.passed

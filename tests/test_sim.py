@@ -224,7 +224,7 @@ def _array_run(scn: Scenario):
     else:
         y0, dists = [], []
         for jc in scn.joint_plant.joints:
-            pos, vel, _ = reference_eval(jc.reference, 0.0)
+            pos, vel = reference_eval(jc.reference, 0.0)
             y0 += (pos, vel, 0.0)
             dists.append(jc.disturbance.eval)
     rhs = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, dists)

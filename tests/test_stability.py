@@ -94,8 +94,10 @@ class TestCertify:
     def test_interval_shrinks_feasibly_under_bisection(self):
         # feasibility in mu is an interval: the margin is concave in mu
         cert = certify(GainSet(-1.0, -2.0, -0.5))
+        Pe, D = cert.P.entries, np.diag([-1.0, 0.0, 1.0])
         mus = np.linspace(cert.mu_lo, cert.mu_hi, 21)
-        margins = [cert.monotonicity_margin(m) for m in mus]
+        Gs = [np.eye(3) + m * D for m in mus]
+        margins = [np.linalg.eigvalsh(Pe @ G + G.T @ Pe).min() for G in Gs]
         assert all(m > 0.0 for m in margins)
         # concavity implies no interior dip below the chord of the endpoints
         for i in range(1, len(mus) - 1):
