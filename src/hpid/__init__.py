@@ -23,7 +23,6 @@ from .homogeneity import (
     extended_state_dilation,
     norm_evaluator,
     standard_dilation,
-    verify_field_homogeneity,
 )
 from .metrics import MetricsReport, compare, iavc, itae, ivc, l2_norm, pointwise_norm
 from .plant import (
@@ -32,7 +31,6 @@ from .plant import (
     JointPlantConfig,
     ReferenceSpec,
     default_six_joint_plant,
-    make_closed_loop_field,
     reference_eval,
 )
 from .sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate

@@ -9,6 +9,10 @@ tests/test_acceptance.py calls the same checks with larger or wider inputs
 and asserts that each passes.  Residuals are maxima that keep a NaN, so a
 NaN never reads as a pass.
 
+The two closed-loop checks call sim.rk4_step, where the field every run
+integrates is written: a fault that keeps the field's degree passes the
+homogeneity check and fails the mu = 0 one.
+
 The checks stay private because the benchmark's tracer times every public
 function of this module and reports `run_all`'s self time: public checks
 would be timed on their own and move their cost out of that figure.
@@ -26,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import homogeneity as hg
-from .control import GainSet
+from .control import GainSet, hpid_law
 from .metrics import l2_norm, pointwise_norm
-from .plant import make_closed_loop_field
-from .sim import Scenario, Trajectory, scaling_symmetry_run, simulate
+from .sim import Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
 from .stability import certify, lyapunov_decrease_check
 
 __all__ = ["CheckResult", "run_all"]
@@ -146,36 +149,63 @@ def _check_gradient(
     return CheckResult("canonical norm gradient vs finite differences", _worst(residuals), 1e-5)
 
 
-def _check_field_homogeneity(rng: np.random.Generator, samples: int) -> CheckResult:
+def _step_at(law, ki: float, x: list[float], h: float) -> list[float]:
+    """One rk4_step of one undisturbed block, its first stage the law at x, as simulate passes it."""
+    return rk4_step(law, ki, (lambda t: 0.0,), x, [law(x[0], x[1])], 0.0, h)
+
+
+def _check_step_homogeneity(rng: np.random.Generator, norm: hg.HomNormSpec, samples: int) -> CheckResult:
+    """rk4_step(d(s) x, e^{-mu s} h) = d(s) rk4_step(x, h) at each degree mu.
+
+    A field of degree mu has f(d(s) x) = e^{mu s} d(s) f(x), so every RK4
+    stage, and with it the step, commutes with d(s) at the step e^{-mu s} h:
+    the identity is exact for any h.  h = 1, because a smaller step scales a
+    field defect down by h.  A draw with |(x1, x2)| < 1e-8 is skipped, since
+    the norm floor breaks the scaling at the origin.
+    """
     residuals = []
     for mu in (-0.2, -0.1, 0.0, 0.1, 0.2):
-        fld = make_closed_loop_field(_GAINS, mu, hg.WeightedSumNorm((1.0, 1.0)))
-        pairs = []
-        while len(pairs) < samples:
+        law = hpid_law(_GAINS, mu, norm, 1e-9)
+        dil = hg.extended_state_dilation(mu)
+        checked = 0
+        while checked < samples:
             s = rng.uniform(-5, 5)
             x = rng.uniform(-2, 2, size=3)
             if math.hypot(x[0], x[1]) < 1e-8:
                 continue
-            pairs.append((s, x))
-        residuals.append(hg.verify_field_homogeneity(fld, hg.extended_state_dilation(mu), mu, pairs).max_residual)
-    return CheckResult("closed-loop field homogeneity", _worst(residuals), 1e-9)
+            checked += 1
+            lhs = np.array(_step_at(law, _GAINS.ki, hg.dilation_apply(dil, s, x).tolist(), math.exp(-mu * s)))
+            rhs = hg.dilation_apply(dil, s, _step_at(law, _GAINS.ki, x.tolist(), 1.0))
+            residuals.append(float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs))))
+    return CheckResult("closed-loop RK4 step homogeneity", _worst(residuals), 1e-9)
 
 
-def _check_mu_zero_field(rng: np.random.Generator, draws: int) -> CheckResult:
-    """At mu = 0 the field is A x for A = GainSet.a_matrix(), bit for bit.
+def _check_mu_zero_step(rng: np.random.Generator, draws: int) -> CheckResult:
+    """At mu = 0 one rk4_step is RK4 on the rows of A = GainSet.a_matrix(), bit for bit.
 
-    Each row is summed element by element, left to right, not as a BLAS
-    product, which may fuse multiply-adds.  Every draw takes fresh gains.
+    The reference sums each row element by element, left to right, not as a
+    BLAS product, which may fuse multiply-adds, and forms the stages and the
+    update in rk4_step's order.  Every draw takes fresh gains and a fresh
+    step h in [1e-3, 0.5].
     """
     residuals = []
     for _ in range(draws):
         gains = GainSet(*rng.uniform(-5, 5, size=3))
         x = rng.uniform(-5, 5, size=3).tolist()
+        h = rng.uniform(1e-3, 0.5)
         rows = gains.a_matrix().tolist()
-        linear = [row[0] * x[0] + row[1] * x[1] + row[2] * x[2] for row in rows]
-        field = make_closed_loop_field(gains, 0.0, hg.WeightedSumNorm((1.0, 1.0)))(x)
-        residuals.append(float(np.abs(field - linear).max()))
-    return CheckResult("closed-loop field at mu = 0 equals the linear rows", _worst(residuals), 0.0)
+
+        def linear(y: list[float]) -> list[float]:
+            return [row[0] * y[0] + row[1] * y[1] + row[2] * y[2] for row in rows]
+
+        k1 = linear(x)
+        k2 = linear([a + 0.5 * h * b for a, b in zip(x, k1)])
+        k3 = linear([a + 0.5 * h * b for a, b in zip(x, k2)])
+        k4 = linear([a + h * b for a, b in zip(x, k3)])
+        rk4 = [a + h / 6.0 * (((b + 2.0 * c) + 2.0 * d) + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        step = _step_at(hpid_law(gains, 0.0, hg.WeightedSumNorm((1.0, 1.0)), 1e-9), gains.ki, x, h)
+        residuals.append(float(np.abs(np.subtract(step, rk4)).max()))
+    return CheckResult("RK4 step at mu = 0 equals RK4 on the linear rows", _worst(residuals), 0.0)
 
 
 def _check_scaling_symmetry(cases, step: float) -> CheckResult:
@@ -218,8 +248,8 @@ def run_all(seed: int = 0, break_norm: bool = False) -> list[CheckResult]:
         _check_norm_scaling(rng, hg.error_pair_dilation(0.2), _VERIFY_NORMS, draws=80, break_norm=break_norm),
         _check_canonical_identity(rng, hg.error_pair_dilation(-0.2), half_width=5.0, draws=200),
         _check_gradient(rng, hg.error_pair_dilation(0.15), points=100, min_norm=1e-3, min_coord=0.0),
-        _check_field_homogeneity(rng, samples=40),
-        _check_mu_zero_field(rng, draws=300),
+        _check_step_homogeneity(rng, hg.WeightedSumNorm((1.0, 1.0)), samples=40),
+        _check_mu_zero_step(rng, draws=300),
         _check_scaling_symmetry([(0.1, 0.5)], step=1e-3),
         _check_lyapunov_decrease([0.1]),
         _check_metrics_identity(simulate(Scenario(horizon=2.0))),

@@ -19,15 +19,13 @@ norm_evaluator is the one place a norm is evaluated: it checks the
 spec/dilation pairing once and returns the point -> norm closure, on the
 two-dimensional error pair for every kind and on any dimension for the
 canonical norm.
-The module also verifies numerically that a vector field g is
-d-homogeneous of degree mu, i.e. g(d(s) x) = e^{mu s} d(s) g(x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "CanonicalNorm",
     "ExperimentalNorm",
     "HomNormSpec",
-    "HomogeneityReport",
     "standard_dilation",
     "error_pair_dilation",
     "extended_state_dilation",
@@ -47,7 +44,6 @@ __all__ = [
     "check_strict_monotonicity",
     "canonical_norm_gradient",
     "norm_evaluator",
-    "verify_field_homogeneity",
 ]
 
 
@@ -356,46 +352,3 @@ def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
         z1m, g = spec.zeta1_max, spec.gamma
         return lambda a, b: abs(a) ** inv_e / z1m + g * abs(b)
     raise TypeError(f"unknown norm spec {type(spec).__name__}")
-
-
-_HOMOGENEITY_TOLERANCE = 1e-9  # the largest residual verify_field_homogeneity passes
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    """Outcome of a numerical degree-mu homogeneity check for a vector field."""
-
-    degree: float
-    max_residual: float
-    tolerance: float
-    passed: bool
-    n_samples: int
-
-
-def verify_field_homogeneity(
-    field_fn: Callable[[np.ndarray], np.ndarray],
-    dil: Dilation,
-    mu: float,
-    samples: Sequence[tuple[float, Sequence[float]]],
-) -> HomogeneityReport:
-    """Check g(d(s) x) = e^{mu s} d(s) g(x) on the given (s, x) samples.
-
-    The residual for one sample is
-    ||g(d(s)x) - e^{mu s} d(s) g(x)|| / max(1, ||e^{mu s} d(s) g(x)||);
-    the report carries the maximum over samples, which passes at or below
-    _HOMOGENEITY_TOLERANCE.
-    """
-    residuals = []
-    for s, x in samples:
-        x = np.asarray(x, dtype=float)
-        lhs = np.asarray(field_fn(dilation_apply(dil, s, x)), dtype=float)
-        rhs = math.exp(mu * s) * dilation_apply(dil, s, np.asarray(field_fn(x), dtype=float))
-        residuals.append(float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs))))
-    worst = float(np.max(residuals, initial=0.0))  # a NaN residual stays NaN and fails
-    return HomogeneityReport(
-        degree=float(mu),
-        max_residual=worst,
-        tolerance=_HOMOGENEITY_TOLERANCE,
-        passed=worst <= _HOMOGENEITY_TOLERANCE,
-        n_samples=len(samples),
-    )

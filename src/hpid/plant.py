@@ -1,10 +1,8 @@
-"""Plant models: the closed-loop blocks both plants are built from, the
-extended closed-loop field of the disturbed double integrator, and the
-decentralized multi-joint tracking-error plant.
+"""Plant models: the references and disturbances of the decentralized
+multi-joint tracking-error plant.
 
-closed_loop_blocks is the reference right-hand side of the blocks:
-make_closed_loop_field and verify evaluate it, and sim.rk4_step writes the
-same field inline in its stages, bitwise equal to it.
+The closed loop of both plants, n blocks (e, de, z) under the hPID law, is
+written once, in sim.rk4_step.
 
 The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual
@@ -19,68 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
-
-from .control import GainSet, hpid_law
-from .homogeneity import HomNormSpec
 
 __all__ = [
     "ReferenceSpec",
     "DisturbanceSpec",
     "JointConfig",
     "JointPlantConfig",
-    "closed_loop_blocks",
-    "make_closed_loop_field",
     "reference_eval",
     "default_six_joint_plant",
 ]
-
-
-def closed_loop_blocks(
-    gains: GainSet,
-    mu: float,
-    norm: HomNormSpec,
-    norm_floor: float,
-    disturbances: Sequence[Callable[[float], float]],
-) -> Callable[[float, list[float]], list[float]]:
-    """Right-hand side of n closed-loop blocks (e, de, z).
-
-    Block j follows e' = de, de' = pd + z - d_j(t), z' = ki * integrand, with
-    (pd, integrand) the hPID law (control.hpid_law) at (e, de).  z is the
-    integral action ki * integral(integrand) plus the constant z(0) it
-    absorbed at t = 0, so the block's applied control is pd + z - z(0).
-    Returns rhs(t, x) over the stacked state x of length 3n, a list of
-    Python floats, as a list of floats.  sim.rk4_step writes this field
-    inline in its stages; a test ties the two together bit for bit.
-    """
-    law = hpid_law(gains, mu, norm, norm_floor)
-    ki = gains.ki
-
-    def rhs(t: float, x: list[float]) -> list[float]:
-        out = []
-        for j, dist in enumerate(disturbances):
-            e, de, z = x[3 * j : 3 * j + 3]
-            pd, integrand = law(e, de)
-            out += (de, pd + z - dist(t), ki * integrand)
-        return out
-
-    return rhs
-
-
-def make_closed_loop_field(
-    gains: GainSet, mu: float, norm: HomNormSpec, norm_floor: float = 1e-9
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Extended closed-loop vector field of the hPID-controlled loop.
-
-    The one undisturbed block of closed_loop_blocks: x maps to
-    (x2, pd + x3, ki * integrand) with (pd, integrand) the hPID law at
-    (x1, x2).  At mu = 0 the law evaluates no norm, so the field is the
-    linear (x2, kp x1 + kd x2 + x3, ki x1) exactly.
-    """
-    rhs = closed_loop_blocks(gains, mu, norm, norm_floor, (lambda t: 0.0,))
-    return lambda x: np.array(rhs(0.0, np.asarray(x, dtype=float).tolist()))
 
 
 def _finite(name: str, value: float) -> float:

@@ -6,9 +6,9 @@ field is continuous but not Lipschitz at the origin, so the formal fourth
 order degrades in a small terminal neighbourhood; convergence tests exclude
 that ball.
 
-Both plants are closed-loop blocks of plant.closed_loop_blocks, three
-states (e, de, z) each, where z is the integral action
-ki * integral(nu^{3 mu} e) plus the constant it absorbed at t = 0:
+Both plants are closed-loop blocks of rk4_step, three states (e, de, z)
+each, where z is the integral action ki * integral(nu^{3 mu} e) plus the
+constant it absorbed at t = 0:
 
 * "extended": one undisturbed block from x0; the constant disturbance p
   sits in the third state, z(0) = p.
@@ -16,14 +16,15 @@ ki * integral(nu^{3 mu} e) plus the constant it absorbed at t = 0:
   z(0) = 0, driven by its bounded disturbance waveform sampled continuously
   in time.  Every joint runs the scenario's controller.
 
-rk4_step is the one RK4 scheme: it steps every block on local Python
-floats, with the block field written inline, and takes its first stage
-from the law value simulate computed at the accepted state for the applied
-control.  Per block and step the law is evaluated four times and the
-disturbance three times (once at t + h/2 for stages 2 and 3).  The IEEE
-operations are those of the array formulation, in the same order, so the
-states and controls are bitwise those of the numpy-array RK4 over
-plant.closed_loop_blocks (a test compares the two).
+rk4_step is the one RK4 scheme and the one place the field is written: it
+steps every block on local Python floats, with the block field inline, and
+takes its first stage from the law value simulate computed at the accepted
+state for the applied control.  Per block and step the law is evaluated
+four times and the disturbance three times (once at t + h/2 for stages 2
+and 3).  The IEEE operations are those of the array formulation, in the
+same order, so the states and controls are bitwise those of the
+numpy-array RK4 over the same field (a test compares the two).  hpid verify
+checks this kernel (hpid.checks).
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def rk4_step(
 ) -> list[float]:
     """One classical fourth-order Runge-Kutta update of the closed-loop blocks.
 
-    x stacks the (e, de, z) blocks of plant.closed_loop_blocks, each with
-    field (de, pd + z - d_j(t), ki * integrand), where (pd, integrand) =
+    x stacks the (e, de, z) blocks, each with field
+    (de, pd + z - d_j(t), ki * integrand), where (pd, integrand) =
     law(e, de).  first[j] is the law value at block j of x itself, the one
     simulate computed for the applied control, so it serves as the first
     stage.  Each block's stages are local floats, d_j is evaluated once at
@@ -207,8 +208,8 @@ def rk4_step(
 def simulate(scn: Scenario) -> Trajectory:
     """Integrate the scenario over [0, T]; deterministic for a fixed scenario.
 
-    Both plants are closed-loop blocks (plant.closed_loop_blocks), so the
-    tracking errors are every third state (Trajectory.errors).  The state
+    Both plants are closed-loop blocks (see rk4_step), so the tracking
+    errors are every third state (Trajectory.errors).  The state
     steps as a list of Python floats through rk4_step and each step is
     stored into the preallocated arrays.  The law is evaluated once per
     block at each accepted state: for the applied control pd + z - z(0),

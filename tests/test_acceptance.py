@@ -67,12 +67,12 @@ def test_homogeneity_algebra_suite():
 
 def test_closed_loop_field_homogeneity():
     with criterion("closed-loop-field-homogeneity", runtime_limit=5.0):
-        _passes(checks._check_field_homogeneity(RNG, samples=200))
+        _passes(checks._check_step_homogeneity(RNG, WeightedSumNorm((1.0, 1.0)), samples=200))
 
 
 def test_mu_zero_degeneration():
-    with criterion("mu-zero-degeneration"):
-        _passes(checks._check_mu_zero_field(RNG, draws=1000))
+    with criterion("mu-zero-degeneration", runtime_limit=5.0):
+        _passes(checks._check_mu_zero_step(RNG, draws=1000))
 
 
 def test_linear_case_oracle():

@@ -1,0 +1,49 @@
+"""Negative controls for the kernel checks of `hpid verify`.
+
+Each fault is written into the source of `sim.rk4_step`, and the faulty
+kernel takes the real one's place where the checks call it, at verify's
+sample counts.
+"""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+from hpid import checks, sim
+from hpid.homogeneity import WeightedSumNorm
+
+
+def _kernel_checks(monkeypatch, old: str, new: str) -> tuple[checks.CheckResult, checks.CheckResult]:
+    source = inspect.getsource(sim.rk4_step)
+    assert old in source
+    namespace = dict(vars(sim))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(checks, "rk4_step", namespace["rk4_step"])
+    rng = np.random.default_rng(0)
+    return (
+        checks._check_step_homogeneity(rng, WeightedSumNorm((1.0, 1.0)), samples=40),
+        checks._check_mu_zero_step(rng, draws=300),
+    )
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("pd + z - dist(t)", "pd - z - dist(t)"), ("pd + z3", "pd + z2")],
+    ids=["stage-1-flips-z", "stage-3-reads-z2"],
+)
+def test_homogeneous_fault_fails_the_mu_zero_line(monkeypatch, old, new):
+    homogeneity, mu_zero = _kernel_checks(monkeypatch, old, new)
+    assert homogeneity.passed  # the faulty field keeps its degree: only the linear oracle sees it
+    assert not mu_zero.passed
+
+
+def test_inhomogeneous_fault_fails_the_step_homogeneity_line(monkeypatch):
+    homogeneity, _ = _kernel_checks(monkeypatch, "de + hh * f1", "de + hh * g1")
+    assert not homogeneity.passed
+
+
+def test_nan_residual_after_a_finite_one_fails():
+    # a running max(worst, r) would return the finite residual and pass
+    assert not checks.CheckResult("nan", checks._worst([0.0, math.nan]), 1e-9).passed

@@ -21,7 +21,6 @@ from hpid.homogeneity import (
     extended_state_dilation,
     norm_evaluator,
     standard_dilation,
-    verify_field_homogeneity,
 )
 
 RNG = np.random.default_rng(1234)
@@ -273,27 +272,3 @@ class TestNormHomogeneity:
                 acc.append(values[i] / values[j])
         for acc in ratios.values():
             assert 0.0 < min(acc) and max(acc) / min(acc) < 1e3
-
-
-class TestFieldHomogeneity:
-    def test_linear_field_degree_zero(self):
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        samples = [(RNG.uniform(-3, 3), RNG.uniform(-5, 5, size=2)) for _ in range(50)]
-        report = verify_field_homogeneity(lambda x: A @ x, standard_dilation(2), 0.0, samples)
-        assert report.passed
-        assert report.max_residual <= 1e-12
-
-    def test_square_field_wrong_degree_fails(self):
-        samples = [(1.0, np.array([2.0])), (0.5, np.array([-1.5]))]
-        report = verify_field_homogeneity(lambda x: x**2, standard_dilation(1), 0.5, samples)
-        assert not report.passed
-
-    def test_square_field_right_degree_passes(self):
-        samples = [(RNG.uniform(-3, 3), RNG.uniform(-2, 2, size=1)) for _ in range(20)]
-        report = verify_field_homogeneity(lambda x: x**2, standard_dilation(1), 1.0, samples)
-        assert report.passed
-
-    def test_nan_residual_after_a_finite_one_fails(self):
-        samples = [(0.5, np.array([1.0])), (0.5, np.array([-1.0]))]
-        report = verify_field_homogeneity(lambda x: x if x[0] > 0 else np.nan * x, standard_dilation(1), 0.0, samples)
-        assert not report.passed

@@ -13,13 +13,21 @@ from hpid.plant import (
     JointConfig,
     JointPlantConfig,
     ReferenceSpec,
-    closed_loop_blocks,
     default_six_joint_plant,
     reference_eval,
 )
 from hpid.sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
 
 GAINS = GainSet(-3.0, -3.0, -1.0)
+NORM_KINDS = ["weighted_sum", "experimental", "canonical"]
+
+
+def _norm(kind: str, mu: float):
+    return {
+        "weighted_sum": WeightedSumNorm((1.0, 1.0)),
+        "experimental": ExperimentalNorm(1.0, 1.0, mu),
+        "canonical": CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
+    }[kind]
 
 
 class TestRk4Step:
@@ -29,8 +37,11 @@ class TestRk4Step:
     def _step(law, ki, dist, x, t, h):
         return rk4_step(law, ki, [dist], list(x), [law(x[0], x[1])], t, h)
 
-    def test_zero_field(self):
-        law = hpid_law(GAINS, 0.2, WeightedSumNorm((1.0, 1.0)), 1e-9)
+    @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    def test_zero_field(self, mu, norm_kind):
+        # the origin is an exact fixed point of the step, the norm floor included
+        law = hpid_law(GAINS, mu, _norm(norm_kind, mu), 1e-9)
         out = self._step(law, GAINS.ki, lambda t: 0.0, [0.0, 0.0, 0.0], 0.0, 0.1)
         assert np.array_equal(out, np.zeros(3))
 
@@ -215,8 +226,9 @@ class TestStepHalving:
 def _array_run(scn: Scenario):
     """States and controls of scn, stepped as numpy arrays.
 
-    The array formulation of the RK4 loop: array stages x + 0.5 h k and
-    x + h k, each right-hand side turned into an array, and the update
+    The array formulation of the RK4 loop over the closed-loop field, written
+    here as the test's oracle: array stages x + 0.5 h k and x + h k, each
+    right-hand side turned into an array, and the update
     x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) as one array expression.
     """
     if scn.joint_plant is None:
@@ -227,8 +239,17 @@ def _array_run(scn: Scenario):
             pos, vel = reference_eval(jc.reference, 0.0)
             y0 += (pos, vel, 0.0)
             dists.append(jc.disturbance.eval)
-    rhs = closed_loop_blocks(scn.gains, scn.mu, scn.norm, scn.norm_floor, dists)
     law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
+    ki = scn.gains.ki
+
+    def rhs(t: float, x: list[float]) -> list[float]:
+        # block j: (de, pd + z - d_j(t), ki * integrand) with the law at (e, de)
+        out = []
+        for j, dist in enumerate(dists):
+            e, de, z = x[3 * j : 3 * j + 3]
+            pd, integrand = law(e, de)
+            out += (de, pd + z - dist(t), ki * integrand)
+        return out
 
     def control(x: list[float]) -> list[float]:
         # the applied control pd + z - z(0) of each block
@@ -267,16 +288,12 @@ class TestFloatKernelMatchesArrays:
         self._assert_bitwise(Scenario(controller="pid", horizon=2.0, step=1e-3))
 
     @pytest.mark.parametrize("mu", [-0.2, 0.2])
-    @pytest.mark.parametrize("norm_kind", ["weighted_sum", "experimental", "canonical"])
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
     def test_extended_hpid(self, mu, norm_kind):
-        norm = {
-            "weighted_sum": WeightedSumNorm((1.0, 1.0)),
-            "experimental": ExperimentalNorm(1.0, 1.0, mu),
-            "canonical": CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
-        }[norm_kind]
         # the canonical norm is a root solve per evaluation: a shorter run
         horizon = 0.5 if norm_kind == "canonical" else 2.0
-        self._assert_bitwise(Scenario(controller="hpid", mu=mu, norm=norm, horizon=horizon, step=1e-3))
+        scn = Scenario(controller="hpid", mu=mu, norm=_norm(norm_kind, mu), horizon=horizon, step=1e-3)
+        self._assert_bitwise(scn)
 
     def test_six_joint_hpid(self):
         scn = Scenario(controller="hpid", mu=0.2, joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3)
@@ -391,16 +408,12 @@ class TestSimulateJoints:
         assert abs(traj.errors[-1, 0]) < 2e-2  # integral action rejects the bias
 
     @pytest.mark.parametrize("mu", [-0.2, 0.0, 0.2])
-    @pytest.mark.parametrize("norm_kind", ["weighted_sum", "experimental", "canonical"])
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
     def test_one_hpid_joint_matches_extended_hpid(self, mu, norm_kind):
         # both plants close the same hPID law: a joint holding offset 1 against
         # the constant disturbance -p is the extended loop from x0 = (1, 0, p)
         p = 0.3
-        norm = {
-            "weighted_sum": WeightedSumNorm((1.0, 1.0)),
-            "experimental": ExperimentalNorm(1.0, 1.0, mu),
-            "canonical": CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
-        }[norm_kind]
+        norm = _norm(norm_kind, mu)
         joint = JointConfig(
             reference=ReferenceSpec(amplitude=0.0, offset=1.0),
             disturbance=DisturbanceSpec(constant=-p, bound=0.5),
