@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hpid import checks
-from hpid.homogeneity import CanonicalNorm, SymMatrix
+from hpid.control import GainSet, hpid_law
+from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
     DisturbanceSpec,
     JointConfig,
@@ -11,12 +12,27 @@ from hpid.plant import (
     default_six_joint_plant,
     reference_eval,
 )
+from hpid.sim import rk4_step
 
 RNG = np.random.default_rng(99)
+GAINS = GainSet(-3.0, -3.0, -1.0)
 
 
 class TestClosedLoopField:
     """The closed loop of both plants, as the RK4 kernel sim.rk4_step integrates it."""
+
+    @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
+    def test_equilibrium(self, mu):
+        # the origin is an exact fixed point of one step, the norm floor included
+        norms = (
+            WeightedSumNorm((1.0, 1.0)),
+            ExperimentalNorm(1.0, 1.0, mu),
+            CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
+        )
+        for norm in norms:
+            law = hpid_law(GAINS, mu, norm, 1e-9)
+            out = rk4_step(law, GAINS.ki, [lambda t: 0.0], [0.0, 0.0, 0.0], [law(0.0, 0.0)], 0.0, 0.1)
+            assert np.array_equal(out, np.zeros(3)), type(norm).__name__
 
     def test_canonical_norm_variant(self):
         result = checks._check_step_homogeneity(RNG, CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])), samples=50)

@@ -37,11 +37,8 @@ class TestRk4Step:
     def _step(law, ki, dist, x, t, h):
         return rk4_step(law, ki, [dist], list(x), [law(x[0], x[1])], t, h)
 
-    @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
-    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
-    def test_zero_field(self, mu, norm_kind):
-        # the origin is an exact fixed point of the step, the norm floor included
-        law = hpid_law(GAINS, mu, _norm(norm_kind, mu), 1e-9)
+    def test_zero_field(self):
+        law = hpid_law(GAINS, 0.2, WeightedSumNorm((1.0, 1.0)), 1e-9)
         out = self._step(law, GAINS.ki, lambda t: 0.0, [0.0, 0.0, 0.0], 0.0, 0.1)
         assert np.array_equal(out, np.zeros(3))
 
