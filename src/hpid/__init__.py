@@ -1,13 +1,13 @@
 """Homogeneous PID control toolkit.
 
-Dilation-group algebra and homogeneous norms, the homogeneous PID law and
-its discrete step, the disturbed double-integrator and decentralized joint
-plants, Lyapunov stability certificates for the homogeneous upgrade of a
-linear PID, a deterministic RK4 simulation harness, and the performance
-indices used to compare the two controllers.
+Dilation-group algebra and homogeneous norms, the homogeneous PID law, the
+disturbed double-integrator and decentralized joint plants, Lyapunov
+stability certificates for the homogeneous upgrade of a linear PID, a
+deterministic RK4 simulation harness, and the performance indices used to
+compare the two controllers.
 """
 
-from .control import GainSet, HpidState, hpid_law, hpid_step, reset
+from .control import GainSet, hpid_law
 from .homogeneity import (
     BracketError,
     CanonicalNorm,
@@ -41,7 +41,6 @@ from .stability import (
     convergence_classifier,
     lyapunov_decrease_check,
     solve_lyapunov,
-    solve_lyapunov_matrix,
 )
 
 __version__ = "0.1.0"

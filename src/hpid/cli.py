@@ -27,7 +27,7 @@ Config format: flat `key = value` lines under bracketed section headers,
         n_joints = int                     (joints plant; per-joint values
         ref_amplitude / ref_frequency / ref_phase / ref_offset = list|scalar
         dist_constant / dist_amplitude / dist_frequency = list|scalar
-        dist_phase = list | scalar | random   seed = int (for random, 0)
+        dist_phase = list | scalar | random   seed = int >= 0 (for random, 0)
         dist_bound = list|scalar)
 
     [compare NAME]
@@ -360,6 +360,9 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     x0 = r.values("x0", None, 3, applies=extended)  # Scenario resolves the default
     r.check("x0", _initial_state, x0)
     seed = r.values("seed", 0, parse=int, applies=joints)
+    if seed is not None and seed < 0:
+        r.error("seed", f"seed must be a nonnegative integer, got {seed}")
+        seed = None  # random phases are then not drawn
     n = r.values("n_joints", 6, parse=int, applies=joints)
     if n is not None and n < 1:
         r.error("n_joints", "need at least one joint")
@@ -685,9 +688,9 @@ def cmd_certify(cfg: RunConfig, out_dir=None) -> int:
     return status
 
 
-def cmd_verify(seed: int = 0, break_norm: bool = False) -> int:
+def cmd_verify(seed: int = 0) -> int:
     """Run the property suite; exit 0 iff every check passes."""
-    results = checks.run_all(seed=seed, break_norm=break_norm)
+    results = checks.run_all(seed=seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -725,7 +728,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ver = sub.add_parser("verify", help="run the built-in property suite")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--inject-broken-norm", action="store_true", help="negative control: force a failure")
 
     args = parser.parse_args(argv)
     try:
@@ -735,7 +737,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(_load_config(args.config), args.out)
         if args.command == "certify":
             return cmd_certify(_load_config(args.config), args.out)
-        return cmd_verify(seed=args.seed, break_norm=args.inject_broken_norm)
+        return cmd_verify(seed=args.seed)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

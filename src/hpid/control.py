@@ -1,4 +1,4 @@
-"""The homogeneous PID law and its discrete step, with explicit integral state.
+"""The homogeneous PID law and the gains it modulates.
 
 The linear law is u = kp*e + kd*de + ki * integral(e).  The homogeneous
 variant modulates each action by powers of a homogeneous norm nu of the
@@ -16,14 +16,14 @@ finite-time law in an O(floor) neighbourhood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .homogeneity import HomNormSpec, WeightedSumNorm, error_pair_dilation, norm_evaluator
+from .homogeneity import HomNormSpec, error_pair_dilation, norm_evaluator
 
-__all__ = ["GainSet", "HpidState", "hpid_law", "hpid_step", "reset"]
+__all__ = ["GainSet", "hpid_law"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def hpid_law(
     and integrand = nu^{3 mu} e the rate of the integral channel, so the
     control is u = pd + ki * integral(integrand).  nu = max(||(e, de)||_d,
     norm_floor).  At mu = 0 no norm is evaluated and the pair is the linear
-    (kp e + kd de, e).  Every plant and the discrete stepper share this law.
+    (kp e + kd de, e).  Every plant, `hpid verify` and the acceptance gate
+    call this law; a run integrates the integral channel inside its RK4 step.
     """
     _check_floor(norm_floor)
     kp, kd = gains.kp, gains.kd
@@ -95,54 +96,6 @@ def hpid_law(
     return law
 
 
-@dataclass(frozen=True)
-class HpidState:
-    """Immutable homogeneous-PID controller state.
-
-    Stepping returns a new state; a single instance must not be stepped
-    concurrently, but distinct instances are independent values.
-    """
-
-    gains: GainSet
-    mu: float
-    norm: HomNormSpec = WeightedSumNorm((1.0, 1.0))
-    integral_acc: float = 0.0
-    norm_floor: float = 1e-9
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "norm_floor", float(self.norm_floor))
-        object.__setattr__(self, "integral_acc", float(self.integral_acc))
-        # validates mu, the floor and the norm/dilation pairing once
-        object.__setattr__(self, "_law", hpid_law(self.gains, self.mu, self.norm, self.norm_floor))
-
-
-def hpid_step(state: HpidState, eps: float, deps: float, dt: float):
-    """One homogeneous PID evaluation; returns (u, new state).
-
-    The integral accumulates nu^{3 mu} * e by the rectangle rule, and the
-    output includes the current sample: at mu = 0 the step is the linear
-    u = kp*e + kd*de + ki*acc' with acc' = acc + e*dt.
-    """
-    _require_finite(eps=eps, deps=deps, dt=dt)
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    pd, integrand = state._law(eps, deps)
-    acc = state.integral_acc + integrand * dt
-    return pd + state.gains.ki * acc, replace(state, integral_acc=acc)
-
-
-def reset(state: HpidState) -> HpidState:
-    """Zero the integral accumulator; every other field is preserved."""
-    return replace(state, integral_acc=0.0)
-
-
 def _check_floor(norm_floor: float) -> None:
     if not (math.isfinite(norm_floor) and norm_floor > 0.0):
         raise ValueError(f"norm_floor must be a positive real, got {norm_floor}")
-
-
-def _require_finite(**values: float) -> None:
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")

@@ -32,7 +32,6 @@ __all__ = [
     "DecreaseReport",
     "ConvergenceReport",
     "solve_lyapunov",
-    "solve_lyapunov_matrix",
     "certify",
     "lyapunov_decrease_check",
     "convergence_classifier",
@@ -53,23 +52,6 @@ class InfeasibleGainsError(ValueError):
         super().__init__("gains are not stabilizing: " + "; ".join(failures))
 
 
-def solve_lyapunov_matrix(A, Q) -> SymMatrix:
-    """Direct dense solve of P A + A' P = -Q for symmetric P.
-
-    Solves the vectorized linear system; for Q = Q' the solution is
-    symmetric whenever it is unique, so only rounding is symmetrized away.
-    """
-    A = np.asarray(A, dtype=float)
-    Q = Q.entries if isinstance(Q, SymMatrix) else np.asarray(Q, dtype=float)
-    n = A.shape[0]
-    M = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
-    vec = np.linalg.solve(M, -Q.reshape(-1))
-    P = vec.reshape(n, n)
-    # the exact solution is symmetric; strip the solver's rounding noise and
-    # let callers gate on the equation residual
-    return SymMatrix(0.5 * (P + P.T))
-
-
 def solve_lyapunov(gains: GainSet) -> SymMatrix:
     """Lyapunov matrix P > 0 of P A + A' P = -I for the extended linear closed loop.
 
@@ -82,7 +64,11 @@ def solve_lyapunov(gains: GainSet) -> SymMatrix:
         raise InfeasibleGainsError(failures)
     A = gains.a_matrix()
     Q = np.eye(3)
-    P = solve_lyapunov_matrix(A, Q)
+    # the vectorized equation (I (x) A' + A' (x) I) vec(P) = -vec(Q); its
+    # unique solution is symmetric, so symmetrizing strips only rounding
+    M = np.kron(np.eye(3), A.T) + np.kron(A.T, np.eye(3))
+    P = np.linalg.solve(M, -Q.reshape(-1)).reshape(3, 3)
+    P = SymMatrix(0.5 * (P + P.T))
     resid = float(np.abs(P.entries @ A + A.T @ P.entries + Q).max())
     if resid > 1e-9 or not P.is_positive_definite():
         raise ArithmeticError(f"Lyapunov solve failed (residual {resid:.3e})")

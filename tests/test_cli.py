@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpid import cli
+from hpid import cli, homogeneity
 from hpid.plant import reference_eval
 from hpid.fixtures import (
     HARDWARE_COMPARISON_ROWS,
@@ -40,6 +40,8 @@ h = 0.001
 pid = lin
 hpid = hom
 """
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParseConfig:
@@ -144,13 +146,15 @@ class TestParseConfig:
              [(4, "norm_floor must be a positive real"), (6, "gamma must be a positive real (key 'norm_gamma')")]),
             # an unparsed bound is not replaced by its default, which 0.4 + 0.15 would exceed
             ("[scenario j]\nplant = joints\ndist_constant = 0.4\ndist_bound = x\n", [(4, "(key 'dist_bound')")]),
+            # a negative seed is cited at its line, not raised by the phase draw
+            ("[scenario j]\nplant = joints\ndist_phase = random\nseed = -1\n", [(4, "seed must be a nonnegative integer")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
             "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "negative_disturbance_bound",
-            "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound",
+            "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -222,8 +226,7 @@ n_joints = 2
 
     def test_readme_example_parses(self):
         # the README's config example shows only keys the parser accepts
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        [block] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        [block] = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
         cfg = cli.parse_config(block)
         built = len(cfg.scenarios) + len(cfg.compares) + len(cfg.certifies)
         assert built == len(re.findall(r"^\[", block, flags=re.M)) > 0
@@ -569,13 +572,41 @@ class TestVerifyCommand:
         assert "checks passed" in out
         assert "FAIL" not in out
 
-    def test_broken_norm_negative_control(self):
-        code, out = _verify("--seed", "0", "--inject-broken-norm")
+    def test_broken_norm_negative_control(self, monkeypatch):
+        # a weighted-sum norm with a wrong weight, where verify's checks evaluate norms
+        evaluator = homogeneity.norm_evaluator
+
+        def broken(spec, dil):
+            norm = evaluator(spec, dil)
+            if not isinstance(spec, homogeneity.WeightedSumNorm):
+                return norm
+            return lambda a, b: norm(a, b) + 0.01 * abs(a)
+
+        monkeypatch.setattr(homogeneity, "norm_evaluator", broken)
+        code, out = _verify("--seed", "0")
         assert code == cli.EXIT_FAILURE
         *lines, summary = out.splitlines()
         failed = [line for line in lines if not line.startswith("PASS  ")]
         assert len(failed) == 1 and failed[0].startswith("FAIL  homogeneous norm scaling: ")
-        assert summary == f"{len(lines) - 1}/{len(lines)} checks passed"
+        assert summary == "8/9 checks passed"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "--inject-broken-norm"])
+        assert exit_.value.code == cli.EXIT_CONFIG
 
     def test_repeat_run_identical_report(self, verify_seed_0):
         assert _verify("--seed", "0") == verify_seed_0
+
+
+def _help(capsys, *argv: str) -> str:
+    with pytest.raises(SystemExit):
+        cli.main([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+def test_help_flags_match_readme(capsys):
+    # each subcommand's --help shows exactly the flags the README's Command line block shows for it
+    [block] = re.findall(r"## Command line\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in block.splitlines()}
+    commands = re.search(r"\{([a-z,]+)\}", _help(capsys)).group(1).split(",")
+    shown = {cmd: set(re.findall(r"--[a-z][a-z-]*", _help(capsys, cmd))) - {"--help"} for cmd in commands}
+    assert shown == documented

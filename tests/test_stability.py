@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from hpid.checks import CheckResult
 from hpid.control import GainSet
-from hpid.homogeneity import SymMatrix
 from hpid.sim import Scenario, Trajectory, simulate
 from hpid.stability import (
     InfeasibleGainsError,
@@ -14,7 +13,6 @@ from hpid.stability import (
     convergence_classifier,
     lyapunov_decrease_check,
     solve_lyapunov,
-    solve_lyapunov_matrix,
 )
 
 GAINS = GainSet(-3.0, -3.0, -1.0)
@@ -43,11 +41,6 @@ class TestSolveLyapunov:
         with pytest.raises(InfeasibleGainsError) as err:
             solve_lyapunov(GainSet(1.0, 1.0, 1.0))
         assert err.value.failures
-
-    def test_negative_identity_system(self):
-        Q = SymMatrix([[2.0, 0.5], [0.5, 1.0]])
-        P = solve_lyapunov_matrix(-np.eye(2), Q)
-        assert np.allclose(P.entries, Q.entries / 2.0, atol=1e-14)
 
 
 class TestCertify:
