@@ -12,7 +12,6 @@ from .homogeneity import (
     BracketError,
     CanonicalNorm,
     Dilation,
-    ExperimentalNorm,
     HomNormSpec,
     SymMatrix,
     WeightedSumNorm,

@@ -69,7 +69,7 @@ _CANONICAL_P = hg.SymMatrix([[2.0, 0.3], [0.3, 1.0]])
 _VERIFY_NORMS = (
     hg.WeightedSumNorm((1.0, 2.0)),
     hg.CanonicalNorm(_CANONICAL_P),
-    hg.ExperimentalNorm(1.5, 0.7, 0.2),
+    hg.WeightedSumNorm((1 / 1.5, 0.7)),  # norm = experimental at zeta1_max = 1.5, norm_gamma = 0.7
 )
 
 

@@ -21,7 +21,9 @@ Config format: flat `key = value` lines under bracketed section headers,
         norm = weighted_sum | canonical | experimental
         norm_coefficients = c1, c2         (norm = weighted_sum only)
         norm_p = p11, p12, p21, p22        (norm = canonical only)
-        zeta1_max / norm_gamma = floats    (norm = experimental only)
+        zeta1_max / norm_gamma = floats    (norm = experimental only: the
+                                           weighted sum with coefficients
+                                           1/zeta1_max, norm_gamma)
         x0 = e, de, p                      (extended plant)
         T = float    h = float             norm_floor = float
         n_joints = int                     (joints plant; per-joint values
@@ -54,14 +56,14 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, fixtures, metrics
 from .control import GainSet, _check_floor, hpid_law
-from .homogeneity import CanonicalNorm, ExperimentalNorm, WeightedSumNorm, _check_degree
+from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
 from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _initial_state, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
@@ -72,7 +74,6 @@ __all__ = [
     "CompareJob",
     "CertifyJob",
     "parse_config",
-    "format_config",
     "read_trajectory_csv",
     "cmd_simulate",
     "cmd_compare",
@@ -130,33 +131,27 @@ class RunConfig:
 # the config schema
 #
 # Every scenario key is named once, in these tables, with what it applies to
-# and its default.  Reading, the applicability check and format_config all
-# work from them; a default the library defines is taken from the library.
+# and its default.  Reading and the applicability check both work from them;
+# a default the library defines is taken from the library.
 
 _GAIN_KEYS = ("kp", "kd", "ki")  # GainSet fields; defaults Scenario.gains
 _NUMBER_KEYS = {"mu": "mu", "T": "horizon", "h": "step", "norm_floor": "norm_floor"}  # -> Scenario field
-# norm kind -> (spec class, {key: (count, default)}, spec from mu and the
-# keys' values, the keys' values read back off a spec).  A kind's keys apply
-# only with that kind.
+
+
+def _experimental_norm(zeta1_max: float, gamma: float) -> WeightedSumNorm:
+    """The paper's |e|^{1/(1-mu)} / zeta1_max + gamma |de|: the weighted sum (1/zeta1_max, gamma)."""
+    for name, value in (("zeta1_max", zeta1_max), ("gamma", gamma)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be a positive real")
+    return WeightedSumNorm((1.0 / zeta1_max, gamma))
+
+
+# norm kind -> ({key: (count, default)}, spec from the keys' values).  A
+# kind's keys apply only with that kind.
 _NORMS = {
-    "weighted_sum": (
-        WeightedSumNorm,
-        {"norm_coefficients": (2, Scenario.norm.coefficients)},
-        lambda mu, coefficients: WeightedSumNorm(coefficients),
-        lambda spec: (spec.coefficients,),
-    ),
-    "canonical": (
-        CanonicalNorm,
-        {"norm_p": (4, (1.0, 0.0, 0.0, 1.0))},
-        lambda mu, p: CanonicalNorm(np.reshape(p, (2, 2))),  # P row-major
-        lambda spec: (spec.P.entries,),
-    ),
-    "experimental": (
-        ExperimentalNorm,
-        {"zeta1_max": (1, 1.0), "norm_gamma": (1, 1.0)},
-        lambda mu, zeta1_max, gamma: ExperimentalNorm(zeta1_max, gamma, mu),
-        lambda spec: (spec.zeta1_max, spec.gamma),
-    ),
+    "weighted_sum": ({"norm_coefficients": (2, Scenario.norm.coefficients)}, WeightedSumNorm),
+    "canonical": ({"norm_p": (4, (1.0, 0.0, 0.0, 1.0))}, lambda p: CanonicalNorm(np.reshape(p, (2, 2)))),  # row-major
+    "experimental": ({"zeta1_max": (1, 1.0), "norm_gamma": (1, 1.0)}, _experimental_norm),
 }
 _CHOICES = {  # key -> its values, the default first
     "plant": ("extended", "joints"),
@@ -355,7 +350,7 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     r.check(r.first("h", "T"), _check_grid, numbers["horizon"], numbers["step"])
     norm_values = {
         name: [r.values(key, default, count, applies=kind in (name, None)) for key, (count, default) in keys.items()]
-        for name, (_, keys, _, _) in _NORMS.items()
+        for name, (keys, _) in _NORMS.items()
     }
     x0 = r.values("x0", None, 3, applies=extended)  # Scenario resolves the default
     r.check("x0", _initial_state, x0)
@@ -379,12 +374,12 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         # each norm key alone, the kind's other keys at their defaults, cited
         # at that key; then the norm's pairing with the error-pair dilation,
         # cited at its first key set
-        norm_keys, build_norm, values = _NORMS[kind][1], _NORMS[kind][2], norm_values[kind]
+        (norm_keys, build_norm), values = _NORMS[kind], norm_values[kind]
         defaults = [default for _, default in norm_keys.values()]
         alone = [
-            r.check(key, build_norm, mu, *defaults[:i], values[i], *defaults[i + 1 :]) for i, key in enumerate(norm_keys)
+            r.check(key, build_norm, *defaults[:i], values[i], *defaults[i + 1 :]) for i, key in enumerate(norm_keys)
         ]
-        norm = None if None in alone else build_norm(mu, *values)
+        norm = None if None in alone else build_norm(*values)
         r.check(r.first(*norm_keys, "norm"), hpid_law, gains, mu, norm, floor)
     joint_plant = _joint_plant(r, n, seed, columns) if joints and n is not None else None
     if not r.ok:  # the scenario is built only from a section without a problem
@@ -422,50 +417,6 @@ def parse_config(text: str) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(*(tuple(items) for items in built.values()))
-
-
-# ---------------------------------------------------------------------------
-# emission (round-trips through parse_config)
-
-
-def _text(value) -> str:
-    """A value as config text that parses back to it; numbers at full float64 precision."""
-    if isinstance(value, str):
-        return value
-    return ", ".join(repr(float(v)) for v in np.ravel(value))
-
-
-def _scenario_items(s: Scenario) -> dict:
-    kind = next(name for name, (spec, *_) in _NORMS.items() if isinstance(s.norm, spec))
-    _, norm_keys, _, norm_values = _NORMS[kind]
-    items = {
-        **dict(zip(_CHOICES, (s.plant, s.controller, kind))),
-        **{key: getattr(s.gains, key) for key in _GAIN_KEYS},
-        **{key: getattr(s, field) for key, field in _NUMBER_KEYS.items()},
-        **dict(zip(norm_keys, norm_values(s.norm))),
-    }
-    if s.joint_plant is None:
-        items["x0"] = s.x0
-    else:
-        items["n_joints"] = str(s.joint_plant.n_joints)
-        # astuple(joint) is (reference fields, disturbance fields), each in key order
-        for keys, specs in zip((_REFERENCE_KEYS, _DISTURBANCE_KEYS), zip(*map(astuple, s.joint_plant.joints))):
-            items.update(zip(keys, zip(*specs)))
-    return items
-
-
-def format_config(cfg: RunConfig) -> str:
-    """Emit a config document that reparses to an equal RunConfig."""
-    sections = [("scenario", s.name, _scenario_items(s)) for s in cfg.scenarios]
-    sections += [
-        ("compare", job.name, {key: getattr(job, key) for key in _COMPARE_KEYS if getattr(job, key)})
-        for job in cfg.compares
-    ]
-    sections += [("certify", job.name, {key: getattr(job.gains, key) for key in _GAIN_KEYS}) for job in cfg.certifies]
-    lines: list[str] = []
-    for kind, name, items in sections:
-        lines += [f"[{kind} {name}]", *(f"{key} = {_text(value)}" for key, value in items.items()), ""]
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

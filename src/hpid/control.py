@@ -76,15 +76,16 @@ def hpid_law(
     pd = kp nu^{2 mu} e + kd nu^{mu} de is the proportional-derivative action
     and integrand = nu^{3 mu} e the rate of the integral channel, so the
     control is u = pd + ki * integral(integrand).  nu = max(||(e, de)||_d,
-    norm_floor).  At mu = 0 no norm is evaluated and the pair is the linear
-    (kp e + kd de, e).  Every plant, `hpid verify` and the acceptance gate
-    call this law; a run integrates the integral channel inside its RK4 step.
+    norm_floor).  The norm is checked at every degree, but at mu = 0 it is
+    not evaluated and the pair is the linear (kp e + kd de, e).  Every
+    plant, `hpid verify` and the acceptance gate call this law; a run
+    integrates the integral channel inside its RK4 step.
     """
     _check_floor(norm_floor)
+    nu_of = norm_evaluator(norm, error_pair_dilation(mu))
     kp, kd = gains.kp, gains.kd
     if mu == 0.0:
         return lambda e, de: (kp * e + kd * de, e)
-    nu_of = norm_evaluator(norm, error_pair_dilation(mu))
     two_mu, three_mu = 2.0 * mu, 3.0 * mu
 
     def law(e: float, de: float) -> tuple[float, float]:

@@ -4,20 +4,21 @@ A weighted dilation is the one-parameter matrix group
 
     d(s) = diag(e^{r_1 s}, ..., e^{r_n s}),   r_i > 0,
 
-with diagonal generator G = diag(r_1, ..., r_n).  Three kinds of
+with diagonal generator G = diag(r_1, ..., r_n).  Two kinds of
 d-homogeneous norm (functions satisfying ||d(s) x|| = e^s ||x||) are
 provided:
 
-* a weighted power sum  sum_i c_i |x_i|^{1/r_i},
+* a weighted power sum  c1 |e|^{1/r} + c2 |de|  on the (error,
+  error-rate) plane under the dilation diag(e^{r s}, e^s); the paper's
+  experimental norm |e|^{1/(1-mu)} / zeta1_max + gamma |de| is this sum
+  with c1 = 1/zeta1_max and c2 = gamma,
 * the canonical norm: the unique lambda > 0 solving
   ||d(-ln lambda) x||_P = 1 for a weighted Euclidean norm
-  ||z||_P = sqrt(z' P z), found by bracketed bisection plus Newton polish,
-* an error-pair norm  |e|^{1/(1-mu)} / z1_max + c |de|  used by the
-  homogeneous PID on the (error, error-rate) plane.
+  ||z||_P = sqrt(z' P z), found by bracketed bisection plus Newton polish.
 
 norm_evaluator is the one place a norm is evaluated: it checks the
 spec/dilation pairing once and returns the point -> norm closure, on the
-two-dimensional error pair for every kind and on any dimension for the
+two-dimensional error pair for both kinds and on any dimension for the
 canonical norm.
 """
 
@@ -35,7 +36,6 @@ __all__ = [
     "SymMatrix",
     "WeightedSumNorm",
     "CanonicalNorm",
-    "ExperimentalNorm",
     "HomNormSpec",
     "standard_dilation",
     "error_pair_dilation",
@@ -162,12 +162,14 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class WeightedSumNorm:
-    """||x||_d = sum_i c_i |x_i|^{1/r_i} with positive coefficients c_i."""
+    """||(e, de)||_d = c1 |e|^{1/r} + c2 |de| with positive coefficients (c1, c2)."""
 
-    coefficients: tuple[float, ...]
+    coefficients: tuple[float, float]
 
     def __post_init__(self):
         cs = tuple(float(c) for c in self.coefficients)
+        if len(cs) != 2:
+            raise ValueError(f"weighted-sum norm needs exactly two coefficients, got {len(cs)}")
         if not all(math.isfinite(c) and c > 0.0 for c in cs):
             raise ValueError(f"coefficients must be finite and positive, got {cs}")
         object.__setattr__(self, "coefficients", cs)
@@ -189,23 +191,7 @@ class CanonicalNorm:
             object.__setattr__(self, "P", SymMatrix(self.P))
 
 
-@dataclass(frozen=True)
-class ExperimentalNorm:
-    """Error-pair norm |e|^{1/(1-mu)} / zeta1_max + gamma |de| on R^2."""
-
-    zeta1_max: float
-    gamma: float
-    mu: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.zeta1_max) and self.zeta1_max > 0.0):
-            raise ValueError("zeta1_max must be a positive real")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError("gamma must be a positive real")
-        _check_degree(self.mu)
-
-
-HomNormSpec = WeightedSumNorm | CanonicalNorm | ExperimentalNorm
+HomNormSpec = WeightedSumNorm | CanonicalNorm
 
 
 def check_strict_monotonicity(dil: Dilation, P) -> bool:
@@ -322,8 +308,8 @@ def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
 
     Validates the spec/dilation pairing once so per-step controller and
     vector-field evaluations stay cheap.  The canonical closure takes the
-    dil.n coordinates of a point; the weighted-sum and experimental
-    closures take the error pair (xi1, xi2).
+    dil.n coordinates of a point; the weighted-sum closure takes the error
+    pair (e, de) and needs a dilation with weights (r, 1).
     """
     if isinstance(spec, CanonicalNorm):
         if not check_strict_monotonicity(dil, spec.P):
@@ -336,19 +322,9 @@ def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
             return _canonical_core(P, w, np.array(x))
 
         return canonical
-    if dil.n != 2:
-        raise ValueError("the weighted-sum and experimental norms are for the two-dimensional error pair")
     if isinstance(spec, WeightedSumNorm):
-        if len(spec.coefficients) != 2:
-            raise ValueError("weighted-sum norm needs exactly two coefficients here")
-        c1, c2 = spec.coefficients
-        e1, e2 = 1.0 / dil.weights[0], 1.0 / dil.weights[1]
-        return lambda a, b: c1 * abs(a) ** e1 + c2 * abs(b) ** e2
-    if isinstance(spec, ExperimentalNorm):
-        expected = (1.0 - spec.mu, 1.0)
-        if any(abs(a - b) > 1e-12 for a, b in zip(dil.weights, expected)):
-            raise ValueError(f"experimental norm requires dilation weights {expected}, got {dil.weights}")
-        inv_e = 1.0 / (1.0 - spec.mu)
-        z1m, g = spec.zeta1_max, spec.gamma
-        return lambda a, b: abs(a) ** inv_e / z1m + g * abs(b)
+        if dil.n != 2 or dil.weights[1] != 1.0:
+            raise ValueError(f"the weighted-sum norm needs error-pair dilation weights (r, 1), got {dil.weights}")
+        (c1, c2), inv_r = spec.coefficients, 1.0 / dil.weights[0]
+        return lambda e, de: c1 * abs(e) ** inv_r + c2 * abs(de)
     raise TypeError(f"unknown norm spec {type(spec).__name__}")

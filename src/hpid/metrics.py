@@ -88,8 +88,6 @@ class MetricsReport:
     l2_control_hpid: float
     l2_error_pid: float
     l2_error_hpid: float
-    pid_name: str = ""
-    hpid_name: str = ""
 
     @property
     def n_joints(self) -> int:
@@ -123,6 +121,4 @@ def compare(traj_pid: Trajectory, traj_hpid: Trajectory) -> MetricsReport:
         l2_control_hpid=l2_norm(traj_hpid, "control"),
         l2_error_pid=l2_norm(traj_pid, "error"),
         l2_error_hpid=l2_norm(traj_hpid, "error"),
-        pid_name=traj_pid.scenario.name,
-        hpid_name=traj_hpid.scenario.name,
     )

@@ -250,8 +250,6 @@ def simulate(scn: Scenario) -> Trajectory:
 class ScalingReport:
     """Discrepancy between a dilated run and the dilated, time-rescaled nominal."""
 
-    s: float
-    mu: float
     sup_discrepancy: float
     n_compared: int
     truncated: bool
@@ -285,4 +283,4 @@ def scaling_symmetry_run(scn: Scenario, s: float) -> ScalingReport:
     x_nom = (1.0 - frac) * nominal.states[j] + frac * nominal.states[j + 1]
     diff = np.abs(dilated.states[:m] - scales * x_nom).max(axis=1)
     sup = float(diff.max(initial=0.0))
-    return ScalingReport(s=float(s), mu=mu, sup_discrepancy=sup, n_compared=m, truncated=m <= n)
+    return ScalingReport(sup_discrepancy=sup, n_compared=m, truncated=m <= n)

@@ -163,7 +163,6 @@ class DecreaseReport:
     passed: bool
     rate: float
     n_intervals: int
-    n_excluded: int
     pass_fraction: float
 
 
@@ -197,14 +196,12 @@ def lyapunov_decrease_check(traj: Trajectory, cert: StabilityCertificate, mu: fl
     rhs = -rate * Vi ** (1.0 + mu)
     total = int(np.count_nonzero(live))
     ok = int(np.count_nonzero(live & (slope <= rhs + _SLACK_ABS + _SLACK_REL * np.abs(rhs))))
-    excluded = len(Vi) - total
     fraction = 1.0 if total == 0 else ok / total
     return DecreaseReport(
         fraction=fraction,
         passed=fraction >= _PASS_FRACTION,
         rate=rate,
         n_intervals=total,
-        n_excluded=excluded,
         pass_fraction=_PASS_FRACTION,
     )
 

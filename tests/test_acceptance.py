@@ -22,7 +22,7 @@ from hpid.fixtures import (
     HARDWARE_L2_ERROR,
     HARDWARE_L2_ERROR_ALT,
 )
-from hpid.homogeneity import CanonicalNorm, Dilation, ExperimentalNorm, SymMatrix, WeightedSumNorm, error_pair_dilation
+from hpid.homogeneity import CanonicalNorm, Dilation, SymMatrix, WeightedSumNorm, error_pair_dilation
 from hpid.metrics import compare, iavc, itae, ivc
 from hpid.plant import default_six_joint_plant
 from hpid.sim import Scenario, Trajectory, simulate
@@ -59,7 +59,8 @@ def test_homogeneity_algebra_suite():
     with criterion("homogeneity-algebra-suite", runtime_limit=5.0):
         _passes(checks._check_group_law(RNG, draws=60))
         P = SymMatrix([[2.0, 0.3], [0.3, 1.0]])
-        specs = [WeightedSumNorm((1.0, 1.0)), WeightedSumNorm((2.0, 0.5)), CanonicalNorm(P), ExperimentalNorm(1.5, 0.7, 0.2)]
+        experimental = WeightedSumNorm((1 / 1.5, 0.7))  # norm = experimental at zeta1_max = 1.5, norm_gamma = 0.7
+        specs = [WeightedSumNorm((1.0, 1.0)), WeightedSumNorm((2.0, 0.5)), CanonicalNorm(P), experimental]
         _passes(checks._check_norm_scaling(RNG, error_pair_dilation(0.2), specs, draws=80))
         _passes(checks._check_canonical_identity(RNG, error_pair_dilation(0.2), half_width=8.0, draws=200))
         _passes(checks._check_gradient(RNG, Dilation((2.0, 1.0)), points=100, min_norm=1e-2, min_coord=1e-2))
@@ -150,7 +151,6 @@ def test_qualitative_comparison_trend():
             controller="hpid",
             gains=GAINS,
             mu=0.2,
-            norm=ExperimentalNorm(1.0, 1.0, 0.2),
             joint_plant=default_six_joint_plant(),
             horizon=9.0,
             step=1e-3,

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpid import cli, homogeneity
-from hpid.plant import reference_eval
+from hpid.control import GainSet
+from hpid.homogeneity import CanonicalNorm, WeightedSumNorm, error_pair_dilation
+from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, reference_eval
+from hpid.sim import Scenario
 from hpid.fixtures import (
     HARDWARE_COMPARISON_ROWS,
     HARDWARE_L2_CONTROL,
@@ -81,7 +84,7 @@ class TestParseConfig:
 
     def test_inapplicable_keys_rejected(self):
         # x0 belongs to the extended plant, joint keys to the joints plant;
-        # accepting and dropping either would break config round-trips
+        # accepting either would silently ignore it
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config("[scenario j]\nplant = joints\nx0 = 2, 0, 0\n")
         assert any("does not apply" in p for p in err.value.problems)
@@ -132,6 +135,8 @@ class TestParseConfig:
             ("[scenario j]\nplant = joints\ndist_constant = 0.6\n", [(3, "exceeds the disturbance bound")]),
             ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = canonical\nnorm_p = 1, 0, 0, -1\n",
              [(5, "strictly monotone")]),
+            # the norm is checked at mu = 0 too, where the law evaluates none
+            ("[scenario s]\nnorm = canonical\nnorm_p = 1, 0, 0, -1\n", [(3, "strictly monotone")]),
             ("[scenario s]\nnorm_coefficients = -1, 1\n", [(2, "coefficients must be finite and positive")]),
             # a several-key spec cites a one-key problem at that key, not at its first key set
             ("[scenario s]\nkp = nan\n", [(2, "gain kp must be finite")]),
@@ -153,6 +158,7 @@ class TestParseConfig:
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
             "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
+            "nonmonotone_p_pid",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "negative_disturbance_bound",
             "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed",
         ],
@@ -182,47 +188,27 @@ class TestParseConfig:
             cli.parse_config("[compare c]\npid = a\nhpid = b\n")
         assert any("unknown scenario" in p for p in err.value.problems)
 
-    def test_round_trip(self):
-        text = EXTENDED_PAIR + "\n[certify gains]\nkp = -3\nkd = -3\nki = -1\n"
-        cfg = cli.parse_config(text)
-        again = cli.parse_config(cli.format_config(cfg))
-        assert again == cfg
-
-    def test_round_trip_joints_and_norms(self):
-        text = """
-[scenario joints_canon]
-plant = joints
-controller = hpid
-mu = 0.2
-norm = canonical
-norm_p = 2.0, 0.3, 0.3, 1.0
-n_joints = 3
-ref_amplitude = 1.0, 0.8, 0.6
-dist_phase = random
-seed = 11
-
-[scenario joints_exp]
-plant = joints
-controller = hpid
-mu = 0.1
-norm = experimental
-zeta1_max = 1.5
-norm_gamma = 0.7
-n_joints = 2
-"""
-        cfg = cli.parse_config(text)
-        again = cli.parse_config(cli.format_config(cfg))
-        assert again == cfg
-
     @settings(max_examples=80, deadline=None)
     @given(st.data())
-    def test_round_trip_property(self, data):
-        text = "".join(data.draw(scenario_texts(f"s{k}")) for k in range(data.draw(st.integers(1, 3))))
-        cfg = cli.parse_config(text)
-        emitted = cli.format_config(cfg)
-        again = cli.parse_config(emitted)
-        assert again == cfg
-        assert cli.format_config(again) == emitted
+    def test_parses_to_expected_scenarios(self, data):
+        # each section's Scenario is built here through the library, with the
+        # README's defaults for the keys the section leaves unset, so a wrong
+        # key table entry in cli fails this test
+        cases = [data.draw(scenario_cases(f"s{k}")) for k in range(data.draw(st.integers(1, 3)))]
+        cfg = cli.parse_config("".join(text for text, _ in cases))
+        assert cfg.scenarios == tuple(scenario for _, scenario in cases)
+
+    @pytest.mark.parametrize("mu", [-0.3, 0.2])
+    def test_experimental_norm_is_a_weighted_sum(self, mu):
+        z, g = 1.7, 0.6
+        text = f"[scenario s]\ncontroller = hpid\nmu = {mu}\nnorm = experimental\nzeta1_max = {z}\nnorm_gamma = {g}\n"
+        norm = cli.parse_config(text).scenario("s").norm
+        assert norm == WeightedSumNorm((1 / z, g))
+        nu = homogeneity.norm_evaluator(norm, error_pair_dilation(mu))
+        rng = np.random.default_rng(5)
+        for e, de in rng.uniform(-5, 5, size=(200, 2)):
+            paper = abs(e) ** (1 / (1 - mu)) / z + g * abs(de)
+            assert abs(nu(e, de) - paper) <= 1e-15 * paper
 
     def test_readme_example_parses(self):
         # the README's config example shows only keys the parser accepts
@@ -249,46 +235,64 @@ def values_text(values) -> str:
 
 
 @st.composite
-def scenario_texts(draw, name):
-    """A valid [scenario] section: either plant, every norm kind, pid or hpid."""
+def scenario_cases(draw, name):
+    """A valid [scenario] section, and the Scenario it must parse to.
+
+    Each key is set or left out at random; a key left out takes the default
+    the README's key table documents, written out here.
+    """
     lines = [f"[scenario {name}]"]
-    controller = draw(st.sampled_from(["pid", "hpid"]))
-    lines.append(f"controller = {controller}")
-    if controller == "hpid":
-        lines.append(f"mu = {draw(st.floats(-0.45, 0.45))!r}")
-    lines += [f"{key} = {draw(finite)!r}" for key in ("kp", "kd", "ki")]
-    kind = draw(st.sampled_from(["default", "weighted_sum", "canonical", "experimental"]))
-    if kind != "default":
-        lines.append(f"norm = {kind}")
+
+    def key(k, values, default):
+        if not draw(st.booleans()):
+            return default
+        value = draw(values)
+        lines.append(f"{k} = {value if isinstance(value, (str, int)) else values_text(np.ravel(value).tolist())}")
+        return value
+
+    def per_joint(k, values, default, n):
+        # a scalar applies to every joint
+        column = key(k, st.one_of(st.lists(values, min_size=1, max_size=1), st.lists(values, min_size=n, max_size=n)),
+                     default)
+        return column * n if len(column) == 1 else column
+
+    controller = key("controller", st.sampled_from(["pid", "hpid"]), "pid")
+    mu = key("mu", st.floats(-0.45, 0.45), 0.0) if controller == "hpid" else 0.0
+    gains = GainSet(key("kp", finite, -3.0), key("kd", finite, -3.0), key("ki", finite, -1.0))
+    kind = key("norm", st.sampled_from(["weighted_sum", "canonical", "experimental"]), "weighted_sum")
     if kind == "weighted_sum":
-        lines.append(f"norm_coefficients = {values_text(draw(st.lists(positive, min_size=2, max_size=2)))}")
+        norm = WeightedSumNorm(tuple(key("norm_coefficients", st.lists(positive, min_size=2, max_size=2), [1.0, 1.0])))
     elif kind == "canonical":
         # positive definite, and strictly monotone under every admissible dilation
-        p11, p22 = draw(st.floats(0.5, 3)), draw(st.floats(0.5, 3))
-        p12 = draw(st.floats(-0.2, 0.2))
-        lines.append(f"norm_p = {values_text([p11, p12, p12, p22])}")
-    elif kind == "experimental":
-        lines += [f"zeta1_max = {draw(positive)!r}", f"norm_gamma = {draw(positive)!r}"]
-    h = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
-    lines += [f"h = {h!r}", f"T = {h * draw(st.integers(10, 2000))!r}"]
-    lines.append(f"norm_floor = {draw(st.floats(1e-12, 1e-3))!r}")
-    if draw(st.booleans()):
-        lines.append(f"x0 = {values_text(draw(st.lists(finite, min_size=3, max_size=3)))}")
-        return "\n".join(lines) + "\n\n"
-    lines.append("plant = joints")
-    n = draw(st.integers(1, 4))
-    lines.append(f"n_joints = {n}")
-    # |constant| + |amplitude| <= 1 <= bound keeps every disturbance in its bound,
-    # so dist_bound is always given
-    for key, values in [
-        ("ref_amplitude", finite), ("ref_frequency", finite), ("ref_phase", finite), ("ref_offset", finite),
-        ("dist_constant", st.floats(-0.5, 0.5)), ("dist_amplitude", st.floats(-0.5, 0.5)),
-        ("dist_frequency", finite), ("dist_phase", finite), ("dist_bound", st.floats(1, 5)),
-    ]:
-        if key == "dist_bound" or draw(st.booleans()):  # else the key's default
-            per_joint = draw(st.one_of(st.lists(values, min_size=1, max_size=1), st.lists(values, min_size=n, max_size=n)))
-            lines.append(f"{key} = {values_text(per_joint)}")
-    return "\n".join(lines) + "\n\n"
+        entries = st.tuples(st.floats(0.5, 3), st.floats(-0.2, 0.2), st.floats(0.5, 3))
+        P = entries.map(lambda p: [[p[0], p[1]], [p[1], p[2]]])  # written row-major
+        norm = CanonicalNorm(key("norm_p", P, [[1.0, 0.0], [0.0, 1.0]]))
+    else:
+        norm = WeightedSumNorm((1 / key("zeta1_max", positive, 1.0), key("norm_gamma", positive, 1.0)))
+    h = key("h", st.sampled_from([1e-3, 1e-2, 0.05]), 1e-3)
+    horizon = key("T", st.integers(10, 2000).map(lambda k: h * k), 9.0)
+    floor = key("norm_floor", st.floats(1e-12, 1e-3), 1e-9)
+    common = dict(gains=gains, mu=mu, norm=norm, horizon=horizon, step=h, norm_floor=floor, name=name)
+    if key("plant", st.sampled_from(["extended", "joints"]), "extended") == "extended":
+        x0 = tuple(key("x0", st.lists(finite, min_size=3, max_size=3), [1.0, 0.0, 0.3]))
+        return "\n".join(lines) + "\n\n", Scenario(controller, x0=x0, **common)
+    n = key("n_joints", st.integers(1, 4), 6)
+    reference = [
+        per_joint("ref_amplitude", finite, [1.0], n), per_joint("ref_frequency", finite, [1.0], n),
+        per_joint("ref_phase", finite, [0.0], n), per_joint("ref_offset", finite, [0.0], n),
+    ]
+    # |constant| + |amplitude| <= 0.45 stays within every bound drawn or defaulted
+    disturbance = [
+        per_joint("dist_constant", st.floats(-0.3, 0.3), [0.3], n),
+        per_joint("dist_amplitude", st.floats(-0.15, 0.15), [0.15], n),
+        per_joint("dist_frequency", finite, [2.0], n),
+        per_joint("dist_phase", finite, [0.7 * j for j in range(n)], n),
+        per_joint("dist_bound", st.floats(0.5, 5), [0.5], n),
+    ]
+    joints = tuple(
+        JointConfig(ReferenceSpec(*r), DisturbanceSpec(*d)) for r, d in zip(zip(*reference), zip(*disturbance))
+    )
+    return "\n".join(lines) + "\n\n", Scenario(controller, joint_plant=JointPlantConfig(joints), **common)
 
 
 class TestSimulateCommand:
@@ -601,6 +605,20 @@ def _help(capsys, *argv: str) -> str:
     with pytest.raises(SystemExit):
         cli.main([*argv, "--help"])
     return capsys.readouterr().out
+
+
+def test_scenario_keys_match_readme():
+    # the README's scenario-key table names exactly the keys parse_config accepts
+    table = README.read_text(encoding="utf-8").split("Scenario keys", 1)[1].split("\n### ", 1)[0]
+    documented = set()
+    for cell in re.findall(r"^\| (`[^|]*?) \|", table, flags=re.M):
+        for name in re.findall(r"`([^`]+)`", cell):
+            first, *rest = name.split("/")  # ref_amplitude/frequency: ref_amplitude, ref_frequency
+            documented |= {first, *(first[: first.index("_") + 1] + part for part in rest)}
+    norm_keys = {key for keys, _ in cli._NORMS.values() for key in keys}
+    accepted = {*cli._CHOICES, *cli._GAIN_KEYS, *cli._NUMBER_KEYS, *norm_keys, *cli._REFERENCE_KEYS,
+                *cli._DISTURBANCE_KEYS, "x0", "n_joints", "seed"}
+    assert documented == accepted
 
 
 def test_help_flags_match_readme(capsys):

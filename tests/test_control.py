@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpid.control import GainSet, hpid_law
-from hpid.homogeneity import ExperimentalNorm, WeightedSumNorm, dilation_apply, error_pair_dilation
+from hpid.homogeneity import WeightedSumNorm, dilation_apply, error_pair_dilation
 
 RNG = np.random.default_rng(77)
 GAINS = GainSet(-3.0, -3.0, -1.0)
@@ -51,9 +51,9 @@ class TestHpidLaw:
         assert hpid_law(GAINS, 0.2, UNIT, 1e-9)(1.0, 0.0) == pytest.approx((-3.0, 1.0), abs=1e-12)
 
     def test_experimental_norm_state(self):
-        assert hpid_law(GAINS, 0.2, ExperimentalNorm(1.0, 1.0, 0.2), 1e-9)(1.0, 0.0) == pytest.approx(
-            (-3.0, 1.0), abs=1e-12
-        )
+        # norm = experimental at zeta1_max = 1.5: ||(1,0)||_d = 1/1.5, so pd = kp nu^0.4 and integrand = nu^0.6
+        law = hpid_law(GAINS, 0.2, WeightedSumNorm((1 / 1.5, 0.7)), 1e-9)
+        assert law(1.0, 0.0) == pytest.approx((-3.0 * 1.5**-0.4, 1.5**-0.6), abs=1e-12)
 
     def test_origin_regularized_for_negative_mu(self):
         assert hpid_law(GAINS, -0.2, UNIT, 1e-9)(0.0, 0.0) == (0.0, 0.0)

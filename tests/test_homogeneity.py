@@ -11,7 +11,6 @@ from hpid.homogeneity import (
     BracketError,
     CanonicalNorm,
     Dilation,
-    ExperimentalNorm,
     SymMatrix,
     WeightedSumNorm,
     canonical_norm_gradient,
@@ -40,7 +39,7 @@ def _norm_specs(mu=0.2):
         (WeightedSumNorm((1.0, 1.0)), dil),
         (WeightedSumNorm((2.0, 0.5)), dil),
         (CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])), dil),
-        (ExperimentalNorm(1.5, 0.7, mu), dil),
+        (WeightedSumNorm((1 / 1.5, 0.7)), dil),  # norm = experimental at zeta1_max = 1.5, norm_gamma = 0.7
     ]
 
 
@@ -137,11 +136,23 @@ class TestWeightedSumNorm:
         assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), Dilation((2.0, 1.0)))(9.0, 0.0) == 3.0
 
     def test_origin(self):
-        assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), standard_dilation(2))(0.0, 0.0) == 0.0
+        for dil in (standard_dilation(2), error_pair_dilation(-0.2)):
+            assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), dil)(0.0, 0.0) == 0.0
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
             WeightedSumNorm((1.0, 0.0))
+
+    def test_needs_two_coefficients(self):
+        for coefficients in ((1.0,), (1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="exactly two coefficients"):
+                WeightedSumNorm(coefficients)
+
+    def test_requires_error_pair_dilation(self):
+        # the error-rate weight must be 1: the closure does not raise |de| to 1/r2
+        for weights in ((0.8, 1.2), (0.8, 0.5), (1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match=r"weights \(r, 1\)"):
+                norm_evaluator(WeightedSumNorm((1.0, 1.0)), Dilation(weights))
 
 
 class TestCanonicalNorm:
@@ -225,26 +236,6 @@ class TestCanonicalGradient:
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         with pytest.raises(ValueError):
             canonical_norm_gradient(spec, standard_dilation(2), [0.0, 0.0])
-
-
-class TestExperimentalNorm:
-    def test_reduces_to_l1(self):
-        assert norm_evaluator(ExperimentalNorm(1.0, 1.0, 0.0), error_pair_dilation(0.0))(3.0, 4.0) == 7.0
-
-    def test_power(self):
-        norm = norm_evaluator(ExperimentalNorm(1.0, 1.0, 0.4999), error_pair_dilation(0.4999))
-        assert norm(4.0, 0.0) == pytest.approx(4.0 ** (1.0 / (1.0 - 0.4999)))
-        # at mu = 0.5 the exponent would be exactly 2; the admissible range is open
-        with pytest.raises(ValueError):
-            ExperimentalNorm(1.0, 1.0, 0.5)
-
-    def test_origin(self):
-        assert norm_evaluator(ExperimentalNorm(2.0, 3.0, -0.2), error_pair_dilation(-0.2))(0.0, 0.0) == 0.0
-
-    def test_requires_matching_dilation(self):
-        spec = ExperimentalNorm(1.0, 1.0, 0.2)
-        with pytest.raises(ValueError):
-            norm_evaluator(spec, standard_dilation(2))(1.0, 1.0)
 
 
 class TestNormHomogeneity:

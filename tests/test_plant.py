@@ -3,7 +3,7 @@ import pytest
 
 from hpid import checks
 from hpid.control import GainSet, hpid_law
-from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
+from hpid.homogeneity import CanonicalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
     DisturbanceSpec,
     JointConfig,
@@ -24,11 +24,7 @@ class TestClosedLoopField:
     @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
     def test_equilibrium(self, mu):
         # the origin is an exact fixed point of one step, the norm floor included
-        norms = (
-            WeightedSumNorm((1.0, 1.0)),
-            ExperimentalNorm(1.0, 1.0, mu),
-            CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
-        )
+        norms = (WeightedSumNorm((1.0, 1.0)), CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])))
         for norm in norms:
             law = hpid_law(GAINS, mu, norm, 1e-9)
             out = rk4_step(law, GAINS.ki, [lambda t: 0.0], [0.0, 0.0, 0.0], [law(0.0, 0.0)], 0.0, 0.1)

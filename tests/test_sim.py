@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from hpid import control as control_module
 from hpid.control import GainSet, hpid_law
-from hpid.homogeneity import CanonicalNorm, ExperimentalNorm, SymMatrix, WeightedSumNorm
+from hpid.homogeneity import CanonicalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
     DisturbanceSpec,
     JointConfig,
@@ -22,10 +22,11 @@ GAINS = GainSet(-3.0, -3.0, -1.0)
 NORM_KINDS = ["weighted_sum", "experimental", "canonical"]
 
 
-def _norm(kind: str, mu: float):
+def _norm(kind: str):
+    # each config norm kind; norm = experimental at zeta1_max = 1.5, norm_gamma = 0.7
     return {
         "weighted_sum": WeightedSumNorm((1.0, 1.0)),
-        "experimental": ExperimentalNorm(1.0, 1.0, mu),
+        "experimental": WeightedSumNorm((1 / 1.5, 0.7)),
         "canonical": CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])),
     }[kind]
 
@@ -88,6 +89,11 @@ class TestScenarioValidation:
         assert Scenario(joint_plant=default_six_joint_plant()).x0 is None
         assert Scenario().x0 == (1.0, 0.0, 0.3)
 
+    def test_norm_checked_at_every_degree(self):
+        # an indefinite P is rejected at mu = 0 too, where the law evaluates no norm
+        for controller, mu in (("pid", 0.0), ("hpid", 0.0), ("hpid", 0.1)):
+            with pytest.raises(ValueError, match="strictly monotone"):
+                Scenario(controller=controller, mu=mu, norm=CanonicalNorm([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestSimulateExtended:
@@ -293,7 +299,7 @@ class TestFloatKernelMatchesArrays:
     def test_extended_hpid(self, mu, norm_kind):
         # the canonical norm is a root solve per evaluation: a shorter run
         horizon = 0.5 if norm_kind == "canonical" else 2.0
-        scn = Scenario(controller="hpid", mu=mu, norm=_norm(norm_kind, mu), horizon=horizon, step=1e-3)
+        scn = Scenario(controller="hpid", mu=mu, norm=_norm(norm_kind), horizon=horizon, step=1e-3)
         self._assert_bitwise(scn)
 
     def test_six_joint_hpid(self):
@@ -414,7 +420,7 @@ class TestSimulateJoints:
         # both plants close the same hPID law: a joint holding offset 1 against
         # the constant disturbance -p is the extended loop from x0 = (1, 0, p)
         p = 0.3
-        norm = _norm(norm_kind, mu)
+        norm = _norm(norm_kind)
         joint = JointConfig(
             reference=ReferenceSpec(amplitude=0.0, offset=1.0),
             disturbance=DisturbanceSpec(constant=-p, bound=0.5),
@@ -448,7 +454,7 @@ class TestSimulateJoints:
     def test_scenario_degree_reaches_every_joint(self):
         common = dict(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-3)
         pid_scn = Scenario(controller="pid", **common)
-        hpid_scn = Scenario(controller="hpid", mu=0.2, norm=ExperimentalNorm(1.0, 1.0, 0.2), **common)
+        hpid_scn = Scenario(controller="hpid", mu=0.2, **common)
         assert pid_scn.plant == hpid_scn.plant == "joints"
         pid, hpid = simulate(pid_scn), simulate(hpid_scn)
         for j in range(6):
@@ -458,7 +464,6 @@ class TestSimulateJoints:
         scn = Scenario(
             controller="hpid",
             mu=0.2,
-            norm=ExperimentalNorm(1.0, 1.0, 0.2),
             joint_plant=default_six_joint_plant(),
             horizon=1.0,
             step=1e-3,
