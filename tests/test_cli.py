@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hpid import cli, homogeneity
 from hpid.control import GainSet
-from hpid.homogeneity import CanonicalNorm, WeightedSumNorm, error_pair_dilation
+from hpid.homogeneity import CanonicalNorm, WeightedSumNorm
 from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, reference_eval
 from hpid.sim import Scenario
 from hpid.fixtures import (
@@ -198,17 +198,52 @@ class TestParseConfig:
         cfg = cli.parse_config("".join(text for text, _ in cases))
         assert cfg.scenarios == tuple(scenario for _, scenario in cases)
 
-    @pytest.mark.parametrize("mu", [-0.3, 0.2])
-    def test_experimental_norm_is_a_weighted_sum(self, mu):
-        z, g = 1.7, 0.6
-        text = f"[scenario s]\ncontroller = hpid\nmu = {mu}\nnorm = experimental\nzeta1_max = {z}\nnorm_gamma = {g}\n"
-        norm = cli.parse_config(text).scenario("s").norm
-        assert norm == WeightedSumNorm((1 / z, g))
-        nu = homogeneity.norm_evaluator(norm, error_pair_dilation(mu))
-        rng = np.random.default_rng(5)
-        for e, de in rng.uniform(-5, 5, size=(200, 2)):
-            paper = abs(e) ** (1 / (1 - mu)) / z + g * abs(de)
-            assert abs(nu(e, de) - paper) <= 1e-15 * paper
+    def test_parses_extended_pair_and_certify(self):
+        text = EXTENDED_PAIR + "\n[certify gains]\nkp = -3\nkd = -3\nki = -1\n"
+        common = dict(x0=(1.0, 0.0, 0.3), horizon=2.0, step=0.001)
+        assert cli.parse_config(text) == cli.RunConfig(
+            scenarios=(Scenario("pid", name="lin", **common), Scenario("hpid", mu=0.1, name="hom", **common)),
+            compares=(cli.CompareJob("pair", pid="lin", hpid="hom"),),
+            certifies=(cli.CertifyJob("gains", GainSet(-3.0, -3.0, -1.0)),),
+        )
+
+    def test_parses_joints_and_norms(self):
+        text = """
+[scenario joints_canon]
+plant = joints
+controller = hpid
+mu = 0.2
+norm = canonical
+norm_p = 2.0, 0.3, 0.3, 1.0
+n_joints = 3
+ref_amplitude = 1.0, 0.8, 0.6
+dist_phase = random
+seed = 11
+
+[scenario joints_exp]
+plant = joints
+controller = hpid
+mu = 0.1
+norm = experimental
+zeta1_max = 1.5
+norm_gamma = 0.7
+n_joints = 2
+"""
+        # random phases are drawn uniformly from [0, 2 pi) with the seed
+        phases = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=3)
+        canon = JointPlantConfig(tuple(
+            JointConfig(ReferenceSpec(a, 1.0, 0.0, 0.0), DisturbanceSpec(0.3, 0.15, 2.0, p, 0.5))
+            for a, p in zip((1.0, 0.8, 0.6), phases)
+        ))
+        exp = JointPlantConfig(tuple(
+            JointConfig(ReferenceSpec(1.0, 1.0, 0.0, 0.0), DisturbanceSpec(0.3, 0.15, 2.0, 0.7 * j, 0.5))
+            for j in range(2)
+        ))
+        assert cli.parse_config(text).scenarios == (
+            Scenario("hpid", mu=0.2, norm=CanonicalNorm([[2.0, 0.3], [0.3, 1.0]]), joint_plant=canon,
+                     name="joints_canon"),
+            Scenario("hpid", mu=0.1, norm=WeightedSumNorm((1 / 1.5, 0.7)), joint_plant=exp, name="joints_exp"),
+        )
 
     def test_readme_example_parses(self):
         # the README's config example shows only keys the parser accepts

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpid import checks
+from hpid import checks, cli
 from hpid.homogeneity import (
     CANONICAL_TOLERANCE,
     BracketError,
@@ -136,8 +136,7 @@ class TestWeightedSumNorm:
         assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), Dilation((2.0, 1.0)))(9.0, 0.0) == 3.0
 
     def test_origin(self):
-        for dil in (standard_dilation(2), error_pair_dilation(-0.2)):
-            assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), dil)(0.0, 0.0) == 0.0
+        assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), standard_dilation(2))(0.0, 0.0) == 0.0
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
@@ -236,6 +235,37 @@ class TestCanonicalGradient:
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         with pytest.raises(ValueError):
             canonical_norm_gradient(spec, standard_dilation(2), [0.0, 0.0])
+
+
+class TestExperimentalNorm:
+    """The paper's |e|^{1/(1-mu)} / zeta1_max + gamma |de|, as `norm = experimental` builds it."""
+
+    @staticmethod
+    def _spec(mu, keys=""):
+        text = f"[scenario s]\ncontroller = hpid\nmu = {mu}\nnorm = experimental\n{keys}"
+        return cli.parse_config(text).scenario("s").norm
+
+    def test_reduces_to_l1(self):
+        # zeta1_max and norm_gamma default to 1, so at mu = 0 the norm is |e| + |de|
+        assert norm_evaluator(self._spec(0.0), error_pair_dilation(0.0))(3.0, 4.0) == 7.0
+
+    def test_power(self):
+        z, g = 1.7, 0.6
+        rng = np.random.default_rng(5)
+        for mu in (-0.3, 0.2):
+            spec = self._spec(mu, f"zeta1_max = {z}\nnorm_gamma = {g}\n")
+            assert spec == WeightedSumNorm((1 / z, g))
+            norm = norm_evaluator(spec, error_pair_dilation(mu))
+            for e, de in rng.uniform(-5, 5, size=(200, 2)):
+                paper = abs(e) ** (1 / (1 - mu)) / z + g * abs(de)
+                assert abs(norm(e, de) - paper) <= 1e-15 * paper
+        # at mu = 0.5 the exponent would be exactly 2; the admissible range is open
+        with pytest.raises(cli.ConfigError):
+            self._spec(0.5)
+
+    def test_origin(self):
+        spec = self._spec(-0.2, "zeta1_max = 0.5\nnorm_gamma = 3\n")
+        assert norm_evaluator(spec, error_pair_dilation(-0.2))(0.0, 0.0) == 0.0
 
 
 class TestNormHomogeneity:
