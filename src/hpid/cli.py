@@ -12,6 +12,12 @@ verify     run the built-in property suite
 Exit codes: 0 success, 1 property or stability failure, 2 configuration
 error, 3 numerical divergence.
 
+simulate and compare spread their runs over the usable cores, with no
+setting (_map): forked workers take every n-th scenario, and every file,
+printed line and exit code is the one a single core gives.  simulate
+renames its CSVs into place only after every run has finished; compare
+simulates each scenario named by any job once.
+
 Config format: flat `key = value` lines under bracketed section headers,
 `#` starts a comment.  Section kinds:
 
@@ -54,8 +60,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
 import re
 import sys
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -143,6 +152,8 @@ def _experimental_norm(zeta1_max: float, gamma: float) -> WeightedSumNorm:
     for name, value in (("zeta1_max", zeta1_max), ("gamma", gamma)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be a positive real")
+    if math.isinf(1.0 / zeta1_max):
+        raise ValueError(f"zeta1_max = {zeta1_max!r} is too small: 1/zeta1_max overflows")
     return WeightedSumNorm((1.0 / zeta1_max, gamma))
 
 
@@ -537,11 +548,87 @@ def _warn_uncertified(scn: Scenario) -> None:
         )
 
 
-def cmd_simulate(cfg: RunConfig, out_dir) -> int:
-    """Run every scenario; one CSV per scenario in out_dir, none if any diverges.
+def _share(fn, items) -> tuple[list, Exception | None]:
+    """fn over items in order until one raises: (the values, that exception or None)."""
+    values = []
+    try:
+        for x in items:
+            values.append(fn(x))
+    except Exception as exc:
+        return values, exc
+    return values, None
 
-    Every run finishes before any file is opened.  Each file is then
-    written CSV_BLOCK_ROWS rows at a time, so no whole file's text is held.
+
+def _pickled(share) -> bytes:
+    """A worker's share as the bytes it sends; what would not load again becomes a RuntimeError naming it."""
+    values, exc = share
+    try:
+        data = pickle.dumps(share)
+        pickle.loads(data)
+        return data
+    except Exception as err:
+        what = f"{type(exc).__name__}: {exc}" if exc is not None else f"a result that does not pickle ({err})"
+        return pickle.dumps(([], RuntimeError(f"worker process returned {what}")))
+
+
+def _map(fn, items: list) -> list:
+    """[fn(x) for x in items], spread over the usable cores.
+
+    n = min(len(items), usable cores) workers: this process takes items
+    0::n, and for k in 1..n-1 a child made by os.fork() takes items k::n and
+    sends back its values, or its exception, pickled through a pipe.  Every
+    pipe is read and every child reaped before this returns or raises.  The
+    exception raised is the one a serial loop would raise, the first in
+    items' order.  fn's output must go to files or its return value: a
+    child prints nothing.  A process with other threads, which fork would
+    not copy, runs every item itself.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(len(items), cores if threading.active_count() == 1 else 1))
+    shares, children = [], []  # shares[k] is worker k's (values, exception)
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(_pickled(_share(fn, items[k::n])))
+                finally:
+                    os._exit(0)  # no cleanup or buffer flush of the parent's
+            os.close(write)
+            children.append((pid, read))
+        shares.append(_share(fn, items[0::n]))
+    finally:
+        for pid, read in children:
+            with os.fdopen(read, "rb") as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            lost = RuntimeError(f"worker process ended without a result (exit code {code})")
+            shares.append(pickle.loads(data) if data else ([], lost))
+    # worker k's values stop at its first exception, item k + n * len(values)
+    failures = [(k + n * len(values), exc) for k, (values, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for k, (values, _) in enumerate(shares):
+        results[k::n] = values
+    return results
+
+
+def _part_path(out: Path, scn: Scenario) -> Path:
+    return out / f".{scn.name}.csv.part"
+
+
+def cmd_simulate(cfg: RunConfig, out_dir) -> int:
+    """Run every scenario; one CSV per scenario in out_dir, none if any run fails.
+
+    The runs are spread over the usable cores.  Each run is written to a
+    hidden part file CSV_BLOCK_ROWS rows at a time, so no whole file's text
+    is held, and the part files are renamed into place in config order
+    only once every run has finished.  On a divergence or any other error
+    every part file is removed and out_dir is left as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -550,37 +637,52 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         return EXIT_CONFIG
     for scn in cfg.scenarios:
         _warn_uncertified(scn)
+
+    def write_part(scn: Scenario) -> None:
+        traj = simulate(scn)
+        with _part_path(out, scn).open("w", encoding="utf-8", newline="\n") as f:
+            for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS))
+
     try:
-        runs = [simulate(scn) for scn in cfg.scenarios]
+        _map(write_part, list(cfg.scenarios))
+        for scn in cfg.scenarios:
+            path = _part_path(out, scn).replace(out / f"{scn.name}.csv")
+            print(f"wrote {path}")
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    for scn, traj in zip(cfg.scenarios, runs):
-        path = out / f"{scn.name}.csv"
-        with path.open("w", encoding="utf-8", newline="\n") as f:
-            for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
-                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS))
-        print(f"wrote {path}")
+    finally:
+        for scn in cfg.scenarios:  # what a failed run or rename left
+            _part_path(out, scn).unlink(missing_ok=True)
     return EXIT_OK
 
 
 def cmd_compare(cfg: RunConfig, out_dir) -> int:
     """Run each comparison pair (or fixture) and write the index table.
 
-    A scenario named by several jobs is simulated once; its trajectory is
-    dropped after the last job that names it.
+    Each scenario named by any job is simulated once, the runs spread over
+    the usable cores; a run is reduced to its indices (metrics.run_indices)
+    where it was made.  The jobs' tables are then written in config order,
+    and the first job whose run failed stops the command, as if the runs
+    had been made job by job.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not cfg.compares:
         print("nothing to compare (no [compare] sections)", file=sys.stderr)
         return EXIT_CONFIG
-    last_use = {}  # scenario name -> index of the last job that names it
-    for k, job in enumerate(cfg.compares):
-        if not job.fixture:
-            last_use[job.pid] = last_use[job.hpid] = k
-    runs: dict[str, Trajectory] = {}
-    for k, job in enumerate(cfg.compares):
+
+    def indices(name: str) -> metrics.RunIndices | Exception:
+        # a failed run is reported by the first job that names it
+        try:
+            return metrics.run_indices(simulate(cfg.scenario(name)))
+        except Exception as exc:
+            return exc
+
+    names = list(dict.fromkeys(name for job in cfg.compares if not job.fixture for name in (job.pid, job.hpid)))
+    runs = dict(zip(names, _map(indices, names)))
+    for job in cfg.compares:
         if job.fixture:
             text = comparison_csv_text(
                 None,
@@ -590,18 +692,15 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
         else:
             try:
                 for name in (job.pid, job.hpid):
-                    if name not in runs:
-                        runs[name] = simulate(cfg.scenario(name))
-                report = metrics.compare(runs[job.pid], runs[job.hpid])
+                    if isinstance(runs[name], Exception):
+                        raise runs[name]
+                report = metrics.compare_indices(runs[job.pid], runs[job.hpid])
             except DivergenceError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_DIVERGENCE
             except ValueError as exc:
                 print(f"error: [compare {job.name}] {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            for name in (job.pid, job.hpid):
-                if last_use[name] == k:
-                    runs.pop(name, None)
             text = comparison_csv_text(report)
         path = out / f"{job.name}.csv"
         path.write_text(text, encoding="utf-8", newline="\n")

@@ -19,7 +19,18 @@ import numpy as np
 
 from .sim import Trajectory
 
-__all__ = ["MetricsReport", "ivc", "iavc", "itae", "l2_norm", "pointwise_norm", "compare"]
+__all__ = [
+    "MetricsReport",
+    "RunIndices",
+    "ivc",
+    "iavc",
+    "itae",
+    "l2_norm",
+    "pointwise_norm",
+    "run_indices",
+    "compare_indices",
+    "compare",
+]
 
 
 def _signal(traj: Trajectory, signal: str) -> np.ndarray:
@@ -101,24 +112,57 @@ class MetricsReport:
         return ivc_wins, iavc_wins, itae_wins
 
 
+@dataclass(frozen=True)
+class RunIndices:
+    """One run's per-channel indices and L2 norms, with what pairing two runs checks."""
+
+    plant: str
+    layout: tuple[int, int]  # shape of the control samples
+    times: np.ndarray
+    ivc: tuple[float, ...]
+    iavc: tuple[float, ...]
+    itae: tuple[float, ...]
+    l2_control: float
+    l2_error: float
+
+
+def run_indices(traj: Trajectory) -> RunIndices:
+    """The indices of one run, everything compare needs of it."""
+    m = traj.n_channels
+    return RunIndices(
+        plant=traj.scenario.plant,
+        layout=traj.controls.shape,
+        times=traj.times,
+        ivc=tuple(ivc(traj, j) for j in range(m)),
+        iavc=tuple(iavc(traj, j) for j in range(m)),
+        itae=tuple(itae(traj, j) for j in range(m)),
+        l2_control=l2_norm(traj, "control"),
+        l2_error=l2_norm(traj, "error"),
+    )
+
+
+def compare_indices(pid: RunIndices, hpid: RunIndices) -> MetricsReport:
+    """Per-joint index table for two runs' indices on the same plant and grid."""
+    if pid.layout != hpid.layout:
+        raise ValueError("runs have different channel layouts")
+    if len(pid.times) != len(hpid.times) or not np.array_equal(pid.times, hpid.times):
+        raise ValueError("runs were sampled on different grids")
+    if pid.plant != hpid.plant:
+        raise ValueError("runs use different plants")
+    return MetricsReport(
+        ivc_pid=pid.ivc,
+        ivc_hpid=hpid.ivc,
+        iavc_pid=pid.iavc,
+        iavc_hpid=hpid.iavc,
+        itae_pid=pid.itae,
+        itae_hpid=hpid.itae,
+        l2_control_pid=pid.l2_control,
+        l2_control_hpid=hpid.l2_control,
+        l2_error_pid=pid.l2_error,
+        l2_error_hpid=hpid.l2_error,
+    )
+
+
 def compare(traj_pid: Trajectory, traj_hpid: Trajectory) -> MetricsReport:
     """Per-joint index table for two runs on the same plant and grid."""
-    if traj_pid.controls.shape != traj_hpid.controls.shape:
-        raise ValueError("runs have different channel layouts")
-    if len(traj_pid.times) != len(traj_hpid.times) or not np.array_equal(traj_pid.times, traj_hpid.times):
-        raise ValueError("runs were sampled on different grids")
-    if traj_pid.scenario.plant != traj_hpid.scenario.plant:
-        raise ValueError("runs use different plants")
-    m = traj_pid.n_channels
-    return MetricsReport(
-        ivc_pid=tuple(ivc(traj_pid, j) for j in range(m)),
-        ivc_hpid=tuple(ivc(traj_hpid, j) for j in range(m)),
-        iavc_pid=tuple(iavc(traj_pid, j) for j in range(m)),
-        iavc_hpid=tuple(iavc(traj_hpid, j) for j in range(m)),
-        itae_pid=tuple(itae(traj_pid, j) for j in range(m)),
-        itae_hpid=tuple(itae(traj_hpid, j) for j in range(m)),
-        l2_control_pid=l2_norm(traj_pid, "control"),
-        l2_control_hpid=l2_norm(traj_hpid, "control"),
-        l2_error_pid=l2_norm(traj_pid, "error"),
-        l2_error_hpid=l2_norm(traj_hpid, "error"),
-    )
+    return compare_indices(run_indices(traj_pid), run_indices(traj_hpid))

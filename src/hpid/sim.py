@@ -58,8 +58,14 @@ class DivergenceError(RuntimeError):
 
     def __init__(self, time: float, detail: str = ""):
         self.time = float(time)
+        self.detail = detail
         msg = f"simulation diverged at t = {self.time:.6g}"
         super().__init__(msg + (f" ({detail})" if detail else ""))
+
+    def __reduce__(self):
+        # rebuilt from its arguments, not from the message: a worker process
+        # sends it to the parent pickled
+        return type(self), (self.time, self.detail)
 
 
 @dataclass(frozen=True)
@@ -215,6 +221,9 @@ def simulate(scn: Scenario) -> Trajectory:
     block at each accepted state: for the applied control pd + z - z(0),
     and as the next step's first stage.
     Aborts with DivergenceError once the state norm exceeds DIVERGENCE_LIMIT.
+    A run depends on its scenario alone and keeps no state between calls,
+    so the CLI makes a batch's runs in forked worker processes; the
+    DivergenceError of a worker reaches the parent pickled.
     """
     if scn.joint_plant is None:
         # one undisturbed block: the constant disturbance sits in z(0) = p

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -142,6 +144,9 @@ class TestParseConfig:
             ("[scenario s]\nkp = nan\n", [(2, "gain kp must be finite")]),
             ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = experimental\nzeta1_max = 1\nnorm_gamma = -1\n",
              [(6, "gamma must be a positive real (key 'norm_gamma')")]),
+            # a zeta1_max whose reciprocal overflows is its own problem, not one of coefficients never written
+            ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = experimental\nzeta1_max = 1e-310\n",
+             [(5, "zeta1_max = 1e-310 is too small: 1/zeta1_max overflows (key 'zeta1_max')")]),
             ("[scenario j]\nplant = joints\ndist_constant = 0.1\ndist_bound = -1\n",
              [(4, "disturbance bound must be nonnegative, got -1.0 (key 'dist_bound')")]),
             # a problem elsewhere in the section hides neither the per-joint nor the norm checks
@@ -159,7 +164,7 @@ class TestParseConfig:
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
             "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
             "nonmonotone_p_pid",
-            "negative_coefficient", "scenario_gain", "experimental_gamma", "negative_disturbance_bound",
+            "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
             "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed",
         ],
     )
@@ -454,20 +459,22 @@ class TestSimulateCommand:
 
     def test_writing_holds_no_whole_file_text(self, tmp_path, monkeypatch, capsys):
         # the runs are made before tracing starts, so the peak is what writing
-        # the files holds: at most a block of text, far below the files' bytes
+        # the files holds: at most a block of text, far below the bytes of the
+        # smallest file.  Over two workers this process writes p and a child q.
         cfg = cli.parse_config(
             "[scenario p]\nplant = joints\nT = 9.0\nh = 0.001\n\n"
             "[scenario q]\nplant = joints\ncontroller = hpid\nmu = 0.2\nT = 9.0\nh = 0.001\n"
         )
         runs = {scn.name: cli.simulate(scn) for scn in cfg.scenarios}
         monkeypatch.setattr(cli, "simulate", lambda scn: runs[scn.name])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         tracemalloc.start()
         try:
             assert cli.cmd_simulate(cfg, tmp_path) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < sum(path.stat().st_size for path in tmp_path.glob("*.csv"))
+        assert peak < min(path.stat().st_size for path in tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_seed_flag_is_a_usage_error(self, command, capsys):
@@ -521,10 +528,14 @@ class TestCompareCommand:
                 assert ivc_p == ivc_h and iavc_p == iavc_h and itae_p == itae_h
 
     def test_scenario_named_by_several_jobs_simulated_once(self, tmp_path, monkeypatch):
-        simulated = []
+        # the runs are spread over worker processes, so each call is counted
+        # in a file every process appends to
+        log = tmp_path / "simulated"
+        log.touch()
 
         def counting_simulate(scn, real=cli.simulate):
-            simulated.append(scn.name)
+            with log.open("a") as f:
+                f.write(scn.name + "\n")
             return real(scn)
 
         monkeypatch.setattr(cli, "simulate", counting_simulate)
@@ -537,7 +548,7 @@ class TestCompareCommand:
             "[compare self]\npid = b\nhpid = b\n"
         )
         assert cli.main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
-        assert sorted(simulated) == ["a", "b", "p"]
+        assert sorted(log.read_text().split()) == ["a", "b", "p"]
         assert all((tmp_path / "out" / f"{job}.csv").exists() for job in ("pa", "pb", "self"))
 
     def test_fixture_injection_byte_exact(self, tmp_path):
@@ -570,6 +581,203 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
         last = (tmp_path / "out" / "pair.csv").read_text().splitlines()[-1]
         assert last.startswith("summary,hpid_lower_ivc,")
+
+
+MIXED = """
+[scenario ext_pid]
+x0 = 1.0, 0.0, 0.3
+T = 1.0
+h = 0.01
+
+[scenario ext_ws]
+controller = hpid
+mu = 0.2
+norm_coefficients = 2, 0.5
+x0 = 1.0, 0.0, 0.3
+T = 1.0
+h = 0.01
+
+[scenario ext_can]
+controller = hpid
+mu = -0.1
+norm = canonical
+norm_p = 2, 0.5, 0.5, 1
+x0 = 1.0, 0.0, 0.3
+T = 1.0
+h = 0.01
+
+[scenario ext_unstable]
+controller = hpid
+kp = 1
+mu = 0.1
+x0 = 1.0, 0.0, 0.3
+T = 1.0
+h = 0.01
+
+[scenario j_pid]
+plant = joints
+n_joints = 2
+T = 1.0
+h = 0.01
+
+[scenario j_exp]
+plant = joints
+n_joints = 2
+controller = hpid
+mu = -0.2
+norm = experimental
+zeta1_max = 1.5
+dist_phase = random
+seed = 3
+T = 1.0
+h = 0.01
+
+[compare ext]
+pid = ext_pid
+hpid = ext_can
+
+[compare fix]
+fixture = hardware
+
+[compare joints]
+pid = j_pid
+hpid = j_exp
+
+[compare ext_ws]
+pid = ext_pid
+hpid = ext_ws
+"""
+
+GOOD = "[scenario good]\nT = 1.0\nh = 0.01\n\n[scenario fine]\ncontroller = hpid\nmu = 0.1\nT = 1.0\nh = 0.01\n\n"
+BAD = "[scenario bad]\nkp = 3\nkd = 3\nki = 1\nT = 9.0\n\n"  # diverges at t = 5.463
+LATER_JOBS_FAIL = {
+    "divergence": GOOD + BAD + "[compare ok]\npid = good\nhpid = fine\n\n[compare broken]\npid = good\nhpid = bad\n",
+    "grid_mismatch": GOOD + "[scenario coarse]\nT = 1.0\nh = 0.02\n\n"
+    "[compare ok]\npid = good\nhpid = fine\n\n[compare broken]\npid = coarse\nhpid = fine\n",
+}
+FORKED = [{0, 1}, {0, 1, 2}, set(range(8))]  # up to more workers than scenarios
+
+
+def _run(tmp_path, monkeypatch, capsys, cores, command, text, existing=None):
+    """(exit code, stdout, stderr, {file: bytes}) of one command run as if on the given cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    run = tmp_path / f"cores{len(cores)}"
+    out = run / "out"
+    out.mkdir(parents=True)
+    for name, data in (existing or {}).items():
+        (out / name).write_bytes(data)
+    (run / "cfg").write_text(text)
+    code = cli.main([command, "--config", str(run / "cfg"), "--out", str(out)])
+    captured = capsys.readouterr()
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return code, captured.out.replace(str(out), "OUT"), captured.err.replace(str(out), "OUT"), files
+
+
+class TestWorkerProcesses:
+    """Runs spread over forked workers give, byte for byte, what one core gives."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cores", FORKED, ids=len)
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_mixed_config_matches_one_core(self, tmp_path, monkeypatch, capsys, command, cores):
+        serial = _run(tmp_path, monkeypatch, capsys, {0}, command, MIXED)
+        assert serial[0] == cli.EXIT_OK
+        assert ("non-stabilizing gains" in serial[2]) == (command == "simulate")  # compare warns of nothing
+        assert len(serial[3]) == (6 if command == "simulate" else 4)
+        assert _run(tmp_path, monkeypatch, capsys, cores, command, MIXED) == serial
+
+    @pytest.mark.parametrize("case", LATER_JOBS_FAIL)
+    def test_failing_compare_job_matches_one_core(self, tmp_path, monkeypatch, capsys, case):
+        # the jobs before the failing one are written and reported, as job by job
+        serial = _run(tmp_path, monkeypatch, capsys, {0}, "compare", LATER_JOBS_FAIL[case])
+        assert serial[0] == (cli.EXIT_DIVERGENCE if case == "divergence" else cli.EXIT_CONFIG)
+        assert list(serial[3]) == ["ok.csv"]
+        assert _run(tmp_path, monkeypatch, capsys, {0, 1, 2}, "compare", LATER_JOBS_FAIL[case]) == serial
+
+    @pytest.mark.parametrize("bad_at", [0, 1], ids=["parent_share", "child_share"])
+    def test_divergence_leaves_out_untouched(self, tmp_path, monkeypatch, capsys, bad_at):
+        # with three workers, scenario 0 is this process's and scenario 1 a child's
+        scenarios = [GOOD.split("\n\n")[0], GOOD.split("\n\n")[1]]
+        scenarios.insert(bad_at, BAD.strip())
+        text = "\n\n".join(scenarios) + "\n"
+        existing = {"good.csv": b"earlier contents\n"}
+        serial = _run(tmp_path, monkeypatch, capsys, {0}, "simulate", text, existing)
+        assert serial == (cli.EXIT_DIVERGENCE, "", "error: simulation diverged at t = 5.463 (|x| > 1e+09)\n", existing)
+        assert _run(tmp_path, monkeypatch, capsys, {0, 1, 2}, "simulate", text, existing) == serial
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_child_exception_reraised(self, tmp_path, monkeypatch, command):
+        def failing_simulate(scn, real=cli.simulate):
+            if scn.name == "fine":
+                raise ZeroDivisionError("no run for fine")
+            return real(scn)
+
+        monkeypatch.setattr(cli, "simulate", failing_simulate)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = cli.parse_config(GOOD + "[compare ok]\npid = good\nhpid = fine\n")
+        with pytest.raises(ZeroDivisionError, match="^no run for fine$"):
+            getattr(cli, f"cmd_{command}")(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_map_spreads_items_over_workers(self, monkeypatch):
+        # worker k takes items k::n, worker 0 being this process; with another
+        # thread running, which fork would not copy, this process takes all
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pids = cli._map(lambda x: os.getpid(), list(range(7)))
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids)) == 3 and all(len(set(pids[k::3])) == 1 for k in range(3))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli._map(lambda x: os.getpid(), list(range(7))) == [os.getpid()] * 7
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_map_keeps_order_and_raises_the_first_failure(self, monkeypatch):
+        items = list(range(7))
+        for cores in [{0}, *FORKED]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            assert cli._map(lambda x: x * x, items) == [x * x for x in items]
+            assert cli._map(lambda x: x, []) == []
+
+            def fail_at_2_and_3(x):
+                # forked over three workers, item 2 fails in a child and item 3 here
+                if x in (2, 3):
+                    raise ValueError(f"item {x}")
+                return x
+
+            with pytest.raises(ValueError, match="^item 2$"):
+                cli._map(fail_at_2_and_3, items)
+
+    @pytest.mark.parametrize("loads", [False, True], ids=["dumps_fails", "loads_fails"])
+    def test_map_reports_an_exception_that_does_not_pickle(self, monkeypatch, loads):
+        class Local(Exception):  # pickling it fails: nothing can import a local class
+            pass
+
+        def fail_in_child(x):
+            if x == 1:
+                raise _TwoArgError("item", 1) if loads else Local("item 1")
+            return x
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        name = "_TwoArgError" if loads else "Local"
+        with pytest.raises(RuntimeError, match=f"^worker process returned {name}: item 1$"):
+            cli._map(fail_in_child, [0, 1])
+
+
+class _TwoArgError(Exception):
+    """Pickled by its message, so loading calls it with one argument and fails."""
+
+    def __init__(self, what, index):
+        super().__init__(f"{what} {index}")
 
 
 class TestCertifyCommand:

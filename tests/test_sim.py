@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,13 @@ class TestSimulateExtended:
         assert 0.0 < err.value.time <= 9.0
         assert err.value.time == 5463 * 1e-3
         assert str(err.value) == "simulation diverged at t = 5.463 (|x| > 1e+09)"
+
+    @pytest.mark.parametrize("detail", ["x", ""])
+    def test_divergence_error_survives_pickling(self, detail):
+        # a worker process of the CLI sends it to the parent pickled
+        err = pickle.loads(pickle.dumps(DivergenceError(1.5, detail)))
+        assert type(err) is DivergenceError
+        assert (err.time, str(err)) == (1.5, str(DivergenceError(1.5, detail)))
 
     def test_deterministic_bitwise(self):
         scn = Scenario(controller="hpid", mu=-0.1, horizon=2.0, step=1e-3)
