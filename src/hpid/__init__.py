@@ -21,7 +21,6 @@ from .homogeneity import (
     error_pair_dilation,
     extended_state_dilation,
     norm_evaluator,
-    standard_dilation,
 )
 from .metrics import MetricsReport, compare, iavc, itae, ivc, l2_norm, pointwise_norm
 from .plant import (
@@ -32,7 +31,7 @@ from .plant import (
     default_six_joint_plant,
     reference_eval,
 )
-from .sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
+from .sim import DivergenceError, Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
 from .stability import (
     InfeasibleGainsError,
     StabilityCertificate,

@@ -9,9 +9,10 @@ tests/test_acceptance.py calls the same checks with larger or wider inputs
 and asserts that each passes.  Residuals are maxima that keep a NaN, so a
 NaN never reads as a pass.
 
-The two closed-loop checks call sim.rk4_step, where the field every run
-integrates is written: a fault that keeps the field's degree passes the
-homogeneity check and fails the mu = 0 one.
+The two closed-loop checks take one step of sim.rk4_block, the kernel
+where the field every run integrates is written: a fault that keeps the
+field's degree passes the homogeneity check and fails the mu = 0 one, which
+also drives the block with a sinusoid disturbance.
 
 The checks stay private because the benchmark's tracer times every public
 function of this module and reports `run_all`'s self time: public checks
@@ -21,6 +22,7 @@ would be timed on their own and move their cost out of that figure.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from . import homogeneity as hg
 from .control import GainSet, hpid_law
 from .metrics import l2_norm, pointwise_norm
-from .sim import Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
+from .sim import Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
 from .stability import certify, lyapunov_decrease_check
 
 __all__ = ["CheckResult", "run_all"]
@@ -59,7 +61,7 @@ def _worst(residuals) -> float:
 
 
 _SAMPLE_DILATIONS = (
-    hg.standard_dilation(2),
+    hg.Dilation((1.0, 1.0)),
     hg.error_pair_dilation(0.2),
     hg.error_pair_dilation(-0.3),
     hg.extended_state_dilation(0.1),
@@ -141,13 +143,15 @@ def _check_gradient(
     return CheckResult("canonical norm gradient vs finite differences", _worst(residuals), 1e-5)
 
 
-def _step_at(law, ki: float, x: list[float], h: float) -> list[float]:
-    """One rk4_step of one undisturbed block, its first stage the law at x, as simulate passes it."""
-    return rk4_step(law, ki, (lambda t: 0.0,), x, [law(x[0], x[1])], 0.0, h)
+def _step_at(law, ki: float, x: list[float], h: float, dist=lambda t: 0.0) -> list[float]:
+    """The state after one step of rk4_block from x on the grid [0, h], undisturbed by default."""
+    out = array("d")
+    rk4_block(law, ki, dist, x, [0.0, h], h, out)
+    return out[4:7].tolist()
 
 
 def _check_step_homogeneity(rng: np.random.Generator, norm: hg.HomNormSpec, samples: int) -> CheckResult:
-    """rk4_step(d(s) x, e^{-mu s} h) = d(s) rk4_step(x, h) at each degree mu.
+    """step(d(s) x, e^{-mu s} h) = d(s) step(x, h) at each degree mu, for the undisturbed block.
 
     A field of degree mu has f(d(s) x) = e^{mu s} d(s) f(x), so every RK4
     stage, and with it the step, commutes with d(s) at the step e^{-mu s} h:
@@ -173,29 +177,37 @@ def _check_step_homogeneity(rng: np.random.Generator, norm: hg.HomNormSpec, samp
 
 
 def _check_mu_zero_step(rng: np.random.Generator, draws: int) -> CheckResult:
-    """At mu = 0 one rk4_step is RK4 on the rows of A = GainSet.a_matrix(), bit for bit.
+    """At mu = 0 a kernel step is RK4 on the rows of A = GainSet.a_matrix() plus the forcing, bit for bit.
 
-    The reference sums each row element by element, left to right, not as a
-    BLAS product, which may fuse multiply-adds, and forms the stages and the
-    update in rk4_step's order.  Every draw takes fresh gains and a fresh
-    step h in [1e-3, 0.5].
+    The forcing is -d(t) in the error-rate row, d a sinusoid, evaluated at
+    t, twice at t + h/2 and at t + h.  The reference sums each row element
+    by element, left to right, not as a BLAS product, which may fuse
+    multiply-adds, and forms the stages and the update in the kernel's
+    order.  Every draw takes fresh gains, a fresh step h in [1e-3, 0.5] and
+    a fresh disturbance.
     """
     residuals = []
     for _ in range(draws):
         gains = GainSet(*rng.uniform(-5, 5, size=3))
         x = rng.uniform(-5, 5, size=3).tolist()
         h = rng.uniform(1e-3, 0.5)
+        amplitude, frequency, phase = rng.uniform((-1.0, 0.0, 0.0), (1.0, 10.0, 2.0 * math.pi)).tolist()
         rows = gains.a_matrix().tolist()
 
-        def linear(y: list[float]) -> list[float]:
-            return [row[0] * y[0] + row[1] * y[1] + row[2] * y[2] for row in rows]
+        def dist(t: float) -> float:
+            return amplitude * math.sin(frequency * t + phase)
 
-        k1 = linear(x)
-        k2 = linear([a + 0.5 * h * b for a, b in zip(x, k1)])
-        k3 = linear([a + 0.5 * h * b for a, b in zip(x, k2)])
-        k4 = linear([a + h * b for a, b in zip(x, k3)])
+        def forced(y: list[float], t: float) -> list[float]:
+            k = [row[0] * y[0] + row[1] * y[1] + row[2] * y[2] for row in rows]
+            k[1] -= dist(t)
+            return k
+
+        k1 = forced(x, 0.0)
+        k2 = forced([a + 0.5 * h * b for a, b in zip(x, k1)], 0.0 + 0.5 * h)
+        k3 = forced([a + 0.5 * h * b for a, b in zip(x, k2)], 0.0 + 0.5 * h)
+        k4 = forced([a + h * b for a, b in zip(x, k3)], 0.0 + h)
         rk4 = [a + h / 6.0 * (((b + 2.0 * c) + 2.0 * d) + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-        step = _step_at(hpid_law(gains, 0.0, hg.WeightedSumNorm((1.0, 1.0)), 1e-9), gains.ki, x, h)
+        step = _step_at(hpid_law(gains, 0.0, hg.WeightedSumNorm((1.0, 1.0)), 1e-9), gains.ki, x, h, dist)
         residuals.append(float(np.abs(np.subtract(step, rk4)).max()))
     return CheckResult("RK4 step at mu = 0 equals RK4 on the linear rows", _worst(residuals), 0.0)
 

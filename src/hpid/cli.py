@@ -533,19 +533,24 @@ def certificate_csv_text(cert: StabilityCertificate) -> str:
 # subcommands
 
 
-def _warn_uncertified(scn: Scenario) -> None:
-    if scn.controller != "hpid" or scn.mu == 0.0:
-        return
-    if not scn.gains.is_stabilizing():
-        print(f"warning: scenario {scn.name!r} uses non-stabilizing gains", file=sys.stderr)
-        return
-    cert = certify(scn.gains)
-    if not cert.admits(scn.mu):
-        print(
-            f"warning: scenario {scn.name!r} requests mu={scn.mu} outside the certified "
-            f"interval ({cert.mu_lo:.6g}, {cert.mu_hi:.6g})",
-            file=sys.stderr,
-        )
+def _warn_uncertified(scenarios) -> None:
+    """Warn, in order, of each hpid scenario whose degree its gains do not certify."""
+    certs: dict[GainSet, StabilityCertificate] = {}  # one certify per distinct gain set
+    for scn in scenarios:
+        if scn.controller != "hpid" or scn.mu == 0.0:
+            continue
+        if not scn.gains.is_stabilizing():
+            print(f"warning: scenario {scn.name!r} uses non-stabilizing gains", file=sys.stderr)
+            continue
+        if scn.gains not in certs:
+            certs[scn.gains] = certify(scn.gains)
+        cert = certs[scn.gains]
+        if not cert.admits(scn.mu):
+            print(
+                f"warning: scenario {scn.name!r} requests mu={scn.mu} outside the certified "
+                f"interval ({cert.mu_lo:.6g}, {cert.mu_hi:.6g})",
+                file=sys.stderr,
+            )
 
 
 def _share(fn, items) -> tuple[list, Exception | None]:
@@ -635,8 +640,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     if not cfg.scenarios:
         print("nothing to simulate (no [scenario] sections)", file=sys.stderr)
         return EXIT_CONFIG
-    for scn in cfg.scenarios:
-        _warn_uncertified(scn)
+    _warn_uncertified(cfg.scenarios)
 
     def write_part(scn: Scenario) -> None:
         traj = simulate(scn)

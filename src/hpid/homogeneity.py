@@ -37,7 +37,6 @@ __all__ = [
     "WeightedSumNorm",
     "CanonicalNorm",
     "HomNormSpec",
-    "standard_dilation",
     "error_pair_dilation",
     "extended_state_dilation",
     "dilation_apply",
@@ -80,11 +79,6 @@ class Dilation:
     def scales(self, s: float) -> np.ndarray:
         """Diagonal of d(s), i.e. the component-wise factors e^{r_i s}."""
         return np.exp(np.asarray(self.weights) * float(s))
-
-
-def standard_dilation(n: int) -> Dilation:
-    """Uniform scaling e^s I_n (all weights equal to one)."""
-    return Dilation((1.0,) * int(n))
 
 
 def error_pair_dilation(mu: float) -> Dilation:

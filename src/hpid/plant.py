@@ -2,7 +2,7 @@
 multi-joint tracking-error plant.
 
 The closed loop of both plants, n blocks (e, de, z) under the hPID law, is
-written once, in sim.rk4_step.
+written once, in sim.rk4_block.
 
 The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual

@@ -6,7 +6,7 @@ field is continuous but not Lipschitz at the origin, so the formal fourth
 order degrades in a small terminal neighbourhood; convergence tests exclude
 that ball.
 
-Both plants are closed-loop blocks of rk4_step, three states (e, de, z)
+Both plants are closed-loop blocks of rk4_block, three states (e, de, z)
 each, where z is the integral action ki * integral(nu^{3 mu} e) plus the
 constant it absorbed at t = 0:
 
@@ -16,20 +16,25 @@ constant it absorbed at t = 0:
   z(0) = 0, driven by its bounded disturbance waveform sampled continuously
   in time.  Every joint runs the scenario's controller.
 
-rk4_step is the one RK4 scheme and the one place the field is written: it
-steps every block on local Python floats, with the block field inline, and
-takes its first stage from the law value simulate computed at the accepted
-state for the applied control.  Per block and step the law is evaluated
-four times and the disturbance three times (once at t + h/2 for stages 2
-and 3).  The IEEE operations are those of the array formulation, in the
-same order, so the states and controls are bitwise those of the
-numpy-array RK4 over the same field (a test compares the two).  hpid verify
-checks this kernel (hpid.checks).
+rk4_block is the one RK4 scheme and the one place the field is written: it
+integrates one block over the whole grid in a single loop on local Python
+floats, with the block field inline, and appends each sample to a flat
+array.array that simulate copies into the trajectory's columns, so no step
+makes a numpy call.  The law value at each accepted state is both the
+applied control and the next step's first stage.  Per block and step the
+law is evaluated four times and the disturbance three times (once at
+t + h/2 for stages 2 and 3).  The IEEE operations are those of the array
+formulation, in the same order, so the states and controls are bitwise
+those of the numpy-array RK4 over the same field (a test compares the
+two).  The law is not vectorised with numpy ufuncs: np.power and math.pow
+do not agree in every last bit.  hpid verify checks this kernel
+(hpid.checks).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -44,28 +49,37 @@ __all__ = [
     "Scenario",
     "Trajectory",
     "ScalingReport",
-    "rk4_step",
+    "rk4_block",
     "simulate",
     "scaling_symmetry_run",
     "DIVERGENCE_LIMIT",
 ]
 
 DIVERGENCE_LIMIT = 1e9
+_NON_FINITE = "non-finite right-hand side"
+_OVER_LIMIT = f"|x| > {DIVERGENCE_LIMIT:g}"
 
 
 class DivergenceError(RuntimeError):
-    """State norm exceeded the divergence limit (or became non-finite)."""
+    """A state left the divergence limit (or became non-finite).
 
-    def __init__(self, time: float, detail: str = ""):
+    step is the index i of the RK4 step from t[i] to t[i + 1] whose update
+    diverged, and block the index of the (e, de, z) block it diverged in;
+    either is None when not known.  Neither appears in the message.
+    """
+
+    def __init__(self, time: float, detail: str = "", step: int | None = None, block: int | None = None):
         self.time = float(time)
         self.detail = detail
+        self.step = step
+        self.block = block
         msg = f"simulation diverged at t = {self.time:.6g}"
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
     def __reduce__(self):
         # rebuilt from its arguments, not from the message: a worker process
         # sends it to the parent pickled
-        return type(self), (self.time, self.detail)
+        return type(self), (self.time, self.detail, self.step, self.block)
 
 
 @dataclass(frozen=True)
@@ -163,35 +177,46 @@ class Trajectory:
         return self.controls.shape[1]
 
 
-def rk4_step(
+def rk4_block(
     law: Callable[[float, float], tuple[float, float]],
     ki: float,
-    disturbances: Sequence[Callable[[float], float]],
-    x: list[float],
-    first: Sequence[tuple[float, float]],
-    t: float,
+    dist: Callable[[float], float],
+    y0: Sequence[float],
+    t: Sequence[float],
     h: float,
-) -> list[float]:
-    """One classical fourth-order Runge-Kutta update of the closed-loop blocks.
+    out: array,
+) -> None:
+    """Classical fourth-order Runge-Kutta of one closed-loop block over the grid t.
 
-    x stacks the (e, de, z) blocks, each with field
-    (de, pd + z - d_j(t), ki * integrand), where (pd, integrand) =
-    law(e, de).  first[j] is the law value at block j of x itself, the one
-    simulate computed for the applied control, so it serves as the first
-    stage.  Each block's stages are local floats, d_j is evaluated once at
-    t + h/2 for stages 2 and 3, and the field is written inline.  The stage
-    inputs are x + (h/2) k and x + h k and the update is
-    x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), element by element: the same
-    IEEE operations, in the same order, as the array expression.
+    The block (e, de, z) has field (de, pd + z - dist(t), ki * integrand),
+    where (pd, integrand) = law(e, de).  Step i goes from t[i] to t[i + 1]
+    with stages at t[i], t[i] + h/2 (dist evaluated once, for stages 2
+    and 3) and t[i] + h.  The stage inputs are x + (h/2) k and x + h k and
+    the update is x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), element by element:
+    the same IEEE operations, in the same order, as the array expression.
+    The law at each accepted state gives the applied control
+    u = pd + z - z(0) and serves as the next step's first stage.
+
+    out receives (e, de, z) of each accepted state, then its u: after an
+    exception, len(out) // 4 samples are complete, and len(out) % 4 == 3
+    exactly when the law at the next accepted state raised.  An update
+    outside [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] (NaN included) raises
+    DivergenceError with step i: at t[i] if it is non-finite, else at
+    t[i + 1].
     """
     hh = 0.5 * h
     h6 = h / 6.0
-    tm, t1 = t + hh, t + h
-    out = []
-    for (pd, integrand), dist, k in zip(first, disturbances, range(0, len(x), 3)):
-        e, de, z = x[k], x[k + 1], x[k + 2]
-        dm = dist(tm)
-        f1, g1 = pd + z - dist(t), ki * integrand
+    lim = DIVERGENCE_LIMIT
+    extend, append = out.extend, out.append
+    e, de, z = y0
+    z0 = z
+    extend((e, de, z))
+    pd, integrand = law(e, de)
+    append(pd + z - z0)
+    for i in range(len(t) - 1):
+        ti = t[i]
+        dm = dist(ti + hh)
+        f1, g1 = pd + z - dist(ti), ki * integrand
         e2, de2, z2 = e + hh * de, de + hh * f1, z + hh * g1
         pd, integrand = law(e2, de2)
         f2, g2 = pd + z2 - dm, ki * integrand
@@ -200,58 +225,74 @@ def rk4_step(
         f3, g3 = pd + z3 - dm, ki * integrand
         e4, de4, z4 = e + h * de3, de + h * f3, z + h * g3
         pd, integrand = law(e4, de4)
-        f4, g4 = pd + z4 - dist(t1), ki * integrand
-        out += (
+        f4, g4 = pd + z4 - dist(ti + h), ki * integrand
+        e, de, z = (
             e + h6 * (((de + 2.0 * de2) + 2.0 * de3) + de4),
             de + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4),
             z + h6 * (((g1 + 2.0 * g2) + 2.0 * g3) + g4),
         )
-    if not all(map(math.isfinite, out)):
-        raise DivergenceError(t, "non-finite right-hand side")
-    return out
+        if not (-lim <= e <= lim and -lim <= de <= lim and -lim <= z <= lim):
+            if math.isfinite(e) and math.isfinite(de) and math.isfinite(z):
+                raise DivergenceError(t[i + 1], _OVER_LIMIT, i)
+            raise DivergenceError(ti, _NON_FINITE, i)
+        extend((e, de, z))
+        pd, integrand = law(e, de)
+        append(pd + z - z0)
 
 
 def simulate(scn: Scenario) -> Trajectory:
     """Integrate the scenario over [0, T]; deterministic for a fixed scenario.
 
-    Both plants are closed-loop blocks (see rk4_step), so the tracking
-    errors are every third state (Trajectory.errors).  The state
-    steps as a list of Python floats through rk4_step and each step is
-    stored into the preallocated arrays.  The law is evaluated once per
-    block at each accepted state: for the applied control pd + z - z(0),
-    and as the next step's first stage.
-    Aborts with DivergenceError once the state norm exceeds DIVERGENCE_LIMIT.
+    Both plants are closed-loop blocks, so the tracking errors are every
+    third state (Trajectory.errors).  Each block runs through rk4_block
+    over the whole grid, and its samples are copied into the trajectory's
+    columns.  A failure raises what a loop stepping all blocks together
+    would raise first: at the earliest step, an exception from a stage
+    evaluation (in block order), then a non-finite update, then one over
+    DIVERGENCE_LIMIT, then an exception from the law at the accepted
+    state (in block order).  A block after a failing one runs only up to
+    the failure's step.
     A run depends on its scenario alone and keeps no state between calls,
     so the CLI makes a batch's runs in forked worker processes; the
     DivergenceError of a worker reaches the parent pickled.
     """
     if scn.joint_plant is None:
         # one undisturbed block: the constant disturbance sits in z(0) = p
-        y0, disturbances = list(scn.x0), [lambda t: 0.0]
+        blocks = [(scn.x0, lambda t: 0.0)]
     else:
         # joints start from rest at zero position: error = reference at t = 0
-        y0, disturbances = [], []
-        for jc in scn.joint_plant.joints:
-            pos, vel = reference_eval(jc.reference, 0.0)
-            y0 += (pos, vel, 0.0)
-            disturbances.append(jc.disturbance.eval)
+        blocks = [
+            ((*reference_eval(jc.reference, 0.0), 0.0), jc.disturbance.eval) for jc in scn.joint_plant.joints
+        ]
     law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
-    ki, z0, blocks = scn.gains.ki, y0[2::3], range(0, len(y0), 3)
+    ki = scn.gains.ki
     n = scn.n_steps()
     h = scn.step
     times = np.arange(n + 1) * h
     t = times.tolist()
-    states = np.empty((n + 1, len(y0)))
-    controls = np.empty((n + 1, len(disturbances)))
-    y = y0
-    for i in range(n + 1):
-        if i:
-            y = rk4_step(law, ki, disturbances, y, laws, t[i - 1], h)
-            if max(map(abs, y)) > DIVERGENCE_LIMIT:
-                raise DivergenceError(t[i], f"|x| > {DIVERGENCE_LIMIT:g}")
-        laws = [law(y[k], y[k + 1]) for k in blocks]
-        states[i] = y
-        controls[i] = [pd + y[k + 2] - c for (pd, _), k, c in zip(laws, blocks, z0)]
+    states = np.empty((n + 1, 3 * len(blocks)))
+    controls = np.empty((n + 1, len(blocks)))
+    raised = None  # (sample, rank, exception): the failure a step-major loop would raise
+    for j, (y0, dist) in enumerate(blocks):
+        out = array("d")
+        try:
+            rk4_block(law, ki, dist, y0, t if raised is None else t[: raised[0] + 1], h, out)
+        except DivergenceError as exc:
+            exc.block = j
+            failure = (exc.step + 1, 2 if exc.detail == _NON_FINITE else 3, exc)
+        except Exception as exc:
+            # a stage evaluation (rank 1) or the law at the accepted state (rank 4)
+            failure = (len(out) // 4, 4 if len(out) % 4 else 1, exc)
+        else:
+            if raised is None:
+                samples = np.frombuffer(out).reshape(n + 1, 4)
+                states[:, 3 * j : 3 * j + 3] = samples[:, :3]
+                controls[:, j] = samples[:, 3]
+            continue
+        if raised is None or failure[:2] < raised[:2]:
+            raised = failure
+    if raised is not None:
+        raise raised[2]
     return Trajectory(times=times, states=states, controls=controls, scenario=scn)
 
 

@@ -1,6 +1,6 @@
 """Negative controls for the kernel checks of `hpid verify`.
 
-Each fault is written into the source of `sim.rk4_step`, and the faulty
+Each fault is written into the source of `sim.rk4_block`, and the faulty
 kernel takes the real one's place where the checks call it, at verify's
 sample counts.
 """
@@ -16,11 +16,11 @@ from hpid.homogeneity import WeightedSumNorm
 
 
 def _kernel_checks(monkeypatch, old: str, new: str) -> tuple[checks.CheckResult, checks.CheckResult]:
-    source = inspect.getsource(sim.rk4_step)
-    assert old in source
+    source = inspect.getsource(sim.rk4_block)
+    assert source.count(old) == 1
     namespace = dict(vars(sim))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(checks, "rk4_step", namespace["rk4_step"])
+    monkeypatch.setattr(checks, "rk4_block", namespace["rk4_block"])
     rng = np.random.default_rng(0)
     return (
         checks._check_step_homogeneity(rng, WeightedSumNorm((1.0, 1.0)), samples=40),
@@ -30,8 +30,13 @@ def _kernel_checks(monkeypatch, old: str, new: str) -> tuple[checks.CheckResult,
 
 @pytest.mark.parametrize(
     "old,new",
-    [("pd + z - dist(t)", "pd - z - dist(t)"), ("pd + z3", "pd + z2")],
-    ids=["stage-1-flips-z", "stage-3-reads-z2"],
+    [
+        ("pd + z - dist(ti)", "pd - z - dist(ti)"),
+        ("pd + z3", "pd + z2"),
+        # the undisturbed homogeneity line cannot see it; the forced mu = 0 line can
+        ("pd + z2 - dm", "pd + z2 - dist(ti)"),
+    ],
+    ids=["stage-1-flips-z", "stage-3-reads-z2", "stage-2-reads-dist-t"],
 )
 def test_homogeneous_fault_fails_the_mu_zero_line(monkeypatch, old, new):
     homogeneity, mu_zero = _kernel_checks(monkeypatch, old, new)

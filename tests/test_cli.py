@@ -16,6 +16,7 @@ from hpid.control import GainSet
 from hpid.homogeneity import CanonicalNorm, WeightedSumNorm
 from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, reference_eval
 from hpid.sim import Scenario
+from hpid.stability import certify
 from hpid.fixtures import (
     HARDWARE_COMPARISON_ROWS,
     HARDWARE_L2_CONTROL,
@@ -370,9 +371,6 @@ class TestSimulateCommand:
 
     def test_mu_outside_certified_interval_warns(self, tmp_path, capsys):
         # gains with a narrow certified interval: warn when mu is outside it
-        from hpid.stability import certify
-        from hpid.control import GainSet
-
         gains = GainSet(-0.2, -6.0, -1.0)
         cert = certify(gains)
         assert cert.mu_hi < 0.3  # narrow enough to violate below the design cap
@@ -384,6 +382,21 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 0
         assert "outside the certified" in capsys.readouterr().err
+
+    def test_each_gain_set_certified_once(self, tmp_path, capsys, monkeypatch):
+        # warnings stay per scenario and in config order
+        calls = []
+        monkeypatch.setattr(cli, "certify", lambda gains: calls.append(gains) or certify(gains))
+        narrow = "kp = -0.2\nkd = -6\nki = -1\n"
+        sections = [("a", 0.3, narrow), ("b", 0.1, ""), ("c", 0.1, narrow), ("d", 0.4, narrow), ("e", 0.2, "")]
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(
+            "".join(f"[scenario {n}]\ncontroller = hpid\nmu = {mu}\n{g}T = 0.1\nh = 0.01\n\n" for n, mu, g in sections)
+        )
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [GainSet(-0.2, -6.0, -1.0), GainSet(-3.0, -3.0, -1.0)]
+        warned = re.findall(r"scenario '(\w)' requests mu=", capsys.readouterr().err)
+        assert warned == ["a", "d"]
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         cfgfile = tmp_path / "cfg"

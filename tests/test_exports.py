@@ -20,3 +20,8 @@ def test_package_reexports_module_exports():
     exported = {name for module in MODULES for name in module.__all__}
     public = {name for name, obj in vars(hpid).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public - exported == set()
+
+
+@pytest.mark.parametrize("name", ["rk4_step", "standard_dilation"])
+def test_deleted_names_stay_deleted(name):
+    assert [module.__name__ for module in [hpid, *MODULES] if hasattr(module, name)] == []

@@ -19,13 +19,12 @@ from hpid.homogeneity import (
     error_pair_dilation,
     extended_state_dilation,
     norm_evaluator,
-    standard_dilation,
 )
 
 RNG = np.random.default_rng(1234)
 
 DILATIONS = [
-    standard_dilation(2),
+    Dilation((1.0, 1.0)),
     error_pair_dilation(0.2),
     error_pair_dilation(-0.3),
     extended_state_dilation(0.1),
@@ -45,10 +44,10 @@ def _norm_specs(mu=0.2):
 
 class TestDilation:
     def test_identity(self):
-        assert np.allclose(dilation_apply(standard_dilation(2), 0.0, [3.0, -7.0]), [3.0, -7.0])
+        assert np.allclose(dilation_apply(Dilation((1.0, 1.0)), 0.0, [3.0, -7.0]), [3.0, -7.0])
 
     def test_uniform_scaling(self):
-        assert np.allclose(dilation_apply(standard_dilation(2), math.log(2.0), [1.0, 2.0]), [2.0, 4.0])
+        assert np.allclose(dilation_apply(Dilation((1.0, 1.0)), math.log(2.0), [1.0, 2.0]), [2.0, 4.0])
 
     def test_weighted_scaling(self):
         out = dilation_apply(Dilation((0.5, 1.0)), math.log(4.0), [1.0, 1.0])
@@ -56,7 +55,7 @@ class TestDilation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dilation_apply(standard_dilation(2), 1.0, [1.0, 2.0, 3.0])
+            dilation_apply(Dilation((1.0, 1.0)), 1.0, [1.0, 2.0, 3.0])
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -115,28 +114,28 @@ class TestSymMatrix:
 
 class TestStrictMonotonicity:
     def test_identity_standard(self):
-        assert check_strict_monotonicity(standard_dilation(2), SymMatrix(np.eye(2)))
+        assert check_strict_monotonicity(Dilation((1.0, 1.0)), SymMatrix(np.eye(2)))
 
     def test_indefinite_p_fails(self):
-        assert not check_strict_monotonicity(standard_dilation(2), SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
+        assert not check_strict_monotonicity(Dilation((1.0, 1.0)), SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
 
     def test_weighted_identity(self):
         assert check_strict_monotonicity(Dilation((0.8, 1.0, 1.2)), SymMatrix(np.eye(3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            check_strict_monotonicity(standard_dilation(3), SymMatrix(np.eye(2)))
+            check_strict_monotonicity(Dilation((1.0, 1.0, 1.0)), SymMatrix(np.eye(2)))
 
 
 class TestWeightedSumNorm:
     def test_reduces_to_l1(self):
-        assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), standard_dilation(2))(3.0, 4.0) == 7.0
+        assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), Dilation((1.0, 1.0)))(3.0, 4.0) == 7.0
 
     def test_fractional_weight(self):
         assert norm_evaluator(WeightedSumNorm((1.0, 1.0)), Dilation((2.0, 1.0)))(9.0, 0.0) == 3.0
 
     def test_origin(self):
-        assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), standard_dilation(2))(0.0, 0.0) == 0.0
+        assert norm_evaluator(WeightedSumNorm((2.0, 1.0)), Dilation((1.0, 1.0)))(0.0, 0.0) == 0.0
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
@@ -157,7 +156,7 @@ class TestWeightedSumNorm:
 class TestCanonicalNorm:
     def test_standard_dilation_is_euclidean(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        assert norm_evaluator(spec, standard_dilation(2))(3.0, 4.0) == pytest.approx(5.0, abs=1e-11)
+        assert norm_evaluator(spec, Dilation((1.0, 1.0)))(3.0, 4.0) == pytest.approx(5.0, abs=1e-11)
 
     def test_origin(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
@@ -198,18 +197,18 @@ class TestCanonicalNorm:
     def test_requires_monotone_p(self):
         spec = CanonicalNorm(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
-            norm_evaluator(spec, standard_dilation(2))(1.0, 1.0)
+            norm_evaluator(spec, Dilation((1.0, 1.0)))(1.0, 1.0)
 
     def test_overflow_scale_input_raises(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         with pytest.raises(BracketError):
-            norm_evaluator(spec, standard_dilation(2))(1e300, 1e300)
+            norm_evaluator(spec, Dilation((1.0, 1.0)))(1e300, 1e300)
 
 
 class TestCanonicalGradient:
     def test_euclidean_case(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        grad = canonical_norm_gradient(spec, standard_dilation(2), [3.0, 4.0])
+        grad = canonical_norm_gradient(spec, Dilation((1.0, 1.0)), [3.0, 4.0])
         assert np.allclose(grad, [0.6, 0.8], atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -234,7 +233,7 @@ class TestCanonicalGradient:
     def test_origin_raises(self):
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         with pytest.raises(ValueError):
-            canonical_norm_gradient(spec, standard_dilation(2), [0.0, 0.0])
+            canonical_norm_gradient(spec, Dilation((1.0, 1.0)), [0.0, 0.0])
 
 
 class TestExperimentalNorm:

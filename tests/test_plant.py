@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,14 @@ from hpid.plant import (
     default_six_joint_plant,
     reference_eval,
 )
-from hpid.sim import rk4_step
+from hpid.sim import rk4_block
 
 RNG = np.random.default_rng(99)
 GAINS = GainSet(-3.0, -3.0, -1.0)
 
 
 class TestClosedLoopField:
-    """The closed loop of both plants, as the RK4 kernel sim.rk4_step integrates it."""
+    """The closed loop of both plants, as the RK4 kernel sim.rk4_block integrates it."""
 
     @pytest.mark.parametrize("mu", [-0.2, -0.1, 0.0, 0.1, 0.2])
     def test_equilibrium(self, mu):
@@ -27,8 +29,9 @@ class TestClosedLoopField:
         norms = (WeightedSumNorm((1.0, 1.0)), CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])))
         for norm in norms:
             law = hpid_law(GAINS, mu, norm, 1e-9)
-            out = rk4_step(law, GAINS.ki, [lambda t: 0.0], [0.0, 0.0, 0.0], [law(0.0, 0.0)], 0.0, 0.1)
-            assert np.array_equal(out, np.zeros(3)), type(norm).__name__
+            out = array("d")
+            rk4_block(law, GAINS.ki, lambda t: 0.0, (0.0, 0.0, 0.0), [0.0, 0.1], 0.1, out)
+            assert np.array_equal(out[4:7], np.zeros(3)), type(norm).__name__
 
     def test_canonical_norm_variant(self):
         result = checks._check_step_homogeneity(RNG, CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]])), samples=50)

@@ -1,5 +1,6 @@
 import math
 import pickle
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from hpid.plant import (
     default_six_joint_plant,
     reference_eval,
 )
-from hpid.sim import DivergenceError, Scenario, Trajectory, rk4_step, scaling_symmetry_run, simulate
+from hpid.sim import DivergenceError, Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
 
 GAINS = GainSet(-3.0, -3.0, -1.0)
 NORM_KINDS = ["weighted_sum", "experimental", "canonical"]
@@ -33,11 +34,13 @@ def _norm(kind: str):
 
 
 class TestRk4Step:
-    """The RK4 kernel on one (e, de, z) block, driven with its own law."""
+    """One step of the RK4 kernel on one (e, de, z) block, driven with its own law."""
 
     @staticmethod
     def _step(law, ki, dist, x, t, h):
-        return rk4_step(law, ki, [dist], list(x), [law(x[0], x[1])], t, h)
+        out = array("d")
+        rk4_block(law, ki, dist, x, [t, t + h], h, out)
+        return out[4:7].tolist()
 
     def test_zero_field(self):
         law = hpid_law(GAINS, 0.2, WeightedSumNorm((1.0, 1.0)), 1e-9)
@@ -65,7 +68,7 @@ class TestRk4Step:
         law = hpid_law(GAINS, 0.0, WeightedSumNorm((1.0, 1.0)), 1e-9)
         with pytest.raises(DivergenceError) as err:
             self._step(law, GAINS.ki, lambda t: 0.0 if t == 2.5 else math.inf, [1.0, 0.0, 0.0], 2.5, 0.1)
-        assert err.value.time == 2.5
+        assert (err.value.time, err.value.step) == (2.5, 0)
 
 
 class TestScenarioValidation:
@@ -130,13 +133,15 @@ class TestSimulateExtended:
         assert 0.0 < err.value.time <= 9.0
         assert err.value.time == 5463 * 1e-3
         assert str(err.value) == "simulation diverged at t = 5.463 (|x| > 1e+09)"
+        assert (err.value.step, err.value.block) == (5462, 0)
 
     @pytest.mark.parametrize("detail", ["x", ""])
     def test_divergence_error_survives_pickling(self, detail):
         # a worker process of the CLI sends it to the parent pickled
-        err = pickle.loads(pickle.dumps(DivergenceError(1.5, detail)))
+        err = pickle.loads(pickle.dumps(DivergenceError(1.5, detail, 1499, 2)))
         assert type(err) is DivergenceError
         assert (err.time, str(err)) == (1.5, str(DivergenceError(1.5, detail)))
+        assert (err.step, err.block) == (1499, 2)
 
     def test_deterministic_bitwise(self):
         scn = Scenario(controller="hpid", mu=-0.1, horizon=2.0, step=1e-3)
@@ -148,6 +153,69 @@ class TestSimulateExtended:
     def test_finite_time_run_settles_within_horizon(self):
         traj = simulate(Scenario(controller="hpid", mu=-0.2, horizon=9.0, step=1e-3))
         assert np.linalg.norm(traj.states[-1]) <= 1e-6
+
+
+def _jump(value: float, after: float):
+    """A disturbance that is `value` at stage times past `after`, and 0 before."""
+    return lambda t: value if t > after else 0.0
+
+
+def _fails(after: float):
+    """A disturbance that raises ValueError at stage times past `after`."""
+
+    def dist(t: float) -> float:
+        if t > after:
+            raise ValueError(f"no disturbance at t = {t:g}")
+        return 0.0
+
+    return dist
+
+
+class TestFailurePrecedence:
+    """simulate integrates block by block, yet raises what a loop stepping
+    all blocks together raises first: at the earliest step, a stage
+    exception (in block order), then a non-finite update, then one over
+    the limit.  On the grid h = 1e-3 the switch times 0.0502 and 0.0802
+    fall inside steps 50 and 80, after their start and before their
+    midpoints."""
+
+    @staticmethod
+    def _failure(monkeypatch, dists) -> Exception:
+        joints = tuple(
+            JointConfig(ReferenceSpec(amplitude=0.0, offset=1.0), DisturbanceSpec(0.1 * k, bound=0.5))
+            for k in range(len(dists))
+        )
+        monkeypatch.setattr(DisturbanceSpec, "eval", lambda spec, t: dists[round(10 * spec.constant)](t))
+        with pytest.raises(Exception) as err:
+            simulate(Scenario(joint_plant=JointPlantConfig(joints), horizon=0.1, step=1e-3))
+        return err.value
+
+    def test_earlier_step_wins_over_earlier_block(self, monkeypatch):
+        err = self._failure(monkeypatch, [_jump(1e15, 0.0802), _jump(1e15, 0.0502)])
+        assert type(err) is DivergenceError
+        assert str(err) == "simulation diverged at t = 0.051 (|x| > 1e+09)"
+        assert (err.time, err.step, err.block) == (51 * 1e-3, 50, 1)
+
+    def test_non_finite_wins_over_the_limit_at_one_step(self, monkeypatch):
+        err = self._failure(monkeypatch, [_jump(1e15, 0.0502), _jump(math.inf, 0.0502)])
+        assert type(err) is DivergenceError
+        assert str(err) == "simulation diverged at t = 0.05 (non-finite right-hand side)"
+        assert (err.time, err.step, err.block) == (50 * 1e-3, 50, 1)
+
+    def test_earlier_block_wins_a_tie(self, monkeypatch):
+        err = self._failure(monkeypatch, [_jump(0.0, 0.0), _jump(math.inf, 0.0502), _jump(math.inf, 0.0502)])
+        assert (err.step, err.block) == (50, 1)
+
+    def test_later_exception_loses_to_earlier_divergence(self, monkeypatch):
+        err = self._failure(monkeypatch, [_jump(1e15, 0.0502), _fails(0.0702)])
+        assert type(err) is DivergenceError
+        assert (err.step, err.block) == (50, 0)
+
+    def test_stage_exception_wins_over_divergence_at_one_step(self, monkeypatch):
+        # the midpoint value is drawn first in a step
+        err = self._failure(monkeypatch, [_jump(math.inf, 0.0502), _fails(0.0502)])
+        assert type(err) is ValueError
+        assert str(err) == "no disturbance at t = 0.0505"
 
 
 def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
