@@ -22,7 +22,7 @@ from .homogeneity import (
     extended_state_dilation,
     norm_evaluator,
 )
-from .metrics import MetricsReport, compare, iavc, itae, ivc, l2_norm, pointwise_norm
+from .metrics import MetricsReport, compare, iavc, itae, ivc, l2_norm
 from .plant import (
     DisturbanceSpec,
     JointConfig,
@@ -36,7 +36,6 @@ from .stability import (
     InfeasibleGainsError,
     StabilityCertificate,
     certify,
-    convergence_classifier,
     lyapunov_decrease_check,
     solve_lyapunov,
 )

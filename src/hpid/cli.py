@@ -83,7 +83,6 @@ __all__ = [
     "CompareJob",
     "CertifyJob",
     "parse_config",
-    "read_trajectory_csv",
     "cmd_simulate",
     "cmd_compare",
     "cmd_certify",
@@ -463,27 +462,6 @@ def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None) -> str:
                 row += (position(t) - e, u, e)
             lines.append(fmt % tuple(row))
     return "\n".join([*lines, ""])
-
-
-def read_trajectory_csv(path):
-    """Read a trajectory CSV back as (header list, 2-D float array).
-
-    Raises ValueError with the path and 1-based line for an empty file, a
-    row whose field count differs from the header's, or a non-finite field.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file, expected a header row")
-    header, rows = lines[0].split(","), []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: expected numbers, got {line!r}") from None
-        if len(fields) != len(header) or not all(map(math.isfinite, rows[-1])):
-            raise ValueError(f"{path}: line {lineno}: expected {len(header)} finite numbers, got {line!r}")
-    return header, np.array(rows).reshape(len(rows), len(header))
 
 
 def comparison_csv_text(

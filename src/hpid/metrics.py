@@ -26,7 +26,6 @@ __all__ = [
     "iavc",
     "itae",
     "l2_norm",
-    "pointwise_norm",
     "run_indices",
     "compare_indices",
     "compare",
@@ -75,14 +74,6 @@ def l2_norm(traj: Trajectory, signal: str) -> float:
     if len(data) < 2:
         raise ValueError("need at least two samples")
     return float(np.sqrt(np.trapezoid((data * data).sum(axis=1), traj.times)))
-
-
-def pointwise_norm(traj: Trajectory, signal: str, t_index: int) -> float:
-    """Euclidean norm across channels at one sample."""
-    data = _signal(traj, signal)
-    if not 0 <= t_index < len(data):
-        raise ValueError(f"sample index {t_index} out of range")
-    return float(np.linalg.norm(data[t_index]))
 
 
 @dataclass(frozen=True)

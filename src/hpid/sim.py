@@ -137,6 +137,8 @@ def _check_grid(T: float, h: float) -> None:
         raise ValueError(f"step must be positive, got {h}")
     if h > T / 10.0:
         raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
+    if not math.isfinite(T / h):
+        raise ValueError(f"step {h} too fine for horizon {T}: T/h overflows")
     if abs(round(T / h) * h - T) > 1e-9 * T:
         raise ValueError(f"step {h} does not divide horizon {T}")
 

@@ -9,15 +9,18 @@ constants
     beta  = lambda_min(P^{1/2} G P^{-1/2} + P^{-1/2} G' P^{1/2})
     gamma = -lambda_max(P^{1/2} A P^{-1/2} + P^{-1/2} A' P^{1/2})
 
-bound the decay of the canonical homogeneous norm V = ||x||_d along closed
-loop trajectories: dV/dt <= -(gamma / 2 beta) V^{1 + mu}.  The trajectory
-level check measures the fraction of sample intervals satisfying that
-inequality with a small slack.
+give the rate certify claims for the canonical homogeneous norm
+V = ||x||_d along closed-loop trajectories, dV/dt <= -(gamma / 2 beta)
+V^{1 + mu}.  It is a claim, not a guarantee: trajectories do not meet it
+at every degree (the strict xfail
+test_linear_run_from_unit_error_meets_certified_rate, the FOUND line on
+certify in CHANGES.md; ROADMAP item 1).  The trajectory-level check
+measures the fraction of sample intervals satisfying that inequality with
+a small slack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +33,9 @@ __all__ = [
     "InfeasibleGainsError",
     "StabilityCertificate",
     "DecreaseReport",
-    "ConvergenceReport",
     "solve_lyapunov",
     "certify",
     "lyapunov_decrease_check",
-    "convergence_classifier",
 ]
 
 _DIAG_DIR = np.diag([-1.0, 0.0, 1.0])
@@ -80,8 +81,10 @@ class StabilityCertificate:
     """Lyapunov matrix, proof constants, and the certified degree interval.
 
     beta is recorded at the worse interval endpoint (the smaller value,
-    nearest the feasibility boundary), so gamma / (2 beta) is the strongest
-    decrease rate the certificate claims on the whole interval.
+    nearest the feasibility boundary), and gamma / (2 beta) is the decrease
+    rate the certificate claims on the whole interval: the rate
+    lyapunov_decrease_check tests, which trajectories do not meet at every
+    degree (see the module docstring).
     """
 
     P: SymMatrix
@@ -204,32 +207,3 @@ def lyapunov_decrease_check(traj: Trajectory, cert: StabilityCertificate, mu: fl
         n_intervals=total,
         pass_fraction=_PASS_FRACTION,
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    finite_time: bool
-    settle_time: float | None
-    tolerance: float
-    horizon: float
-
-
-def convergence_classifier(traj: Trajectory, settle_tol: float) -> ConvergenceReport:
-    """Settle time and a finite-time verdict for a recorded trajectory.
-
-    settle_time is the first sample time after which the Euclidean state
-    norm stays at or below settle_tol for the rest of the horizon; the run
-    is classified finite-time when it settles before 0.95 * T.
-    """
-    if not (math.isfinite(settle_tol) and settle_tol > 0.0):
-        raise ValueError(f"settle_tol must be a positive real, got {settle_tol}")
-    norms = np.linalg.norm(traj.states, axis=1)
-    above = norms > settle_tol
-    horizon = float(traj.times[-1])
-    if not above.any():
-        return ConvergenceReport(True, float(traj.times[0]), settle_tol, horizon)
-    last_above = int(np.nonzero(above)[0][-1])
-    if last_above == len(norms) - 1:
-        return ConvergenceReport(False, None, settle_tol, horizon)
-    settle = float(traj.times[last_above + 1])
-    return ConvergenceReport(settle <= 0.95 * horizon, settle, settle_tol, horizon)

@@ -1,8 +1,9 @@
-"""Negative controls for the kernel checks of `hpid verify`.
+"""Negative controls for the checks of `hpid verify`.
 
-Each fault is written into the source of `sim.rk4_block`, and the faulty
-kernel takes the real one's place where the checks call it, at verify's
-sample counts.
+Each kernel fault is written into the source of `sim.rk4_block`, and the
+faulty kernel takes the real one's place where the checks call it, at
+verify's sample counts.  The metrics fault replaces `l2_norm` where the
+consistency line calls it, on the run `run_all` gives that line.
 """
 
 import inspect
@@ -52,3 +53,19 @@ def test_inhomogeneous_fault_fails_the_step_homogeneity_line(monkeypatch):
 def test_nan_residual_after_a_finite_one_fails():
     # a running max(worst, r) would return the finite residual and pass
     assert not checks.CheckResult("nan", checks._worst([0.0, math.nan]), 1e-9).passed
+
+
+def test_wrong_channel_sum_fails_the_consistency_line(monkeypatch):
+    # (sum_j |u_j|)^2 for sum_j u_j^2 agrees with the pointwise norm on a
+    # one-channel run; verify's line must run where the channels can disagree
+    def l1_squared_l2_norm(traj, signal):
+        return float(np.sqrt(np.trapezoid(np.abs(traj.controls).sum(axis=1) ** 2, traj.times)))
+
+    monkeypatch.setattr(checks, "l2_norm", l1_squared_l2_norm)
+    # the other checks are stubbed out, so run_all makes only this line's run
+    for name in vars(checks).copy():
+        if name.startswith("_check_") and name != "_check_metrics_identity":
+            monkeypatch.setattr(checks, name, lambda *args, **kwargs: None)
+    [consistency] = [result for result in checks.run_all(0) if result is not None]
+    assert consistency.name == "pointwise/L2 norm consistency"
+    assert not consistency.passed, consistency.line()

@@ -134,6 +134,7 @@ class TestParseConfig:
             # values only a library check rejects are cited at their key, not the header
             ("[scenario a]\n\nT = 1\nh = 0.3\n", [(4, "too coarse for horizon")]),
             ("[scenario a]\n\nT = 0.005\n", [(3, "too coarse for horizon")]),
+            ("[scenario a]\n\nT = 1e308\nh = 0.001\n", [(4, "T/h overflows")]),
             ("[scenario a]\nx0 = nan, 0, 0\n", [(2, "x0 must be three finite reals")]),
             ("[scenario j]\nplant = joints\ndist_constant = 0.6\n", [(3, "exceeds the disturbance bound")]),
             ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = canonical\nnorm_p = 1, 0, 0, -1\n",
@@ -163,8 +164,8 @@ class TestParseConfig:
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
-            "coarse_step", "coarse_step_default_h", "nonfinite_x0", "disturbance_bound", "nonmonotone_p",
-            "nonmonotone_p_pid",
+            "coarse_step", "coarse_step_default_h", "huge_step_count", "nonfinite_x0", "disturbance_bound",
+            "nonmonotone_p", "nonmonotone_p_pid",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
             "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed",
         ],
@@ -336,13 +337,19 @@ def scenario_cases(draw, name):
     return "\n".join(lines) + "\n\n", Scenario(controller, joint_plant=JointPlantConfig(joints), **common)
 
 
+def _read_csv(path):
+    """A written trajectory CSV as (header list, 2-D float array)."""
+    header, *rows = Path(path).read_text(encoding="utf-8").splitlines()
+    return header.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
 class TestSimulateCommand:
     def test_equilibrium_writes_zero_csv(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("[scenario eq]\nx0 = 0, 0, 0\nT = 1.0\nh = 0.01\n")
         code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 0
-        header, data = cli.read_trajectory_csv(tmp_path / "out" / "eq.csv")
+        header, data = _read_csv(tmp_path / "out" / "eq.csv")
         assert header == ["t", "x1", "x2", "x3", "u"]
         assert np.array_equal(data[:, 1:], np.zeros_like(data[:, 1:]))
 
@@ -359,7 +366,7 @@ class TestSimulateCommand:
         cfgfile.write_text("[scenario ft]\ncontroller = hpid\nmu = -0.2\nT = 9.0\nh = 0.001\n")
         code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 0
-        _, data = cli.read_trajectory_csv(tmp_path / "out" / "ft.csv")
+        _, data = _read_csv(tmp_path / "out" / "ft.csv")
         assert np.linalg.norm(data[-1, 1:4]) <= 1e-4
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -406,7 +413,7 @@ class TestSimulateCommand:
 
         cfg = cli.parse_config(cfgfile.read_text())
         traj = simulate(cfg.scenario("rt"))
-        _, data = cli.read_trajectory_csv(tmp_path / "out" / "rt.csv")
+        _, data = _read_csv(tmp_path / "out" / "rt.csv")
         assert np.array_equal(data[:, 0], traj.times)
         assert np.array_equal(data[:, 1:4], traj.states)
         assert np.array_equal(data[:, 4], traj.controls[:, 0])
@@ -426,7 +433,7 @@ class TestSimulateCommand:
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("[scenario j]\nplant = joints\nn_joints = 2\nref_phase = 0.3, 1.1\nT = 1.0\nh = 0.01\n")
         assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
-        _, data = cli.read_trajectory_csv(tmp_path / "out" / "j.csv")
+        _, data = _read_csv(tmp_path / "out" / "j.csv")
         refs = [jc.reference for jc in cli.parse_config(cfgfile.read_text()).scenario("j").joint_plant.joints]
         for k, ref in enumerate(refs):
             q, eps = data[:, 1 + 3 * k], data[:, 3 + 3 * k]
@@ -436,7 +443,7 @@ class TestSimulateCommand:
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("[scenario j]\nplant = joints\nn_joints = 2\nT = 1.0\nh = 0.01\n")
         assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
-        header, data = cli.read_trajectory_csv(tmp_path / "out" / "j.csv")
+        header, data = _read_csv(tmp_path / "out" / "j.csv")
         assert header == ["t", "j1_q", "j1_u", "j1_eps", "j2_q", "j2_u", "j2_eps"]
         assert data.shape[1] == 7
 
@@ -496,35 +503,6 @@ class TestSimulateCommand:
             cli.main([command, "--seed", "1", "--config", "c", "--out", "o"])
         assert exc.value.code == cli.EXIT_CONFIG
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-
-
-class TestReadTrajectoryCsv:
-    HEADER = "t,x1,x2,x3,u\n"
-
-    def read_error(self, tmp_path, text) -> str:
-        path = tmp_path / "t.csv"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            cli.read_trajectory_csv(path)
-        assert str(path) in str(err.value)
-        return str(err.value)
-
-    def test_short_row(self, tmp_path):
-        error = self.read_error(tmp_path, self.HEADER + "0,1,0,0.3,2\n0.1,1,0,0.3\n")
-        assert "line 3: expected 5 finite numbers" in error
-
-    def test_long_row(self, tmp_path):
-        assert "line 2: expected 5 finite numbers" in self.read_error(tmp_path, self.HEADER + "0,1,0,0.3,2,7\n")
-
-    def test_not_a_number(self, tmp_path):
-        assert "line 2: expected numbers" in self.read_error(tmp_path, self.HEADER + "0,1,zero,0.3,2\n")
-
-    def test_nonfinite_value(self, tmp_path):
-        error = self.read_error(tmp_path, self.HEADER + "0,1,0,0.3,2\nnan,nan,nan,nan,nan\n")
-        assert "line 3: expected 5 finite numbers" in error
-
-    def test_empty_file(self, tmp_path):
-        assert "line 1: empty file" in self.read_error(tmp_path, "")
 
 
 class TestCompareCommand:

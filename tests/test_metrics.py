@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hpid.metrics import compare, iavc, itae, ivc, l2_norm, pointwise_norm
+from hpid.metrics import compare, iavc, itae, ivc, l2_norm
 from hpid.sim import Scenario, Trajectory, simulate
 
 
@@ -80,25 +80,12 @@ class TestL2AndPointwise:
         traj = _traj(GRID, np.ones((len(GRID), 6)))
         assert l2_norm(traj, "control") == pytest.approx(math.sqrt(54.0), abs=1e-9)
 
-    def test_pointwise_zero_sample(self):
-        traj = _traj(GRID, np.zeros((len(GRID), 6)))
-        assert pointwise_norm(traj, "control", 100) == 0.0
-
-    def test_pointwise_345(self):
-        u = np.zeros((len(GRID), 6))
-        u[42, 0], u[42, 1] = 3.0, 4.0
-        assert pointwise_norm(_traj(GRID, u), "control", 42) == 5.0
-
-    def test_pointwise_index_range(self):
-        with pytest.raises(ValueError):
-            pointwise_norm(_traj(GRID, np.zeros((len(GRID), 2))), "control", len(GRID))
-
     def test_l2_consistency_identity(self):
         rng = np.random.default_rng(3)
         u = rng.normal(size=(len(GRID), 6))
         traj = _traj(GRID, u)
         l2 = l2_norm(traj, "control")
-        squares = np.array([pointwise_norm(traj, "control", i) ** 2 for i in range(len(GRID))])
+        squares = np.array([float(np.linalg.norm(row)) ** 2 for row in traj.controls])
         via_pointwise = math.sqrt(np.trapezoid(squares, GRID))
         assert abs(l2 - via_pointwise) <= 1e-9 * l2
 

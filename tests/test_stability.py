@@ -10,7 +10,6 @@ from hpid.sim import Scenario, Trajectory, simulate
 from hpid.stability import (
     InfeasibleGainsError,
     certify,
-    convergence_classifier,
     lyapunov_decrease_check,
     solve_lyapunov,
 )
@@ -173,34 +172,3 @@ class TestDecreaseCheck:
         other = certify(GainSet(-1.0, -2.0, -0.5))
         with pytest.raises(ValueError):
             lyapunov_decrease_check(traj, other, 0.1)
-
-
-class TestConvergenceClassifier:
-    def test_zero_state_settles_immediately(self):
-        traj = simulate(Scenario(x0=(0.0, 0.0, 0.0), horizon=1.0, step=1e-2))
-        report = convergence_classifier(traj, settle_tol=1e-6)
-        assert report.settle_time == 0.0
-        assert report.finite_time
-
-    def test_growing_state_never_settles(self):
-        scn = Scenario(horizon=1.0, step=1e-2)
-        times = np.arange(0.0, 1.0 + 1e-9, 1e-2)
-        states = (1.0 + times)[:, None] * np.array([1.0, 0.0, 0.0])
-        traj = Trajectory(
-            times=times,
-            states=states,
-            controls=np.zeros((len(times), 1)),
-            scenario=scn,
-        )
-        report = convergence_classifier(traj, settle_tol=0.5)
-        assert report.settle_time is None
-        assert not report.finite_time
-
-    def test_finite_time_run_settles_before_linear(self):
-        fast = simulate(Scenario(controller="hpid", mu=-0.2, horizon=12.0, step=1e-3))
-        slow = simulate(Scenario(controller="pid", horizon=30.0, step=1e-3))
-        r_fast = convergence_classifier(fast, settle_tol=1e-6)
-        r_slow = convergence_classifier(slow, settle_tol=1e-6)
-        assert r_fast.settle_time is not None and r_slow.settle_time is not None
-        assert r_fast.settle_time < 0.95 * r_slow.settle_time
-        assert r_fast.finite_time
