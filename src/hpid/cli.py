@@ -464,39 +464,21 @@ def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None) -> str:
     return "\n".join([*lines, ""])
 
 
-def comparison_csv_text(
-    report: metrics.MetricsReport | None,
-    fixture_rows=None,
-    fixture_l2=None,
-) -> str:
-    """CSV for a comparison: joint rows, aggregate L2 rows, a summary line.
+def comparison_csv_text(rows, aggregates, source: str = "") -> str:
+    """CSV for a comparison from text cells: joint rows, aggregate rows, a summary line.
 
-    Exactly one of report / fixture_rows must be given; fixture values are
-    rendered verbatim so stored strings survive byte-exactly.
+    rows: six cells per joint (IVC, IAVC, ITAE, each PID then hPID); aggregates:
+    (name, pid, hpid, note) rows; source: where injected numbers came from.  The summary
+    counts the joints whose hPID IVC/IAVC cell reads lower, exact on _FMT cells.
     """
     lines = ["joint,IVC_PID,IVC_HPID,IAVC_PID,IAVC_HPID,ITAE_PID,ITAE_HPID"]
-    if fixture_rows is not None:
-        # injected, externally measured numbers: say so in the artifact
-        lines.append("source,hardware_fixture,,,,,")
-        for j, row in enumerate(fixture_rows, start=1):
-            lines.append(f"{j}," + ",".join(row))
-        l2_control, l2_error, l2_error_alt = fixture_l2
-        lines.append(f"aggregate,l2_control,{l2_control[0]},{l2_control[1]},,,")
-        lines.append(f"aggregate,l2_error,{l2_error[0]},{l2_error[1]},,,")
-        if l2_error_alt is not None:
-            lines.append(f"aggregate,l2_error_alt,{l2_error_alt[0]},{l2_error_alt[1]},conflicting_report,,")
-        ivc_wins = sum(float(r[1]) < float(r[0]) for r in fixture_rows)
-        iavc_wins = sum(float(r[3]) < float(r[2]) for r in fixture_rows)
-        n = len(fixture_rows)
-    else:
-        pairs = (report.ivc_pid, report.ivc_hpid, report.iavc_pid, report.iavc_hpid, report.itae_pid, report.itae_hpid)
-        for j, row in enumerate(zip(*pairs), start=1):
-            lines.append(f"{j}," + ",".join(_FMT % v for v in row))
-        lines.append(f"aggregate,l2_control,{_FMT % report.l2_control_pid},{_FMT % report.l2_control_hpid},,,")
-        lines.append(f"aggregate,l2_error,{_FMT % report.l2_error_pid},{_FMT % report.l2_error_hpid},,,")
-        ivc_wins, iavc_wins, _ = report.hpid_win_counts()
-        n = report.n_joints
-    lines.append(f"summary,hpid_lower_ivc,{ivc_wins},hpid_lower_iavc,{iavc_wins},joints,{n}")
+    if source:
+        lines.append(f"source,{source},,,,,")
+    lines += [f"{j}," + ",".join(row) for j, row in enumerate(rows, start=1)]
+    lines += [f"aggregate,{name},{pid},{hpid},{note},," for name, pid, hpid, note in aggregates]
+    ivc_wins = sum(float(row[1]) < float(row[0]) for row in rows)
+    iavc_wins = sum(float(row[3]) < float(row[2]) for row in rows)
+    lines.append(f"summary,hpid_lower_ivc,{ivc_wins},hpid_lower_iavc,{iavc_wins},joints,{len(rows)}")
     return "\n".join(lines) + "\n"
 
 
@@ -666,24 +648,27 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
     runs = dict(zip(names, _map(indices, names)))
     for job in cfg.compares:
         if job.fixture:
+            # injected, externally measured numbers: say so in the artifact
             text = comparison_csv_text(
-                None,
-                fixture_rows=fixtures.HARDWARE_COMPARISON_ROWS,
-                fixture_l2=(fixtures.HARDWARE_L2_CONTROL, fixtures.HARDWARE_L2_ERROR, fixtures.HARDWARE_L2_ERROR_ALT),
+                fixtures.HARDWARE_COMPARISON_ROWS, fixtures.HARDWARE_AGGREGATES, source="hardware_fixture"
             )
         else:
             try:
                 for name in (job.pid, job.hpid):
                     if isinstance(runs[name], Exception):
                         raise runs[name]
-                report = metrics.compare_indices(runs[job.pid], runs[job.hpid])
+                report = metrics.MetricsReport(runs[job.pid], runs[job.hpid])
             except DivergenceError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_DIVERGENCE
             except ValueError as exc:
                 print(f"error: [compare {job.name}] {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            text = comparison_csv_text(report)
+            pid, hpid = report.pid, report.hpid
+            text = comparison_csv_text(
+                [[_FMT % v for v in row] for row in zip(pid.ivc, hpid.ivc, pid.iavc, hpid.iavc, pid.itae, hpid.itae)],
+                [(k, _FMT % getattr(pid, k), _FMT % getattr(hpid, k), "") for k in ("l2_control", "l2_error")],
+            )
         path = out / f"{job.name}.csv"
         path.write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {path}")

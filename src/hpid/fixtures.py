@@ -3,7 +3,8 @@
 These numbers come from a six-joint hardware campaign and are not
 reproducible at desk scale; they exist solely so the report renderer can be
 exercised (and its output checked byte-exactly) on realistic content.  The
-values are kept as strings so rendering never reformats them.
+values are the text cells `cli.comparison_csv_text` writes verbatim for a
+simulated table too, so rendering never reformats them.
 
 The campaign reported the error L2 norm twice with inconsistent values;
 both pairs are carried, the second flagged as the alternate reading.
@@ -13,9 +14,7 @@ from __future__ import annotations
 
 __all__ = [
     "HARDWARE_COMPARISON_ROWS",
-    "HARDWARE_L2_CONTROL",
-    "HARDWARE_L2_ERROR",
-    "HARDWARE_L2_ERROR_ALT",
+    "HARDWARE_AGGREGATES",
     "HARDWARE_FIXTURE_NAME",
 ]
 
@@ -31,7 +30,10 @@ HARDWARE_COMPARISON_ROWS: tuple[tuple[str, ...], ...] = (
     ("552", "591", "102", "108", "1.802", "1.3733"),
 )
 
-# (PID, HPID) stacked-signal L2 norms over the 9 s window
-HARDWARE_L2_CONTROL: tuple[str, str] = ("423.933", "329.459")
-HARDWARE_L2_ERROR: tuple[str, str] = ("52.2818", "55.0789")
-HARDWARE_L2_ERROR_ALT: tuple[str, str] = ("59.214", "55.865")
+# (name, PID, HPID, note): stacked-signal L2 norms over the 9 s window, the
+# alternate error reading last and flagged
+HARDWARE_AGGREGATES: tuple[tuple[str, str, str, str], ...] = (
+    ("l2_control", "423.933", "329.459", ""),
+    ("l2_error", "52.2818", "55.0789", ""),
+    ("l2_error_alt", "59.214", "55.865", "conflicting_report"),
+)

@@ -9,6 +9,9 @@ sampled control, which makes it the total variation of the samples):
     time-weighted error integral of t * |error|
 
 plus aggregate L2 norms of the stacked control and error signals.
+
+A `MetricsReport` is the pair of two runs' `RunIndices`, PID then hPID;
+it refuses runs that differ in plant, channel layout or grid.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "itae",
     "l2_norm",
     "run_indices",
-    "compare_indices",
     "compare",
 ]
 
@@ -77,33 +79,6 @@ def l2_norm(traj: Trajectory, signal: str) -> float:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    """Per-joint indices for two matched runs plus aggregate L2 norms."""
-
-    ivc_pid: tuple[float, ...]
-    ivc_hpid: tuple[float, ...]
-    iavc_pid: tuple[float, ...]
-    iavc_hpid: tuple[float, ...]
-    itae_pid: tuple[float, ...]
-    itae_hpid: tuple[float, ...]
-    l2_control_pid: float
-    l2_control_hpid: float
-    l2_error_pid: float
-    l2_error_hpid: float
-
-    @property
-    def n_joints(self) -> int:
-        return len(self.ivc_pid)
-
-    def hpid_win_counts(self) -> tuple[int, int, int]:
-        """How many joints improved (strictly lower index) under hPID."""
-        ivc_wins = sum(h < p for p, h in zip(self.ivc_pid, self.ivc_hpid))
-        iavc_wins = sum(h < p for p, h in zip(self.iavc_pid, self.iavc_hpid))
-        itae_wins = sum(h < p for p, h in zip(self.itae_pid, self.itae_hpid))
-        return ivc_wins, iavc_wins, itae_wins
-
-
-@dataclass(frozen=True)
 class RunIndices:
     """One run's per-channel indices and L2 norms, with what pairing two runs checks."""
 
@@ -132,28 +107,22 @@ def run_indices(traj: Trajectory) -> RunIndices:
     )
 
 
-def compare_indices(pid: RunIndices, hpid: RunIndices) -> MetricsReport:
-    """Per-joint index table for two runs' indices on the same plant and grid."""
-    if pid.layout != hpid.layout:
-        raise ValueError("runs have different channel layouts")
-    if len(pid.times) != len(hpid.times) or not np.array_equal(pid.times, hpid.times):
-        raise ValueError("runs were sampled on different grids")
-    if pid.plant != hpid.plant:
-        raise ValueError("runs use different plants")
-    return MetricsReport(
-        ivc_pid=pid.ivc,
-        ivc_hpid=hpid.ivc,
-        iavc_pid=pid.iavc,
-        iavc_hpid=hpid.iavc,
-        itae_pid=pid.itae,
-        itae_hpid=hpid.itae,
-        l2_control_pid=pid.l2_control,
-        l2_control_hpid=hpid.l2_control,
-        l2_error_pid=pid.l2_error,
-        l2_error_hpid=hpid.l2_error,
-    )
+@dataclass(frozen=True)
+class MetricsReport:
+    """Two matched runs' indices: PID then hPID, on the same plant and grid."""
+
+    pid: RunIndices
+    hpid: RunIndices
+
+    def __post_init__(self):
+        if self.pid.layout != self.hpid.layout:
+            raise ValueError("runs have different channel layouts")
+        if not np.array_equal(self.pid.times, self.hpid.times):
+            raise ValueError("runs were sampled on different grids")
+        if self.pid.plant != self.hpid.plant:
+            raise ValueError("runs use different plants")
 
 
 def compare(traj_pid: Trajectory, traj_hpid: Trajectory) -> MetricsReport:
     """Per-joint index table for two runs on the same plant and grid."""
-    return compare_indices(run_indices(traj_pid), run_indices(traj_hpid))
+    return MetricsReport(run_indices(traj_pid), run_indices(traj_hpid))

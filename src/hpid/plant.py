@@ -123,10 +123,6 @@ class JointPlantConfig:
             raise ValueError("joint plant needs at least one joint")
         object.__setattr__(self, "joints", tuple(self.joints))
 
-    @property
-    def n_joints(self) -> int:
-        return len(self.joints)
-
 
 # Desk-scale defaults for the six-joint comparison plant.  Amplitudes,
 # frequencies and offsets vary across joints; disturbance phases are spread

@@ -34,6 +34,7 @@ do not agree in every last bit.  hpid verify checks this kernel
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -139,6 +140,8 @@ def _check_grid(T: float, h: float) -> None:
         raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
     if not math.isfinite(T / h):
         raise ValueError(f"step {h} too fine for horizon {T}: T/h overflows")
+    if round(T / h) >= sys.maxsize:  # n + 1 samples no array can index
+        raise ValueError(f"step {h} too fine for horizon {T}: T/h = {T / h:.3g} steps exceed any array")
     if abs(round(T / h) * h - T) > 1e-9 * T:
         raise ValueError(f"step {h} does not divide horizon {T}")
 

@@ -40,6 +40,10 @@ def test_package_reexports_module_exports():
         "pointwise_norm",
         "convergence_classifier",
         "ConvergenceReport",
+        "compare_indices",
+        "HARDWARE_L2_CONTROL",
+        "HARDWARE_L2_ERROR",
+        "HARDWARE_L2_ERROR_ALT",
     ],
 )
 def test_deleted_names_stay_deleted(name):

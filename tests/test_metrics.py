@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hpid import cli
 from hpid.metrics import compare, iavc, itae, ivc, l2_norm
 from hpid.sim import Scenario, Trajectory, simulate
 
@@ -117,10 +118,10 @@ class TestCompare:
     def test_self_comparison_is_symmetric(self):
         traj = simulate(Scenario(horizon=2.0, step=1e-3))
         report = compare(traj, traj)
-        assert report.ivc_pid == report.ivc_hpid
-        assert report.iavc_pid == report.iavc_hpid
-        assert report.itae_pid == report.itae_hpid
-        assert report.l2_control_pid == report.l2_control_hpid
+        assert report.pid.ivc == report.hpid.ivc
+        assert report.pid.iavc == report.hpid.iavc
+        assert report.pid.itae == report.hpid.itae
+        assert report.pid.l2_control == report.hpid.l2_control
 
     def test_grid_mismatch_rejected(self):
         a = simulate(Scenario(horizon=2.0, step=1e-3))
@@ -128,9 +129,22 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(a, b)
 
-    def test_win_counts(self):
-        a = simulate(Scenario(horizon=2.0, step=1e-3, x0=(1.0, 0.0, 0.3)))
-        b = simulate(Scenario(horizon=2.0, step=1e-3, x0=(0.5, 0.0, 0.15)))
-        report = compare(a, b)
-        wins = report.hpid_win_counts()
-        assert all(0 <= w <= report.n_joints for w in wins)
+    def test_win_counts(self, tmp_path, capsys):
+        # the summary counts the joints whose hPID index is strictly lower; the
+        # spread amplitudes leave hPID's IVC higher on two joints, so a swapped
+        # PID/hPID pairing would read 2 and 0
+        joints = "plant = joints\nref_amplitude = 1, 0.1, 2, 0.05, 3, 0.5\nT = 2.0\nh = 0.001\n"
+        text = (
+            f"[scenario p]\n{joints}\n[scenario h]\n{joints}controller = hpid\nmu = 0.2\nnorm_coefficients = 1, 1\n\n"
+            "[compare c]\npid = p\nhpid = h\n"
+        )
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(text)
+        assert cli.main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == "summary,hpid_lower_ivc,4,hpid_lower_iavc,6,joints,6"
+        cfg = cli.parse_config(text)
+        report = compare(simulate(cfg.scenario("p")), simulate(cfg.scenario("h")))
+        ivc_wins = sum(h < p for p, h in zip(report.pid.ivc, report.hpid.ivc))
+        iavc_wins = sum(h < p for p, h in zip(report.pid.iavc, report.hpid.iavc))
+        assert summary == f"summary,hpid_lower_ivc,{ivc_wins},hpid_lower_iavc,{iavc_wins},joints,{len(report.pid.ivc)}"

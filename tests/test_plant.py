@@ -92,7 +92,7 @@ class TestDisturbance:
 class TestJointPlantConfig:
     def test_default_plant_shape(self):
         plant = default_six_joint_plant()
-        assert plant.n_joints == 6
+        assert len(plant.joints) == 6
         assert all(j.disturbance.bound == 0.5 for j in plant.joints)
 
     def test_needs_at_least_one_joint(self):

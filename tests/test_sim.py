@@ -418,7 +418,7 @@ class TestKernelEvaluationCounts:
         count = self._count_norm_evals(monkeypatch)
         scn = Scenario(controller="hpid", mu=0.2, joint_plant=joint_plant, horizon=0.1, step=1e-3)
         simulate(scn)
-        n_blocks = 1 if joint_plant is None else joint_plant.n_joints
+        n_blocks = 1 if joint_plant is None else len(joint_plant.joints)
         assert count[0] == n_blocks * (4 * scn.n_steps() + 1)
 
     def test_pid_evaluates_no_norm(self, monkeypatch):
@@ -438,7 +438,7 @@ class TestKernelEvaluationCounts:
         plant = default_six_joint_plant()
         scn = Scenario(controller="hpid", mu=-0.2, joint_plant=plant, horizon=0.1, step=1e-3)
         simulate(scn)
-        assert [calls.get(id(jc.disturbance)) for jc in plant.joints] == [3 * scn.n_steps()] * plant.n_joints
+        assert [calls.get(id(jc.disturbance)) for jc in plant.joints] == [3 * scn.n_steps()] * len(plant.joints)
 
 
 class TestScalingSymmetry:
