@@ -13,10 +13,12 @@ Exit codes: 0 success, 1 property or stability failure, 2 configuration
 error, 3 numerical divergence.
 
 simulate and compare spread their runs over the usable cores, with no
-setting (_map): forked workers take every n-th scenario, and every file,
-printed line and exit code is the one a single core gives.  simulate
-renames its CSVs into place only after every run has finished; compare
-simulates each scenario named by any job once.
+setting (workers.fork_map): forked workers take every n-th scenario, and
+every file, printed line and exit code is the one a single core gives.
+simulate renames its CSVs into place only after every run has finished;
+compare simulates each scenario named by any job once.  verify's Lyapunov
+decrease line spreads its canonical-norm samples over the same forked
+workers (stability.lyapunov_decrease_check), with the same output.
 
 Config format: flat `key = value` lines under bracketed section headers,
 `#` starts a comment.  Section kinds:
@@ -60,11 +62,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
-import pickle
 import re
 import sys
-import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -76,6 +75,7 @@ from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
 from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _initial_state, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
+from .workers import fork_map
 
 __all__ = [
     "ConfigError",
@@ -513,75 +513,6 @@ def _warn_uncertified(scenarios) -> None:
             )
 
 
-def _share(fn, items) -> tuple[list, Exception | None]:
-    """fn over items in order until one raises: (the values, that exception or None)."""
-    values = []
-    try:
-        for x in items:
-            values.append(fn(x))
-    except Exception as exc:
-        return values, exc
-    return values, None
-
-
-def _pickled(share) -> bytes:
-    """A worker's share as the bytes it sends; what would not load again becomes a RuntimeError naming it."""
-    values, exc = share
-    try:
-        data = pickle.dumps(share)
-        pickle.loads(data)
-        return data
-    except Exception as err:
-        what = f"{type(exc).__name__}: {exc}" if exc is not None else f"a result that does not pickle ({err})"
-        return pickle.dumps(([], RuntimeError(f"worker process returned {what}")))
-
-
-def _map(fn, items: list) -> list:
-    """[fn(x) for x in items], spread over the usable cores.
-
-    n = min(len(items), usable cores) workers: this process takes items
-    0::n, and for k in 1..n-1 a child made by os.fork() takes items k::n and
-    sends back its values, or its exception, pickled through a pipe.  Every
-    pipe is read and every child reaped before this returns or raises.  The
-    exception raised is the one a serial loop would raise, the first in
-    items' order.  fn's output must go to files or its return value: a
-    child prints nothing.  A process with other threads, which fork would
-    not copy, runs every item itself.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(len(items), cores if threading.active_count() == 1 else 1))
-    shares, children = [], []  # shares[k] is worker k's (values, exception)
-    try:
-        for k in range(1, n):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as pipe:
-                        pipe.write(_pickled(_share(fn, items[k::n])))
-                finally:
-                    os._exit(0)  # no cleanup or buffer flush of the parent's
-            os.close(write)
-            children.append((pid, read))
-        shares.append(_share(fn, items[0::n]))
-    finally:
-        for pid, read in children:
-            with os.fdopen(read, "rb") as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            lost = RuntimeError(f"worker process ended without a result (exit code {code})")
-            shares.append(pickle.loads(data) if data else ([], lost))
-    # worker k's values stop at its first exception, item k + n * len(values)
-    failures = [(k + n * len(values), exc) for k, (values, exc) in enumerate(shares) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(items)
-    for k, (values, _) in enumerate(shares):
-        results[k::n] = values
-    return results
-
-
 def _part_path(out: Path, scn: Scenario) -> Path:
     return out / f".{scn.name}.csv.part"
 
@@ -609,7 +540,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
                 f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS))
 
     try:
-        _map(write_part, list(cfg.scenarios))
+        fork_map(write_part, list(cfg.scenarios))
         for scn in cfg.scenarios:
             path = _part_path(out, scn).replace(out / f"{scn.name}.csv")
             print(f"wrote {path}")
@@ -645,7 +576,7 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
             return exc
 
     names = list(dict.fromkeys(name for job in cfg.compares if not job.fixture for name in (job.pid, job.hpid)))
-    runs = dict(zip(names, _map(indices, names)))
+    runs = dict(zip(names, fork_map(indices, names)))
     for job in cfg.compares:
         if job.fixture:
             # injected, externally measured numbers: say so in the artifact

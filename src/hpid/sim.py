@@ -258,8 +258,10 @@ def simulate(scn: Scenario) -> Trajectory:
     state (in block order).  A block after a failing one runs only up to
     the failure's step.
     A run depends on its scenario alone and keeps no state between calls,
-    so the CLI makes a batch's runs in forked worker processes; the
-    DivergenceError of a worker reaches the parent pickled.
+    so the CLI makes a batch's runs in forked worker processes
+    (workers.fork_map, which also spreads the samples of the Lyapunov
+    decrease check, and so verify's); the DivergenceError of a worker
+    reaches the parent pickled.
     """
     if scn.joint_plant is None:
         # one undisturbed block: the constant disturbance sits in z(0) = p

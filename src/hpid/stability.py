@@ -16,7 +16,10 @@ at every degree (the strict xfail
 test_linear_run_from_unit_error_meets_certified_rate, the FOUND line on
 certify in CHANGES.md; ROADMAP item 1).  The trajectory-level check
 measures the fraction of sample intervals satisfying that inequality with
-a small slack.
+a small slack, and names the interval that misses it by the most.  It
+solves V at every sample, and spreads those solves over the usable cores
+with no setting (workers.fork_map, the forked map the CLI's simulate and
+compare use), so it and hpid verify return what one core returns.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .control import GainSet
 from .homogeneity import CanonicalNorm, SymMatrix, extended_state_dilation, norm_evaluator
 from .sim import Trajectory
+from .workers import fork_map
 
 __all__ = [
     "InfeasibleGainsError",
@@ -160,13 +164,20 @@ _SLACK_ABS, _SLACK_REL, _PASS_FRACTION = 1e-6, 0.05, 0.99
 
 @dataclass(frozen=True)
 class DecreaseReport:
-    """Fraction of trajectory intervals satisfying the certified decay."""
+    """Fraction of trajectory intervals satisfying the certified decay.
+
+    worst_interval is the index i of the live interval [t_i, t_{i+1}] whose
+    slope exceeds its slack-widened bound the most, and worst_start its
+    start time t_i; both are None when no live interval fails.
+    """
 
     fraction: float
     passed: bool
     rate: float
     n_intervals: int
     pass_fraction: float
+    worst_interval: int | None
+    worst_start: float | None
 
 
 def lyapunov_decrease_check(traj: Trajectory, cert: StabilityCertificate, mu: float) -> DecreaseReport:
@@ -191,19 +202,27 @@ def lyapunov_decrease_check(traj: Trajectory, cert: StabilityCertificate, mu: fl
         raise ValueError(f"mu={mu} lies outside the certified interval ({cert.mu_lo}, {cert.mu_hi})")
 
     norm = norm_evaluator(CanonicalNorm(cert.P), extended_state_dilation(mu))
-    V = np.array([norm(*x) for x in traj.states])
+    # each sample is solved on its own; a forked worker's share of the
+    # states is a view of its copy of this process, so only values travel
+    V = np.array(fork_map(lambda x: norm(*x), traj.states))
     rate = cert.decrease_rate()
     Vi = V[:-1]
     live = Vi > 100.0 * scn.norm_floor
     slope = np.diff(V) / np.diff(traj.times)
     rhs = -rate * Vi ** (1.0 + mu)
+    bound = rhs + _SLACK_ABS + _SLACK_REL * np.abs(rhs)
+    meets = slope <= bound
     total = int(np.count_nonzero(live))
-    ok = int(np.count_nonzero(live & (slope <= rhs + _SLACK_ABS + _SLACK_REL * np.abs(rhs))))
+    ok = int(np.count_nonzero(live & meets))
     fraction = 1.0 if total == 0 else ok / total
+    failing = live & ~meets
+    worst = int(np.argmax(np.where(failing, slope - bound, -np.inf))) if failing.any() else None
     return DecreaseReport(
         fraction=fraction,
         passed=fraction >= _PASS_FRACTION,
         rate=rate,
         n_intervals=total,
         pass_fraction=_PASS_FRACTION,
+        worst_interval=worst,
+        worst_start=None if worst is None else float(traj.times[worst]),
     )

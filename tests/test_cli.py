@@ -18,6 +18,7 @@ from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, Reference
 from hpid.sim import Scenario
 from hpid.stability import certify
 from hpid.fixtures import HARDWARE_COMPARISON_ROWS
+from hpid.workers import fork_map
 
 MINIMAL = """
 [scenario base]
@@ -718,14 +719,14 @@ class TestWorkerProcesses:
         # worker k takes items k::n, worker 0 being this process; with another
         # thread running, which fork would not copy, this process takes all
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pids = cli._map(lambda x: os.getpid(), list(range(7)))
+        pids = fork_map(lambda x: os.getpid(), list(range(7)))
         assert pids[0::3] == [os.getpid()] * 3
         assert len(set(pids)) == 3 and all(len(set(pids[k::3])) == 1 for k in range(3))
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert cli._map(lambda x: os.getpid(), list(range(7))) == [os.getpid()] * 7
+            assert fork_map(lambda x: os.getpid(), list(range(7))) == [os.getpid()] * 7
         finally:
             release.set()
             thread.join(timeout=10)
@@ -735,8 +736,8 @@ class TestWorkerProcesses:
         items = list(range(7))
         for cores in [{0}, *FORKED]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-            assert cli._map(lambda x: x * x, items) == [x * x for x in items]
-            assert cli._map(lambda x: x, []) == []
+            assert fork_map(lambda x: x * x, items) == [x * x for x in items]
+            assert fork_map(lambda x: x, []) == []
 
             def fail_at_2_and_3(x):
                 # forked over three workers, item 2 fails in a child and item 3 here
@@ -745,7 +746,7 @@ class TestWorkerProcesses:
                 return x
 
             with pytest.raises(ValueError, match="^item 2$"):
-                cli._map(fail_at_2_and_3, items)
+                fork_map(fail_at_2_and_3, items)
 
     @pytest.mark.parametrize("loads", [False, True], ids=["dumps_fails", "loads_fails"])
     def test_map_reports_an_exception_that_does_not_pickle(self, monkeypatch, loads):
@@ -760,7 +761,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         name = "_TwoArgError" if loads else "Local"
         with pytest.raises(RuntimeError, match=f"^worker process returned {name}: item 1$"):
-            cli._map(fail_in_child, [0, 1])
+            fork_map(fail_in_child, [0, 1])
 
 
 class _TwoArgError(Exception):

@@ -1,11 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hpid import stability
 from hpid.checks import CheckResult
 from hpid.control import GainSet
+from hpid.homogeneity import CanonicalNorm, extended_state_dilation, norm_evaluator
 from hpid.sim import Scenario, Trajectory, simulate
 from hpid.stability import (
     InfeasibleGainsError,
@@ -124,6 +127,7 @@ class TestDecreaseCheck:
         assert np.abs(exact - traj.states[::500]).max() <= 1e-6
         report = lyapunov_decrease_check(traj, cert, 0.0)
         assert report.passed and report.fraction == 1.0
+        assert report.worst_interval is None and report.worst_start is None
 
     def test_growing_trajectory_fails(self, cert):
         scn = Scenario(controller="pid", horizon=2.0, step=1e-2)
@@ -153,6 +157,37 @@ class TestDecreaseCheck:
         traj = simulate(Scenario(controller="pid", x0=(1.0, 0.0, 0.0), horizon=2.0))
         assert lyapunov_decrease_check(traj, cert, 0.0).passed
 
+    def test_worst_interval_is_the_largest_excess(self, cert):
+        # the run of the strict xfail above, whose live intervals miss the rate
+        traj = simulate(Scenario(controller="pid", x0=(1.0, 0.0, 0.0), horizon=2.0))
+        report = lyapunov_decrease_check(traj, cert, 0.0)
+        norm = norm_evaluator(CanonicalNorm(cert.P), extended_state_dilation(0.0))
+        V = np.array([norm(*x) for x in traj.states])
+        slope = np.diff(V) / np.diff(traj.times)
+        rhs = -report.rate * V[:-1]
+        excess = slope - (rhs + 1e-6 + 0.05 * np.abs(rhs))  # over the check's slack-widened bound
+        live = V[:-1] > 100.0 * traj.scenario.norm_floor
+        assert report.fraction < report.pass_fraction
+        i = report.worst_interval
+        assert live[i] and excess[i] > 0.0 and excess[i] == excess[live].max()
+        assert report.worst_start == traj.times[i]
+
+    def test_worst_interval_skips_smaller_and_non_live_misses(self, cert):
+        # at mu = 0 the canonical norm is 1-homogeneous, so V along the ray
+        # through u is the scale v.  The bound is about -0.2 V, so the misses
+        # are: interval 0 by about 1, interval 1 by about 15, interval 3 by
+        # about 10 with the steepest live slope, and interval 6, from inside
+        # the terminal ball, by about 100
+        u = np.array([1.0, 0.5, 0.2])
+        u /= norm_evaluator(CanonicalNorm(cert.P), extended_state_dilation(0.0))(*u)
+        v = np.array([50.0, 49.91, 49.96, 1.0, 1.1, 0.8, 1e-8, 1.0, 0.5])
+        times = 1e-2 * np.arange(len(v))
+        scn = Scenario(controller="pid", horizon=2.0, step=1e-2)
+        traj = Trajectory(times=times, states=np.outer(v, u), controls=np.zeros((len(v), 1)), scenario=scn)
+        report = lyapunov_decrease_check(traj, cert, 0.0)
+        assert (report.n_intervals, report.fraction) == (7, 4 / 7)
+        assert (report.worst_interval, report.worst_start) == (1, times[1])
+
     def test_verify_verdict_is_the_report_verdict(self, cert):
         # verify reports the decrease check as residual 1 - fraction against
         # tolerance 1 - pass_fraction; that verdict is report.passed for every
@@ -172,3 +207,56 @@ class TestDecreaseCheck:
         other = certify(GainSet(-1.0, -2.0, -0.5))
         with pytest.raises(ValueError):
             lyapunov_decrease_check(traj, other, 0.1)
+
+
+class TestDecreaseCheckWorkers:
+    """The decrease check's samples, spread over forked workers, give what one core gives."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_same_values_and_report_on_any_core_count(self, cert, monkeypatch):
+        # a run with failing intervals, so the worst interval is compared too
+        traj = simulate(Scenario(controller="pid", x0=(1.0, 0.0, 0.0), horizon=2.0))
+        norm = norm_evaluator(CanonicalNorm(cert.P), extended_state_dilation(0.0))
+        serial = np.array([norm(*x) for x in traj.states])
+        runs = []
+
+        def recording_map(fn, items, real=stability.fork_map):
+            pids, values = zip(*real(lambda i: (os.getpid(), fn(i)), items))
+            runs.append((len(set(pids)), np.array(values)))
+            return list(values)
+
+        monkeypatch.setattr(stability, "fork_map", recording_map)
+        reports = []
+        for cores in [{0}, {0, 1}, {0, 1, 2}]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            reports.append(lyapunov_decrease_check(traj, cert, 0.0))
+        assert [workers for workers, _ in runs] == [1, 2, 3]
+        assert all(values.tobytes() == serial.tobytes() for _, values in runs)
+        assert reports[0].worst_interval is not None
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize("bad", [(3, 4), (2, 5)], ids=["child_first", "parent_first"])
+    def test_first_failing_sample_raised(self, cert, monkeypatch, bad):
+        # over two workers this process solves the even samples and a child the odd
+        traj = simulate(Scenario(controller="pid", horizon=1.0, step=1e-2))
+        marks = {tuple(traj.states[i]): i for i in bad}
+
+        def failing_evaluator(spec, dil, real=stability.norm_evaluator):
+            norm = real(spec, dil)
+
+            def failing(*x):
+                if x in marks:
+                    raise ValueError(f"sample {marks[x]}")
+                return norm(*x)
+
+            return failing
+
+        monkeypatch.setattr(stability, "norm_evaluator", failing_evaluator)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match=f"^sample {min(bad)}$"):
+            lyapunov_decrease_check(traj, cert, 0.0)
