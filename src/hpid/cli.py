@@ -12,13 +12,17 @@ verify     run the built-in property suite
 Exit codes: 0 success, 1 property or stability failure, 2 configuration
 error, 3 numerical divergence.
 
-simulate and compare spread their runs over the usable cores, with no
-setting (workers.fork_map): forked workers take every n-th scenario, and
-every file, printed line and exit code is the one a single core gives.
-simulate renames its CSVs into place only after every run has finished;
-compare simulates each scenario named by any job once.  verify's Lyapunov
-decrease line spreads its canonical-norm samples over the same forked
-workers (stability.lyapunov_decrease_check), with the same output.
+simulate and compare spread their work over the usable cores, with no
+setting (workers.fork_map).  The unit of work is a joint group: a
+joints-plant run is cut into min(joints, usable cores) contiguous groups of
+joints, an extended-plant run is one group, and forked workers take the
+groups in turn.  Every file, printed line and exit code is the one a
+single core gives; a run a group of which failed is made again whole, so
+it fails as on one core.  simulate renames its CSVs into place only after
+every run has finished; compare simulates each scenario named by any job
+once.  verify's Lyapunov decrease line spreads its canonical-norm samples
+over the same forked workers (stability.lyapunov_decrease_check), with the
+same output.
 
 Config format: flat `key = value` lines under bracketed section headers,
 `#` starts a comment.  Section kinds:
@@ -61,10 +65,12 @@ digits, LF line endings, UTF-8.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +81,7 @@ from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
 from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _initial_state, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
-from .workers import fork_map
+from .workers import fork_map, usable_cores
 
 __all__ = [
     "ConfigError",
@@ -357,7 +363,6 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     else:
         mu = r.checked("mu", _check_degree, mu)
     floor = r.checked("norm_floor", _check_floor, numbers["norm_floor"])
-    r.check(r.first("h", "T"), _check_grid, numbers["horizon"], numbers["step"])
     norm_values = {
         name: [r.values(key, default, count, applies=kind in (name, None)) for key, (count, default) in keys.items()]
         for name, (keys, _) in _NORMS.items()
@@ -372,6 +377,8 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     if n is not None and n < 1:
         r.error("n_joints", "need at least one joint")
         n = None  # the per-joint lists are still read, at any length
+    # a run's memory grows with its blocks: one per joint, one on the extended plant
+    r.check(r.first("h", "T"), _check_grid, numbers["horizon"], numbers["step"], n if plant == "joints" and n else 1)
     columns = {
         key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
         for key, default in {**_REFERENCE_KEYS, **_DISTURBANCE_KEYS}.items()
@@ -432,22 +439,29 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # CSV
 
-def trajectory_header(traj: Trajectory) -> list[str]:
+def trajectory_header(traj: Trajectory, first: int = 0) -> list[str]:
+    """The CSV columns of a run, or of a joint group whose first joint is the plant's joint first + 1.
+
+    Joints keep their plant-wide numbers, and `t` leads only the columns
+    that start at joint 1, so the groups' columns side by side are the run's.
+    """
     if traj.scenario.plant == "extended":
         return ["t", "x1", "x2", "x3", "u"]
-    cols = ["t"]
-    for k in range(traj.n_channels):
+    cols = [] if first else ["t"]
+    for k in range(first, first + traj.n_channels):
         cols.extend([f"j{k + 1}_q", f"j{k + 1}_u", f"j{k + 1}_eps"])
     return cols
 
 
-def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None) -> str:
+def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: int = 0) -> str:
     """Render rows [start, stop) of a trajectory as CSV at full float64 precision.
 
     The header row comes first when start == 0.  Each array of the range is
     converted to Python floats once, so a range costs no per-row numpy call.
+    first is the plant-wide index of a joint group's first joint, as in
+    trajectory_header.
     """
-    header = trajectory_header(traj)
+    header = trajectory_header(traj, first)
     fmt = ",".join([_FMT] * len(header))  # one row, one format
     lines = [",".join(header)] if start == 0 else []
     times = traj.times[start:stop].tolist()
@@ -457,7 +471,7 @@ def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None) -> str:
     else:
         positions = [jc.reference.position for jc in traj.scenario.joint_plant.joints]
         for t, err, ctl in zip(times, traj.errors[start:stop].tolist(), controls):
-            row = [t]
+            row = [] if first else [t]
             for position, e, u in zip(positions, err, ctl):
                 row += (position(t) - e, u, e)
             lines.append(fmt % tuple(row))
@@ -513,18 +527,88 @@ def _warn_uncertified(scenarios) -> None:
             )
 
 
+def _joint_groups(scn: Scenario, cores: int) -> list[tuple[Scenario, int, Scenario]]:
+    """scn cut into min(joints, cores) contiguous joint groups, (scn, first joint, sub-scenario) each.
+
+    A group is the sub-scenario of its joints: rk4_block integrates every
+    block on its own, so a group's blocks are bitwise the whole run's.  A
+    run on the extended plant, or in one group, is the one group (scn, 0, scn).
+    """
+    joints = () if scn.joint_plant is None else scn.joint_plant.joints
+    n = min(len(joints), cores)
+    if n < 2:
+        return [(scn, 0, scn)]
+    cuts = [len(joints) * g // n for g in range(n + 1)]
+    return [(scn, lo, replace(scn, joint_plant=JointPlantConfig(joints[lo:hi]))) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _map_groups(fn, runs: list[list[tuple[Scenario, int, Scenario]]]) -> list[list]:
+    """fn(scn, first, sub) over every group of every run, spread over the usable cores (workers.fork_map).
+
+    Per run, its groups' values in joint order; a group whose fn raised has
+    the exception as its value, for _joined to settle.
+    """
+
+    def caught(group):
+        try:
+            return fn(*group)
+        except Exception as exc:
+            return exc
+
+    values = iter(fork_map(caught, [group for groups in runs for group in groups]))
+    return [[next(values) for _ in groups] for groups in runs]
+
+
+def _joined(scn: Scenario, values: list) -> list:
+    """A run's group values, or, if a group failed, the exception simulate(scn) raises.
+
+    A group ran without the run's other blocks, so it cannot tell which
+    failure the whole run meets first: a run of several groups is made
+    again whole, here, and raises what it raises; should it somehow
+    succeed, the first failed group's exception is raised.
+    """
+    failed = [value for value in values if isinstance(value, Exception)]
+    if failed:
+        if len(values) > 1:
+            simulate(scn)
+        raise failed[0]
+    return values
+
+
 def _part_path(out: Path, scn: Scenario) -> Path:
     return out / f".{scn.name}.csv.part"
+
+
+def _written_path(out: Path, scn: Scenario, first: int, sub: Scenario) -> Path:
+    """Where a group's rows go: a run in one group straight to its part file, else the group's own fragment."""
+    return _part_path(out, scn) if sub is scn else out / f".{scn.name}.csv.part.j{first + 1}"
+
+
+def _paste(out: Path, groups: list[tuple[Scenario, int, Scenario]]) -> None:
+    """Write a run's part file from its groups' fragments, line by line, each line theirs side by side."""
+    with contextlib.ExitStack() as stack:
+        paths = [_written_path(out, *group) for group in groups]
+        sources = [stack.enter_context(path.open(encoding="utf-8", newline="\n")) for path in paths]
+        # a row is the fragments' lines joined by commas: all but the last lose their newline
+        columns = [map(methodcaller("removesuffix", "\n"), source) for source in sources[:-1]] + sources[-1:]
+        with _part_path(out, groups[0][0]).open("w", encoding="utf-8", newline="\n") as f:
+            f.writelines(map(",".join, zip(*columns)))
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     """Run every scenario; one CSV per scenario in out_dir, none if any run fails.
 
-    The runs are spread over the usable cores.  Each run is written to a
-    hidden part file CSV_BLOCK_ROWS rows at a time, so no whole file's text
-    is held, and the part files are renamed into place in config order
-    only once every run has finished.  On a divergence or any other error
-    every part file is removed and out_dir is left as it was.
+    The runs are cut into joint groups (one group per usable core, at most
+    one per joint; an extended-plant run is one group), and the groups are
+    spread over the usable cores.  Each group is written to a hidden file
+    CSV_BLOCK_ROWS rows at a time, so no whole file's text is held: a run
+    in one group to its part file, a run in several to one fragment per
+    group, which are then pasted side by side, line by line, into its part
+    file.  The part files are renamed into place in config order only once
+    every run has finished, and the first run in config order that failed
+    is reported as a single core reports it.  On a divergence or any other
+    error every part file and fragment is removed and out_dir is left as
+    it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -533,14 +617,19 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         return EXIT_CONFIG
     _warn_uncertified(cfg.scenarios)
 
-    def write_part(scn: Scenario) -> None:
-        traj = simulate(scn)
-        with _part_path(out, scn).open("w", encoding="utf-8", newline="\n") as f:
+    def write(scn: Scenario, first: int, sub: Scenario) -> None:
+        traj = simulate(sub)
+        with _written_path(out, scn, first, sub).open("w", encoding="utf-8", newline="\n") as f:
             for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
-                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS))
+                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first))
 
+    cores = usable_cores()
+    runs = [_joint_groups(scn, cores) for scn in cfg.scenarios]
     try:
-        fork_map(write_part, list(cfg.scenarios))
+        for scn, values in zip(cfg.scenarios, _map_groups(write, runs)):
+            _joined(scn, values)
+        # a run of several groups is pasted on the cores as well, a run per worker
+        fork_map(lambda groups: _paste(out, groups), [groups for groups in runs if len(groups) > 1])
         for scn in cfg.scenarios:
             path = _part_path(out, scn).replace(out / f"{scn.name}.csv")
             print(f"wrote {path}")
@@ -548,19 +637,24 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     finally:
-        for scn in cfg.scenarios:  # what a failed run or rename left
+        for scn, groups in zip(cfg.scenarios, runs):  # what a failed run, paste or rename left
             _part_path(out, scn).unlink(missing_ok=True)
+            if len(groups) > 1:
+                for group in groups:
+                    _written_path(out, *group).unlink(missing_ok=True)
     return EXIT_OK
 
 
 def cmd_compare(cfg: RunConfig, out_dir) -> int:
     """Run each comparison pair (or fixture) and write the index table.
 
-    Each scenario named by any job is simulated once, the runs spread over
-    the usable cores; a run is reduced to its indices (metrics.run_indices)
-    where it was made.  The jobs' tables are then written in config order,
-    and the first job whose run failed stops the command, as if the runs
-    had been made job by job.
+    Each scenario named by any job is simulated once, cut into joint groups
+    as simulate cuts it, and the groups are spread over the usable cores.
+    A group is reduced to its channels' indices where it ran
+    (metrics.channel_indices), and a run's indices are joined from its
+    groups' (metrics.run_indices).  The jobs' tables are then written in
+    config order, and the first job whose run failed stops the command, as
+    if the runs had been made job by job.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -568,15 +662,12 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
         print("nothing to compare (no [compare] sections)", file=sys.stderr)
         return EXIT_CONFIG
 
-    def indices(name: str) -> metrics.RunIndices | Exception:
-        # a failed run is reported by the first job that names it
-        try:
-            return metrics.run_indices(simulate(cfg.scenario(name)))
-        except Exception as exc:
-            return exc
+    def indices(scn: Scenario, first: int, sub: Scenario) -> metrics.ChannelIndices:
+        return metrics.channel_indices(simulate(sub))
 
     names = list(dict.fromkeys(name for job in cfg.compares if not job.fixture for name in (job.pid, job.hpid)))
-    runs = dict(zip(names, fork_map(indices, names)))
+    cores = usable_cores()
+    runs = dict(zip(names, _map_groups(indices, [_joint_groups(cfg.scenario(name), cores) for name in names])))
     for job in cfg.compares:
         if job.fixture:
             # injected, externally measured numbers: say so in the artifact
@@ -585,10 +676,10 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
             )
         else:
             try:
-                for name in (job.pid, job.hpid):
-                    if isinstance(runs[name], Exception):
-                        raise runs[name]
-                report = metrics.MetricsReport(runs[job.pid], runs[job.hpid])
+                # a failed run is reported by the first job that names it
+                report = metrics.MetricsReport(
+                    *(metrics.run_indices(_joined(cfg.scenario(name), runs[name])) for name in (job.pid, job.hpid))
+                )
             except DivergenceError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_DIVERGENCE

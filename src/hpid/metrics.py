@@ -11,11 +11,14 @@ sampled control, which makes it the total variation of the samples):
 plus aggregate L2 norms of the stacked control and error signals.
 
 A `MetricsReport` is the pair of two runs' `RunIndices`, PID then hPID;
-it refuses runs that differ in plant, channel layout or grid.
+it refuses runs that differ in plant, channel layout or grid.  A run's
+`RunIndices` are joined from the `ChannelIndices` of its parts, so a run
+made in joint groups is reduced where each group ran.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +26,14 @@ import numpy as np
 from .sim import Trajectory
 
 __all__ = [
+    "ChannelIndices",
     "MetricsReport",
     "RunIndices",
     "ivc",
     "iavc",
     "itae",
     "l2_norm",
+    "channel_indices",
     "run_indices",
     "compare",
 ]
@@ -75,7 +80,40 @@ def l2_norm(traj: Trajectory, signal: str) -> float:
     data = _signal(traj, signal)
     if len(data) < 2:
         raise ValueError("need at least two samples")
-    return float(np.sqrt(np.trapezoid((data * data).sum(axis=1), traj.times)))
+    return _l2(data * data, traj.times)
+
+
+def _l2(squares: np.ndarray, times: np.ndarray) -> float:
+    # squares: one column of squared samples per channel
+    return float(np.sqrt(np.trapezoid(squares.sum(axis=1), times)))
+
+
+@dataclass(frozen=True)
+class ChannelIndices:
+    """Some of one run's channels: their indices, and their squared samples for the run's L2 norms."""
+
+    plant: str
+    times: np.ndarray
+    ivc: tuple[float, ...]
+    iavc: tuple[float, ...]
+    itae: tuple[float, ...]
+    control_squares: np.ndarray
+    error_squares: np.ndarray
+
+
+def channel_indices(traj: Trajectory) -> ChannelIndices:
+    """The indices of every channel of a run, or of a part of a run such as a joint group."""
+    m = traj.n_channels
+    errors = traj.errors
+    return ChannelIndices(
+        plant=traj.scenario.plant,
+        times=traj.times,
+        ivc=tuple(ivc(traj, j) for j in range(m)),
+        iavc=tuple(iavc(traj, j) for j in range(m)),
+        itae=tuple(itae(traj, j) for j in range(m)),
+        control_squares=traj.controls * traj.controls,
+        error_squares=errors * errors,
+    )
 
 
 @dataclass(frozen=True)
@@ -92,18 +130,24 @@ class RunIndices:
     l2_error: float
 
 
-def run_indices(traj: Trajectory) -> RunIndices:
-    """The indices of one run, everything compare needs of it."""
-    m = traj.n_channels
+def run_indices(parts: Sequence[ChannelIndices]) -> RunIndices:
+    """The indices of one run from those of its parts, in channel order: everything compare needs of it.
+
+    The parts' squared samples are stacked into the run's columns, so the
+    L2 norms are bitwise those of the whole run's channel_indices.
+    """
+    controls = np.hstack([part.control_squares for part in parts])
+    errors = np.hstack([part.error_squares for part in parts])
+    times = parts[0].times
     return RunIndices(
-        plant=traj.scenario.plant,
-        layout=traj.controls.shape,
-        times=traj.times,
-        ivc=tuple(ivc(traj, j) for j in range(m)),
-        iavc=tuple(iavc(traj, j) for j in range(m)),
-        itae=tuple(itae(traj, j) for j in range(m)),
-        l2_control=l2_norm(traj, "control"),
-        l2_error=l2_norm(traj, "error"),
+        plant=parts[0].plant,
+        layout=controls.shape,
+        times=times,
+        ivc=tuple(v for part in parts for v in part.ivc),
+        iavc=tuple(v for part in parts for v in part.iavc),
+        itae=tuple(v for part in parts for v in part.itae),
+        l2_control=_l2(controls, times),
+        l2_error=_l2(errors, times),
     )
 
 
@@ -125,4 +169,4 @@ class MetricsReport:
 
 def compare(traj_pid: Trajectory, traj_hpid: Trajectory) -> MetricsReport:
     """Per-joint index table for two runs on the same plant and grid."""
-    return MetricsReport(run_indices(traj_pid), run_indices(traj_hpid))
+    return MetricsReport(run_indices([channel_indices(traj_pid)]), run_indices([channel_indices(traj_hpid)]))

@@ -33,7 +33,9 @@ do not agree in every last bit.  hpid verify checks this kernel
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
 from array import array
 from dataclasses import dataclass, field, replace
@@ -114,7 +116,7 @@ class Scenario:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "step", float(self.step))
-        _check_grid(self.horizon, self.step)
+        _check_grid(self.horizon, self.step, 1 if self.joint_plant is None else len(self.joint_plant.joints))
         object.__setattr__(self, "norm_floor", float(self.norm_floor))
         hpid_law(self.gains, mu, self.norm, self.norm_floor)  # validates mu, floor and norm
         if self.joint_plant is not None:
@@ -131,7 +133,8 @@ class Scenario:
         return int(round(self.horizon / self.step))
 
 
-def _check_grid(T: float, h: float) -> None:
+def _check_grid(T: float, h: float, blocks: int = 1) -> None:
+    """Reject a grid no run of `blocks` (e, de, z) blocks can be made on, for its arrays' size too."""
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"horizon must be positive, got {T}")
     if not (math.isfinite(h) and h > 0.0):
@@ -144,6 +147,22 @@ def _check_grid(T: float, h: float) -> None:
         raise ValueError(f"step {h} too fine for horizon {T}: T/h = {T / h:.3g} steps exceed any array")
     if abs(round(T / h) * h - T) > 1e-9 * T:
         raise ValueError(f"step {h} does not divide horizon {T}")
+    # simulate's arrays, (n + 1) x (4 blocks + 1) floats, and its list of the
+    # n + 1 sample times, each a Python float (24 bytes) and its reference
+    need, have = (round(T / h) + 1) * ((4 * blocks + 1) * 8 + 32), _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"step {h} too fine for horizon {T}: a run of T/h = {T / h:.3g} steps needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
+@functools.cache
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this system
+        return math.inf
 
 
 def _initial_state(x0) -> tuple[float, float, float]:
@@ -258,10 +277,14 @@ def simulate(scn: Scenario) -> Trajectory:
     state (in block order).  A block after a failing one runs only up to
     the failure's step.
     A run depends on its scenario alone and keeps no state between calls,
-    so the CLI makes a batch's runs in forked worker processes
+    and each block's samples depend on that block alone, so the CLI cuts a
+    joints-plant run into groups of joints, each the run of a sub-scenario,
+    and spreads the groups of a batch over forked worker processes
     (workers.fork_map, which also spreads the samples of the Lyapunov
-    decrease check, and so verify's); the DivergenceError of a worker
-    reaches the parent pickled.
+    decrease check, and so verify's).  Which failure comes first depends
+    on every block, so a run a group of which failed is made again whole
+    to raise it; the DivergenceError of a worker reaches the parent
+    pickled.
     """
     if scn.joint_plant is None:
         # one undisturbed block: the constant disturbance sits in z(0) = p

@@ -2,10 +2,11 @@
 
 fork_map(fn, items) is [fn(x) for x in items], spread over the cores
 os.sched_getaffinity grants with no setting.  The CLI's simulate and
-compare make their runs through it, and stability.lyapunov_decrease_check
-solves its canonical norms through it.  Every result and every exception
-is the one a serial loop gives: the values come back in items' order and
-the exception raised is the first in that order.
+compare make their runs' joint groups through it, and
+stability.lyapunov_decrease_check solves its canonical norms through it.
+Every result and every exception is the one a serial loop gives: the
+values come back in items' order and the exception raised is the first in
+that order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import pickle
 import threading
 from collections.abc import Callable, Sequence
 
-__all__ = ["fork_map"]
+__all__ = ["fork_map", "usable_cores"]
+
+
+def usable_cores() -> int:
+    """The workers fork_map makes for enough items: the cores os.sched_getaffinity grants, or 1 with other threads."""
+    if threading.active_count() != 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _share(fn, items) -> tuple[list, Exception | None]:
@@ -55,8 +63,7 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     child prints nothing.  A process with other threads, which fork would
     not copy, runs every item itself.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(len(items), cores if threading.active_count() == 1 else 1))
+    n = max(1, min(len(items), usable_cores()))
     shares, children = [], []  # shares[k] is worker k's (values, exception)
     try:
         for k in range(1, n):

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpid import cli, homogeneity
+from hpid import cli, homogeneity, sim
 from hpid.control import GainSet
 from hpid.homogeneity import CanonicalNorm, WeightedSumNorm
-from hpid.plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, reference_eval
-from hpid.sim import Scenario
+from hpid.plant import (
+    DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, default_six_joint_plant, reference_eval,
+)
+from hpid.sim import DivergenceError, Scenario
 from hpid.stability import certify
 from hpid.fixtures import HARDWARE_COMPARISON_ROWS
 from hpid.workers import fork_map
@@ -133,6 +135,8 @@ class TestParseConfig:
             ("[scenario a]\n\nT = 1e308\nh = 0.001\n", [(4, "T/h overflows")]),
             # a finite T/h whose samples no array can index is cited at h, not raised by the run
             ("[scenario big]\nT = 1e300\nh = 0.001\n", [(3, "steps exceed any array")]),
+            # an indexable T/h whose arrays no memory holds is cited at h, and nothing is allocated
+            ("[scenario big]\nT = 1e13\nh = 0.001\n", [(3, "GiB of physical memory")]),
             ("[scenario a]\nx0 = nan, 0, 0\n", [(2, "x0 must be three finite reals")]),
             ("[scenario j]\nplant = joints\ndist_constant = 0.6\n", [(3, "exceeds the disturbance bound")]),
             ("[scenario a]\ncontroller = hpid\nmu = 0.2\nnorm = canonical\nnorm_p = 1, 0, 0, -1\n",
@@ -163,6 +167,7 @@ class TestParseConfig:
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
             "fixture_and_pair", "pid_coefficients", "hpid_coefficients",
             "coarse_step", "coarse_step_default_h", "huge_step_count", "unindexable_step_count",
+            "unallocatable_step_count",
             "nonfinite_x0", "disturbance_bound",
             "nonmonotone_p", "nonmonotone_p_pid",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
@@ -178,6 +183,18 @@ class TestParseConfig:
         assert len(problems) == len(expected), problems
         for line, fragment in expected:
             assert sum(p.startswith(f"line {line}: ") and fragment in p for p in problems) == 1, problems
+
+    def test_memory_estimate_counts_every_block(self, monkeypatch):
+        # per sample, simulate holds 4 floats per block and the time, and the
+        # times as Python floats: 72 bytes on the extended plant, 104 on two joints
+        monkeypatch.setattr(sim, "_physical_memory", lambda: 1e6)
+        cli.parse_config("[scenario a]\nT = 10\nh = 0.001\n")  # 10001 samples, 0.72 MB
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config("[scenario j]\nplant = joints\nn_joints = 2\nT = 10\nh = 0.001\n")  # 1.04 MB
+        [problem] = err.value.problems
+        assert problem.startswith("line 5: [scenario j] step 0.001 too fine for horizon 10.0: ") and "memory" in problem
+        with pytest.raises(ValueError, match="physical memory"):
+            Scenario(horizon=10.0, step=0.001, joint_plant=JointPlantConfig(default_six_joint_plant().joints[:2]))
 
     def test_malformed_line_reported(self):
         with pytest.raises(cli.ConfigError) as err:
@@ -479,13 +496,16 @@ class TestSimulateCommand:
     def test_writing_holds_no_whole_file_text(self, tmp_path, monkeypatch, capsys):
         # the runs are made before tracing starts, so the peak is what writing
         # the files holds: at most a block of text, far below the bytes of the
-        # smallest file.  Over two workers this process writes p and a child q.
+        # smallest file.  Over two workers each run is two groups of three
+        # joints: this process writes the first group of p and of q, a child
+        # the second, and then this process pastes p and a child q.
         cfg = cli.parse_config(
             "[scenario p]\nplant = joints\nT = 9.0\nh = 0.001\n\n"
             "[scenario q]\nplant = joints\ncontroller = hpid\nmu = 0.2\nT = 9.0\nh = 0.001\n"
         )
-        runs = {scn.name: cli.simulate(scn) for scn in cfg.scenarios}
-        monkeypatch.setattr(cli, "simulate", lambda scn: runs[scn.name])
+        runs = {sub: cli.simulate(sub) for scn in cfg.scenarios for _, _, sub in cli._joint_groups(scn, 2)}
+        assert len(runs) == 4
+        monkeypatch.setattr(cli, "simulate", lambda scn: runs[scn])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         tracemalloc.start()
         try:
@@ -647,6 +667,17 @@ LATER_JOBS_FAIL = {
     "[compare ok]\npid = good\nhpid = fine\n\n[compare broken]\npid = coarse\nhpid = fine\n",
 }
 FORKED = [{0, 1}, {0, 1, 2}, set(range(8))]  # up to more workers than scenarios
+# six-joint runs that fail in a later joint group first: cut in two or three
+# groups, joint 4 or 5 is in the second or third, and alone on 8 cores
+SPLIT_FAILS = {
+    # joint 4 diverges at t = 5.45, the other joints at t = 7.24
+    "divergence": "[scenario split]\nplant = joints\nkp = 3\nkd = 3\nki = 1\nT = 9.0\nh = 0.01\n"
+    "ref_amplitude = 1e-3, 1e-3, 1e-3, 1, 1e-3, 1e-3\ndist_constant = 0\ndist_amplitude = 0\n",
+    # joint 5 starts at the origin, where the floored norm to the power 3 mu
+    # overflows at once; joint 1 diverges in the first step, after it
+    "law_raises": "[scenario split]\nplant = joints\ncontroller = hpid\nmu = -0.45\nnorm_floor = 1e-300\n"
+    "T = 1.0\nh = 0.01\nref_amplitude = 1e12, 1, 1, 1, 0, 1\n",
+}
 
 
 def _run(tmp_path, monkeypatch, capsys, cores, command, text, existing=None):
@@ -658,7 +689,10 @@ def _run(tmp_path, monkeypatch, capsys, cores, command, text, existing=None):
     for name, data in (existing or {}).items():
         (out / name).write_bytes(data)
     (run / "cfg").write_text(text)
-    code = cli.main([command, "--config", str(run / "cfg"), "--out", str(out)])
+    try:
+        code = cli.main([command, "--config", str(run / "cfg"), "--out", str(out)])
+    except Exception as exc:  # an error the CLI does not report: its type and message instead of the exit code
+        code = f"{type(exc).__name__}: {exc}"
     captured = capsys.readouterr()
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     return code, captured.out.replace(str(out), "OUT"), captured.err.replace(str(out), "OUT"), files
@@ -700,6 +734,74 @@ class TestWorkerProcesses:
         serial = _run(tmp_path, monkeypatch, capsys, {0}, "simulate", text, existing)
         assert serial == (cli.EXIT_DIVERGENCE, "", "error: simulation diverged at t = 5.463 (|x| > 1e+09)\n", existing)
         assert _run(tmp_path, monkeypatch, capsys, {0, 1, 2}, "simulate", text, existing) == serial
+
+    @pytest.mark.parametrize("cores", FORKED, ids=len)
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("case", SPLIT_FAILS)
+    def test_failing_split_run_matches_one_core(self, tmp_path, monkeypatch, capsys, case, command, cores):
+        # the first group's failure is not the run's: the run fails as on one core
+        jobs = "\n[compare ok]\npid = good\nhpid = fine\n\n[compare broken]\npid = split\nhpid = split\n"
+        text = GOOD + SPLIT_FAILS[case] + jobs
+        serial = _run(tmp_path, monkeypatch, capsys, {0}, command, text)
+        if case == "divergence":
+            assert serial[:3:2] == (cli.EXIT_DIVERGENCE, "error: simulation diverged at t = 5.45 (|x| > 1e+09)\n")
+        else:
+            assert serial[0] == "OverflowError: (34, 'Numerical result out of range')"
+        assert list(serial[3]) == ([] if command == "simulate" else ["ok.csv"])
+        assert _run(tmp_path, monkeypatch, capsys, cores, command, text) == serial
+
+    @pytest.mark.parametrize("cores", FORKED, ids=len)
+    def test_split_divergence_names_the_plant_wide_block(self, monkeypatch, cores):
+        scn = cli.parse_config(SPLIT_FAILS["divergence"]).scenarios[0]
+        with pytest.raises(DivergenceError) as whole:
+            cli.simulate(scn)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        groups = cli._joint_groups(scn, len(cores))
+        [values] = cli._map_groups(lambda scn, first, sub: cli.simulate(sub), [groups])
+        assert all(isinstance(value, DivergenceError) for value in values)
+        with pytest.raises(DivergenceError) as split:
+            cli._joined(scn, values)
+        assert (split.value.step, split.value.block, str(split.value)) == (544, 3, str(whole.value))
+        assert (whole.value.step, whole.value.block) == (544, 3)
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_six_joint_run_uses_every_core(self, tmp_path, monkeypatch, command):
+        # a six-joint run is cut into one group per core, at most one per joint,
+        # each in its own process; an extended-plant run is never split
+        log = tmp_path / "runs"
+
+        def logging_simulate(scn, real=cli.simulate):
+            with log.open("a") as f:
+                f.write(f"{os.getpid()} {scn.name} {len(scn.joint_plant.joints) if scn.joint_plant else 0}\n")
+            return real(scn)
+
+        monkeypatch.setattr(cli, "simulate", logging_simulate)
+        cfg = cli.parse_config(
+            GOOD + "[scenario six]\nplant = joints\nT = 1.0\nh = 0.01\n\n"
+            "[compare ok]\npid = good\nhpid = fine\n\n[compare self]\npid = six\nhpid = six\n"
+        )
+        for cores, groups in (({0, 1}, ["3", "3"]), (set(range(8)), ["1"] * 6)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            log.write_text("")
+            assert getattr(cli, f"cmd_{command}")(cfg, tmp_path / f"out{len(cores)}") == cli.EXIT_OK
+            runs = [line.split() for line in log.read_text().splitlines()]
+            assert sorted(joints for _, name, joints in runs if name == "six") == groups
+            assert len({pid for pid, name, _ in runs if name == "six"}) == len(groups)
+            assert sorted((name, joints) for _, name, joints in runs if name != "six") == [("fine", "0"), ("good", "0")]
+
+    @pytest.mark.parametrize("cores", FORKED, ids=len)
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("joints", [1, 2, 3, 7])
+    def test_joint_groups_match_one_core(self, tmp_path, monkeypatch, capsys, joints, command, cores):
+        # fewer joints than cores, one per core, and uneven groups
+        text = (
+            f"[scenario p]\nplant = joints\nn_joints = {joints}\nT = 1.0\nh = 0.01\n\n"
+            f"[scenario q]\nplant = joints\nn_joints = {joints}\ncontroller = hpid\nmu = 0.2\nT = 1.0\nh = 0.01\n\n"
+            "[compare pq]\npid = p\nhpid = q\n"
+        )
+        serial = _run(tmp_path, monkeypatch, capsys, {0}, command, text)
+        assert serial[0] == cli.EXIT_OK and len(serial[3]) == (2 if command == "simulate" else 1)
+        assert _run(tmp_path, monkeypatch, capsys, cores, command, text) == serial
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_child_exception_reraised(self, tmp_path, monkeypatch, command):

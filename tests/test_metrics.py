@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hpid import cli
-from hpid.metrics import compare, iavc, itae, ivc, l2_norm
+from hpid.metrics import channel_indices, compare, iavc, itae, ivc, l2_norm, run_indices
+from hpid.plant import JointPlantConfig, default_six_joint_plant
 from hpid.sim import Scenario, Trajectory, simulate
 
 
@@ -148,3 +150,22 @@ class TestCompare:
         ivc_wins = sum(h < p for p, h in zip(report.pid.ivc, report.hpid.ivc))
         iavc_wins = sum(h < p for p, h in zip(report.pid.iavc, report.hpid.iavc))
         assert summary == f"summary,hpid_lower_ivc,{ivc_wins},hpid_lower_iavc,{iavc_wins},joints,{len(report.pid.ivc)}"
+
+
+@pytest.mark.parametrize("cuts", [(0, 3, 6), (0, 1, 3, 4, 6), (0, 1, 2, 3, 4, 5, 6)], ids=["2", "4", "6"])
+def test_indices_joined_from_joint_groups_are_the_whole_runs(cuts):
+    # each group of joints is a run of its own; joined in channel order, their
+    # indices and L2 norms are the whole run's bit for bit
+    scn = Scenario(controller="hpid", mu=0.2, horizon=1.0, step=0.01, joint_plant=default_six_joint_plant())
+    whole = run_indices([channel_indices(simulate(scn))])
+    joints = scn.joint_plant.joints
+    joined = run_indices([
+        channel_indices(simulate(replace(scn, joint_plant=JointPlantConfig(joints[lo:hi]))))
+        for lo, hi in zip(cuts, cuts[1:])
+    ])
+    assert joined.layout == whole.layout == (101, 6)
+    assert np.array_equal(joined.times, whole.times)
+    for name in ("plant", "ivc", "iavc", "itae", "l2_control", "l2_error"):
+        assert getattr(joined, name) == getattr(whole, name), name
+    traj = simulate(scn)
+    assert (whole.l2_control, whole.l2_error) == (l2_norm(traj, "control"), l2_norm(traj, "error"))
