@@ -22,11 +22,10 @@ from .homogeneity import (
     extended_state_dilation,
     norm_evaluator,
 )
-from .metrics import MetricsReport, compare, iavc, itae, ivc, l2_norm
+from .metrics import MetricsReport, channel_indices, compare
 from .plant import (
     DisturbanceSpec,
     JointConfig,
-    JointPlantConfig,
     ReferenceSpec,
     default_six_joint_plant,
     reference_eval,

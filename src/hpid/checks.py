@@ -29,7 +29,7 @@ import numpy as np
 
 from . import homogeneity as hg
 from .control import GainSet, hpid_law
-from .metrics import l2_norm
+from .metrics import channel_indices, run_indices
 from .plant import default_six_joint_plant
 from .sim import Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
 from .stability import certify, lyapunov_decrease_check
@@ -238,8 +238,8 @@ def _check_lyapunov_decrease(mus) -> CheckResult:
 
 
 def _check_metrics_identity(traj: Trajectory) -> CheckResult:
-    """The L2 norm of the controls equals the trapezoid of their squared pointwise norms."""
-    l2 = l2_norm(traj, "control")
+    """The L2 norm of the controls, as compare takes it, equals the trapezoid of their squared pointwise norms."""
+    l2 = run_indices([channel_indices(traj)]).l2_control
     squares = np.array([float(np.linalg.norm(row)) ** 2 for row in traj.controls])
     via_pointwise = math.sqrt(float(np.trapezoid(squares, traj.times)))
     return CheckResult("pointwise/L2 norm consistency", abs(l2 - via_pointwise) / max(1e-12, l2), 1e-9)
@@ -257,5 +257,5 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         _check_mu_zero_step(rng, draws=300),
         _check_scaling_symmetry([(0.1, 0.5)], step=1e-3),
         _check_lyapunov_decrease([0.1]),
-        _check_metrics_identity(simulate(Scenario(horizon=2.0, joint_plant=default_six_joint_plant()))),
+        _check_metrics_identity(simulate(Scenario(horizon=2.0, joints=default_six_joint_plant()))),
     ]

@@ -18,7 +18,8 @@ joints-plant run is cut into min(joints, usable cores) contiguous groups of
 joints, an extended-plant run is one group, and forked workers take the
 groups in turn.  Every file, printed line and exit code is the one a
 single core gives; a run a group of which failed is made again whole, so
-it fails as on one core.  simulate renames its CSVs into place only after
+it fails as on one core.  simulate writes its CSVs in a temporary
+directory of the output directory and renames them into place only after
 every run has finished; compare simulates each scenario named by any job
 once.  verify's Lyapunov decrease line spreads its canonical-norm samples
 over the same forked workers (stability.lyapunov_decrease_check), with the
@@ -68,7 +69,9 @@ import argparse
 import contextlib
 import math
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from operator import methodcaller
 from pathlib import Path
@@ -78,7 +81,7 @@ import numpy as np
 from . import checks, fixtures, metrics
 from .control import GainSet, _check_floor, hpid_law
 from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
-from .plant import DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec
+from .plant import DisturbanceSpec, JointConfig, ReferenceSpec
 from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _initial_state, simulate
 from .stability import InfeasibleGainsError, StabilityCertificate, certify
 from .workers import fork_map, usable_cores
@@ -321,8 +324,8 @@ def _read_gains(r: _SectionReader) -> GainSet | None:
     return r.check("", GainSet, *gains)
 
 
-def _joint_plant(r: _SectionReader, n: int, seed: int | None, columns: dict) -> JointPlantConfig | None:
-    """The joints plant from the per-joint keys' values; absent keys take their defaults.
+def _joints(r: _SectionReader, n: int, seed: int | None, columns: dict) -> tuple[JointConfig, ...] | None:
+    """The joints of the joints plant from the per-joint keys' values; absent keys take their defaults.
 
     Each key's values are checked alone, at that key.  The one rule across
     keys, the disturbance bound, is cited at the first of its keys set.
@@ -346,7 +349,7 @@ def _joint_plant(r: _SectionReader, n: int, seed: int | None, columns: dict) -> 
 
     refs = specs(ReferenceSpec, _REFERENCE_KEYS, ())
     dists = specs(DisturbanceSpec, _DISTURBANCE_KEYS, ("dist_constant", "dist_amplitude", "dist_bound"))
-    return None if refs is None or dists is None else JointPlantConfig(tuple(map(JointConfig, refs, dists)))
+    return None if refs is None or dists is None else tuple(map(JointConfig, refs, dists))
 
 
 def _read_scenario(r: _SectionReader) -> Scenario | None:
@@ -362,7 +365,8 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         mu = None
     else:
         mu = r.checked("mu", _check_degree, mu)
-    floor = r.checked("norm_floor", _check_floor, numbers["norm_floor"])
+    # a floor at which the law overflows is cited at norm_floor, at a degree already valid
+    floor = r.checked("norm_floor", lambda value: _check_floor(value, mu or 0.0), numbers["norm_floor"])
     norm_values = {
         name: [r.values(key, default, count, applies=kind in (name, None)) for key, (count, default) in keys.items()]
         for name, (keys, _) in _NORMS.items()
@@ -398,10 +402,10 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         ]
         norm = None if None in alone else build_norm(*values)
         r.check(r.first(*norm_keys, "norm"), hpid_law, gains, mu, norm, floor)
-    joint_plant = _joint_plant(r, n, seed, columns) if joints and n is not None else None
+    plant_joints = _joints(r, n, seed, columns) if joints and n is not None else ()
     if not r.ok:  # the scenario is built only from a section without a problem
         return None
-    return r.check("", Scenario, controller, gains, norm=norm, x0=x0, joint_plant=joint_plant, name=r.name, **numbers)
+    return r.check("", Scenario, controller, gains, norm=norm, x0=x0, joints=plant_joints, name=r.name, **numbers)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -469,7 +473,7 @@ def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: i
     if traj.scenario.plant == "extended":
         lines += [fmt % (t, *x, *u) for t, x, u in zip(times, traj.states[start:stop].tolist(), controls)]
     else:
-        positions = [jc.reference.position for jc in traj.scenario.joint_plant.joints]
+        positions = [jc.reference.position for jc in traj.scenario.joints]
         for t, err, ctl in zip(times, traj.errors[start:stop].tolist(), controls):
             row = [] if first else [t]
             for position, e, u in zip(positions, err, ctl):
@@ -527,23 +531,22 @@ def _warn_uncertified(scenarios) -> None:
             )
 
 
-def _joint_groups(scn: Scenario, cores: int) -> list[tuple[Scenario, int, Scenario]]:
-    """scn cut into min(joints, cores) contiguous joint groups, (scn, first joint, sub-scenario) each.
+def _joint_groups(scn: Scenario, cores: int) -> list[tuple[int, Scenario]]:
+    """scn cut into min(joints, cores) contiguous joint groups, (first joint, sub-scenario) each.
 
     A group is the sub-scenario of its joints: rk4_block integrates every
     block on its own, so a group's blocks are bitwise the whole run's.  A
-    run on the extended plant, or in one group, is the one group (scn, 0, scn).
+    run on the extended plant, or in one group, is the one group (0, scn).
     """
-    joints = () if scn.joint_plant is None else scn.joint_plant.joints
-    n = min(len(joints), cores)
+    n = min(len(scn.joints), cores)
     if n < 2:
-        return [(scn, 0, scn)]
-    cuts = [len(joints) * g // n for g in range(n + 1)]
-    return [(scn, lo, replace(scn, joint_plant=JointPlantConfig(joints[lo:hi]))) for lo, hi in zip(cuts, cuts[1:])]
+        return [(0, scn)]
+    cuts = [len(scn.joints) * g // n for g in range(n + 1)]
+    return [(lo, replace(scn, joints=scn.joints[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _map_groups(fn, runs: list[list[tuple[Scenario, int, Scenario]]]) -> list[list]:
-    """fn(scn, first, sub) over every group of every run, spread over the usable cores (workers.fork_map).
+def _map_groups(fn, runs: list[list[tuple[int, Scenario]]]) -> list[list]:
+    """fn(first, sub) over every group of every run, spread over the usable cores (workers.fork_map).
 
     Per run, its groups' values in joint order; a group whose fn raised has
     the exception as its value, for _joined to settle.
@@ -575,40 +578,20 @@ def _joined(scn: Scenario, values: list) -> list:
     return values
 
 
-def _part_path(out: Path, scn: Scenario) -> Path:
-    return out / f".{scn.name}.csv.part"
-
-
-def _written_path(out: Path, scn: Scenario, first: int, sub: Scenario) -> Path:
-    """Where a group's rows go: a run in one group straight to its part file, else the group's own fragment."""
-    return _part_path(out, scn) if sub is scn else out / f".{scn.name}.csv.part.j{first + 1}"
-
-
-def _paste(out: Path, groups: list[tuple[Scenario, int, Scenario]]) -> None:
-    """Write a run's part file from its groups' fragments, line by line, each line theirs side by side."""
-    with contextlib.ExitStack() as stack:
-        paths = [_written_path(out, *group) for group in groups]
-        sources = [stack.enter_context(path.open(encoding="utf-8", newline="\n")) for path in paths]
-        # a row is the fragments' lines joined by commas: all but the last lose their newline
-        columns = [map(methodcaller("removesuffix", "\n"), source) for source in sources[:-1]] + sources[-1:]
-        with _part_path(out, groups[0][0]).open("w", encoding="utf-8", newline="\n") as f:
-            f.writelines(map(",".join, zip(*columns)))
-
-
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     """Run every scenario; one CSV per scenario in out_dir, none if any run fails.
 
     The runs are cut into joint groups (one group per usable core, at most
     one per joint; an extended-plant run is one group), and the groups are
-    spread over the usable cores.  Each group is written to a hidden file
-    CSV_BLOCK_ROWS rows at a time, so no whole file's text is held: a run
-    in one group to its part file, a run in several to one fragment per
-    group, which are then pasted side by side, line by line, into its part
-    file.  The part files are renamed into place in config order only once
-    every run has finished, and the first run in config order that failed
-    is reported as a single core reports it.  On a divergence or any other
-    error every part file and fragment is removed and out_dir is left as
-    it was.
+    spread over the usable cores.  Every file is written in a temporary
+    directory made in out_dir, CSV_BLOCK_ROWS rows at a time, so no whole
+    file's text is held: a run in one group straight to its part file, a
+    run in several to one fragment per group, which are then pasted side
+    by side, line by line, into its part file.  The part files are renamed
+    into out_dir in config order only once every run has finished, and the
+    first run in config order that failed is reported as a single core
+    reports it.  The temporary directory is removed whatever happens, so on
+    a divergence or any other error out_dir is left as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -616,32 +599,43 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         print("nothing to simulate (no [scenario] sections)", file=sys.stderr)
         return EXIT_CONFIG
     _warn_uncertified(cfg.scenarios)
+    cores = usable_cores()
+    runs = [_joint_groups(scn, cores) for scn in cfg.scenarios]
+    split = {scn.name for scn, groups in zip(cfg.scenarios, runs) if len(groups) > 1}
+    tmp = Path(tempfile.mkdtemp(dir=out))
 
-    def write(scn: Scenario, first: int, sub: Scenario) -> None:
+    def written(first: int, sub: Scenario) -> Path:
+        # a run in one group is written to its part file, a split run's group to its own fragment
+        return tmp / (f"{sub.name}.csv.j{first + 1}" if sub.name in split else f"{sub.name}.csv")
+
+    def write(first: int, sub: Scenario) -> None:
         traj = simulate(sub)
-        with _written_path(out, scn, first, sub).open("w", encoding="utf-8", newline="\n") as f:
+        with written(first, sub).open("w", encoding="utf-8", newline="\n") as f:
             for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
                 f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first))
 
-    cores = usable_cores()
-    runs = [_joint_groups(scn, cores) for scn in cfg.scenarios]
+    def paste(groups: list[tuple[int, Scenario]]) -> None:
+        # a split run's part file from its fragments, line by line, each line theirs side by side
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(written(*group).open(encoding="utf-8", newline="\n")) for group in groups]
+            # a row is the fragments' lines joined by commas: all but the last lose their newline
+            columns = [map(methodcaller("removesuffix", "\n"), f) for f in files[:-1]] + files[-1:]
+            with (tmp / f"{groups[0][1].name}.csv").open("w", encoding="utf-8", newline="\n") as f:
+                f.writelines(map(",".join, zip(*columns)))
+
     try:
         for scn, values in zip(cfg.scenarios, _map_groups(write, runs)):
             _joined(scn, values)
         # a run of several groups is pasted on the cores as well, a run per worker
-        fork_map(lambda groups: _paste(out, groups), [groups for groups in runs if len(groups) > 1])
+        fork_map(paste, [groups for groups in runs if len(groups) > 1])
         for scn in cfg.scenarios:
-            path = _part_path(out, scn).replace(out / f"{scn.name}.csv")
+            path = (tmp / f"{scn.name}.csv").replace(out / f"{scn.name}.csv")
             print(f"wrote {path}")
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     finally:
-        for scn, groups in zip(cfg.scenarios, runs):  # what a failed run, paste or rename left
-            _part_path(out, scn).unlink(missing_ok=True)
-            if len(groups) > 1:
-                for group in groups:
-                    _written_path(out, *group).unlink(missing_ok=True)
+        shutil.rmtree(tmp)  # what a failed run, paste or rename left
     return EXIT_OK
 
 
@@ -662,7 +656,7 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
         print("nothing to compare (no [compare] sections)", file=sys.stderr)
         return EXIT_CONFIG
 
-    def indices(scn: Scenario, first: int, sub: Scenario) -> metrics.ChannelIndices:
+    def indices(first: int, sub: Scenario) -> metrics.ChannelIndices:
         return metrics.channel_indices(simulate(sub))
 
     names = list(dict.fromkeys(name for job in cfg.compares if not job.fixture for name in (job.pid, job.hpid)))

@@ -76,13 +76,16 @@ def hpid_law(
     pd = kp nu^{2 mu} e + kd nu^{mu} de is the proportional-derivative action
     and integrand = nu^{3 mu} e the rate of the integral channel, so the
     control is u = pd + ki * integral(integrand).  nu = max(||(e, de)||_d,
-    norm_floor).  The norm is checked at every degree, but at mu = 0 it is
-    not evaluated and the pair is the linear (kp e + kd de, e).  Every
-    plant, `hpid verify` and the acceptance gate call this law; a run
-    integrates the integral channel inside its RK4 step.
+    norm_floor); a floor at which the law overflows, norm_floor ** (3 mu)
+    past the float range, is refused.  The norm is checked at every degree,
+    but at mu = 0 it is not evaluated and the pair is the linear
+    (kp e + kd de, e).  Every plant, `hpid verify` and the acceptance gate
+    call this law; a run integrates the integral channel inside its RK4
+    step.
     """
-    _check_floor(norm_floor)
-    nu_of = norm_evaluator(norm, error_pair_dilation(mu))
+    dil = error_pair_dilation(mu)  # the degree first: a degree out of range can overflow the floor's check
+    _check_floor(norm_floor, mu)
+    nu_of = norm_evaluator(norm, dil)
     kp, kd = gains.kp, gains.kd
     if mu == 0.0:
         return lambda e, de: (kp * e + kd * de, e)
@@ -97,6 +100,11 @@ def hpid_law(
     return law
 
 
-def _check_floor(norm_floor: float) -> None:
+def _check_floor(norm_floor: float, mu: float = 0.0) -> None:
+    """A floor the law can clamp to at degree mu: positive, and norm_floor ** (3 mu) a float."""
     if not (math.isfinite(norm_floor) and norm_floor > 0.0):
         raise ValueError(f"norm_floor must be a positive real, got {norm_floor}")
+    try:
+        norm_floor ** (3.0 * mu)
+    except OverflowError:
+        raise ValueError(f"norm_floor ** (3 mu) overflows at norm_floor = {norm_floor}, mu = {mu}") from None

@@ -1,19 +1,20 @@
 """Trajectory performance indices and the PID-vs-hPID comparison report.
 
-Indices per channel over the run horizon (trapezoid quadrature on the
-uniform grid; the control-variation index uses forward differences of the
-sampled control, which makes it the total variation of the samples):
+`channel_indices` takes three indices of each channel over the run
+horizon (trapezoid quadrature on the uniform grid; the control-variation
+index uses forward differences of the sampled control, which makes it the
+total variation of the samples):
 
-    control variation   integral of |du/dt|
-    control effort      integral of |u|
-    time-weighted error integral of t * |error|
+    ivc    control variation     integral of |du/dt|
+    iavc   control effort        integral of |u|
+    itae   time-weighted error   integral of t * |error|
 
-plus aggregate L2 norms of the stacked control and error signals.
-
-A `MetricsReport` is the pair of two runs' `RunIndices`, PID then hPID;
-it refuses runs that differ in plant, channel layout or grid.  A run's
-`RunIndices` are joined from the `ChannelIndices` of its parts, so a run
-made in joint groups is reduced where each group ran.
+`run_indices` joins the `ChannelIndices` of a run's parts into its
+`RunIndices`, with the L2 norms of the stacked control and error signals,
+sqrt(integral of sum_j s_j^2 dt), so a run made in joint groups is reduced
+where each group ran.  A `MetricsReport` is the pair of two runs'
+`RunIndices`, PID then hPID; it refuses runs that differ in plant, channel
+layout or grid.
 """
 
 from __future__ import annotations
@@ -29,63 +30,10 @@ __all__ = [
     "ChannelIndices",
     "MetricsReport",
     "RunIndices",
-    "ivc",
-    "iavc",
-    "itae",
-    "l2_norm",
     "channel_indices",
     "run_indices",
     "compare",
 ]
-
-
-def _signal(traj: Trajectory, signal: str) -> np.ndarray:
-    """The "control" or "error" samples, one column per channel."""
-    if signal == "control":
-        return traj.controls
-    if signal == "error":
-        return traj.errors
-    raise ValueError(f"unknown signal {signal!r}")
-
-
-def _channel(traj: Trajectory, signal: str, joint: int) -> np.ndarray:
-    data = _signal(traj, signal)
-    if not 0 <= joint < data.shape[1]:
-        raise ValueError(f"joint index {joint} out of range for {data.shape[1]} channels")
-    if len(data) < 2:
-        raise ValueError("need at least two samples")
-    return data[:, joint]
-
-
-def ivc(traj: Trajectory, joint: int = 0) -> float:
-    """Integral of |du/dt| over the horizon for one control channel."""
-    u = _channel(traj, "control", joint)
-    return float(np.abs(np.diff(u)).sum())
-
-
-def iavc(traj: Trajectory, joint: int = 0) -> float:
-    """Integral of |u| over the horizon for one control channel."""
-    u = _channel(traj, "control", joint)
-    return float(np.trapezoid(np.abs(u), traj.times))
-
-
-def itae(traj: Trajectory, joint: int = 0) -> float:
-    """Integral of t * |error| over the horizon for one error channel."""
-    e = _channel(traj, "error", joint)
-    return float(np.trapezoid(traj.times * np.abs(e), traj.times))
-
-
-def l2_norm(traj: Trajectory, signal: str) -> float:
-    """sqrt(integral of sum_j s_j^2 dt) across all channels of a signal."""
-    data = _signal(traj, signal)
-    if len(data) < 2:
-        raise ValueError("need at least two samples")
-    return _l2(data * data, traj.times)
-
-
-def _l2(squares: np.ndarray, times: np.ndarray) -> float:
-    # squares: one column of squared samples per channel
-    return float(np.sqrt(np.trapezoid(squares.sum(axis=1), times)))
 
 
 @dataclass(frozen=True)
@@ -102,16 +50,21 @@ class ChannelIndices:
 
 
 def channel_indices(traj: Trajectory) -> ChannelIndices:
-    """The indices of every channel of a run, or of a part of a run such as a joint group."""
-    m = traj.n_channels
-    errors = traj.errors
+    """The indices of every channel of a run, or of a part of a run such as a joint group.
+
+    Each index is summed over one channel's column at a time, so a channel's
+    indices do not depend on the channels beside it in the run or group.
+    """
+    times, controls, errors = traj.times, traj.controls, traj.errors
+    if len(times) < 2:
+        raise ValueError("need at least two samples")
     return ChannelIndices(
         plant=traj.scenario.plant,
-        times=traj.times,
-        ivc=tuple(ivc(traj, j) for j in range(m)),
-        iavc=tuple(iavc(traj, j) for j in range(m)),
-        itae=tuple(itae(traj, j) for j in range(m)),
-        control_squares=traj.controls * traj.controls,
+        times=times,
+        ivc=tuple(float(np.abs(np.diff(u)).sum()) for u in controls.T),
+        iavc=tuple(float(np.trapezoid(np.abs(u), times)) for u in controls.T),
+        itae=tuple(float(np.trapezoid(times * np.abs(e), times)) for e in errors.T),
+        control_squares=controls * controls,
         error_squares=errors * errors,
     )
 
@@ -128,6 +81,11 @@ class RunIndices:
     itae: tuple[float, ...]
     l2_control: float
     l2_error: float
+
+
+def _l2(squares: np.ndarray, times: np.ndarray) -> float:
+    # squares: one column of squared samples per channel
+    return float(np.sqrt(np.trapezoid(squares.sum(axis=1), times)))
 
 
 def run_indices(parts: Sequence[ChannelIndices]) -> RunIndices:

@@ -8,8 +8,9 @@ The multi-joint plant is the post-feedback-linearization error dynamics:
 each joint reduces to a double integrator driven by the PID/hPID residual
 and a bounded disturbance standing in for cancellation mismatch and
 cross-couplings.  Every joint runs the scenario's one controller, so a
-joint is configured by its reference and its disturbance only.  References
-are sinusoids with analytic derivatives, so the admissible-reference
+joint is configured by its reference and its disturbance only, and the
+plant is the tuple of its joints, Scenario.joints.  References are
+sinusoids with analytic derivatives, so the admissible-reference
 consistency (d/dt pos = vel) holds exactly.
 """
 
@@ -22,7 +23,6 @@ __all__ = [
     "ReferenceSpec",
     "DisturbanceSpec",
     "JointConfig",
-    "JointPlantConfig",
     "reference_eval",
     "default_six_joint_plant",
 ]
@@ -114,16 +114,6 @@ class JointConfig:
     disturbance: DisturbanceSpec
 
 
-@dataclass(frozen=True)
-class JointPlantConfig:
-    joints: tuple[JointConfig, ...]
-
-    def __post_init__(self):
-        if not self.joints:
-            raise ValueError("joint plant needs at least one joint")
-        object.__setattr__(self, "joints", tuple(self.joints))
-
-
 # Desk-scale defaults for the six-joint comparison plant.  Amplitudes,
 # frequencies and offsets vary across joints; disturbance phases are spread
 # so the joints are not synchronized.
@@ -133,10 +123,10 @@ _JOINT_OFFSETS = (0.5, 0.4, 0.3, 0.35, 0.25, 0.45)
 _JOINT_DIST_PHASES = (0.0, 0.7, 1.4, 2.1, 2.8, 3.5)
 
 
-def default_six_joint_plant() -> JointPlantConfig:
-    """The default six-joint desk plant used by the PID-vs-hPID comparison."""
+def default_six_joint_plant() -> tuple[JointConfig, ...]:
+    """The joints of the default six-joint desk plant used by the PID-vs-hPID comparison."""
     columns = zip(_JOINT_AMPLITUDES, _JOINT_FREQUENCIES, _JOINT_OFFSETS, _JOINT_DIST_PHASES)
-    return JointPlantConfig(tuple(
+    return tuple(
         JointConfig(ReferenceSpec(amplitude, frequency, 0.0, offset), DisturbanceSpec(0.3, 0.15, 2.0, phase, 0.5))
         for amplitude, frequency, offset, phase in columns
-    ))
+    )

@@ -45,7 +45,7 @@ import numpy as np
 
 from .control import GainSet, hpid_law
 from .homogeneity import HomNormSpec, WeightedSumNorm, extended_state_dilation
-from .plant import JointPlantConfig, reference_eval
+from .plant import JointConfig, reference_eval
 
 __all__ = [
     "DivergenceError",
@@ -91,9 +91,10 @@ class Scenario:
 
     gains, mu, norm and norm_floor define the one controller of the run; on
     the joints plant every joint runs it.  The plant is "joints" exactly
-    when joint_plant is set.  x0 applies to the extended plant only: it
-    defaults to (1, 0, 0.3) there and must stay None on the joints plant,
-    whose joints start from rest.
+    when joints is not empty, and a group of its joints, as the CLI cuts
+    it, is replace(scn, joints=scn.joints[lo:hi]).  x0 applies to the
+    extended plant only: it defaults to (1, 0, 0.3) there and must stay
+    None on the joints plant, whose joints start from rest.
     """
 
     controller: str = "pid"  # "pid" | "hpid"
@@ -104,7 +105,7 @@ class Scenario:
     horizon: float = 9.0
     step: float = 1e-3
     norm_floor: float = 1e-9
-    joint_plant: JointPlantConfig | None = None
+    joints: tuple[JointConfig, ...] = ()
     name: str = ""
 
     def __post_init__(self):
@@ -116,10 +117,11 @@ class Scenario:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "step", float(self.step))
-        _check_grid(self.horizon, self.step, 1 if self.joint_plant is None else len(self.joint_plant.joints))
+        object.__setattr__(self, "joints", tuple(self.joints))
+        _check_grid(self.horizon, self.step, len(self.joints) or 1)
         object.__setattr__(self, "norm_floor", float(self.norm_floor))
         hpid_law(self.gains, mu, self.norm, self.norm_floor)  # validates mu, floor and norm
-        if self.joint_plant is not None:
+        if self.joints:
             if self.x0 is not None:
                 raise ValueError("x0 applies to the extended plant only; joints start from rest")
             return
@@ -127,7 +129,7 @@ class Scenario:
 
     @property
     def plant(self) -> str:
-        return "extended" if self.joint_plant is None else "joints"
+        return "joints" if self.joints else "extended"
 
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
@@ -278,22 +280,20 @@ def simulate(scn: Scenario) -> Trajectory:
     the failure's step.
     A run depends on its scenario alone and keeps no state between calls,
     and each block's samples depend on that block alone, so the CLI cuts a
-    joints-plant run into groups of joints, each the run of a sub-scenario,
-    and spreads the groups of a batch over forked worker processes
-    (workers.fork_map, which also spreads the samples of the Lyapunov
-    decrease check, and so verify's).  Which failure comes first depends
-    on every block, so a run a group of which failed is made again whole
-    to raise it; the DivergenceError of a worker reaches the parent
-    pickled.
+    joints-plant run into groups of joints, each the run of the scenario
+    replace(scn, joints=scn.joints[lo:hi]), and spreads the groups of a
+    batch over forked worker processes (workers.fork_map, which also
+    spreads the samples of the Lyapunov decrease check, and so verify's).
+    Which failure comes first depends on every block, so a run a group of
+    which failed is made again whole to raise it; the DivergenceError of a
+    worker reaches the parent pickled.
     """
-    if scn.joint_plant is None:
+    if scn.joints:
+        # joints start from rest at zero position: error = reference at t = 0
+        blocks = [((*reference_eval(jc.reference, 0.0), 0.0), jc.disturbance.eval) for jc in scn.joints]
+    else:
         # one undisturbed block: the constant disturbance sits in z(0) = p
         blocks = [(scn.x0, lambda t: 0.0)]
-    else:
-        # joints start from rest at zero position: error = reference at t = 0
-        blocks = [
-            ((*reference_eval(jc.reference, 0.0), 0.0), jc.disturbance.eval) for jc in scn.joint_plant.joints
-        ]
     law = hpid_law(scn.gains, scn.mu, scn.norm, scn.norm_floor)
     ki = scn.gains.ki
     n = scn.n_steps()

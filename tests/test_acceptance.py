@@ -18,7 +18,7 @@ from hpid import checks, cli
 from hpid.control import GainSet
 from hpid.fixtures import HARDWARE_COMPARISON_ROWS
 from hpid.homogeneity import CanonicalNorm, Dilation, SymMatrix, WeightedSumNorm, error_pair_dilation
-from hpid.metrics import compare, iavc, itae, ivc
+from hpid.metrics import channel_indices, compare
 from hpid.plant import default_six_joint_plant
 from hpid.sim import Scenario, Trajectory, simulate
 from hpid.stability import certify
@@ -129,9 +129,9 @@ def test_metrics_correctness():
             states[:, :1] = u  # the error channel
             return Trajectory(times=grid, states=states, controls=u, scenario=scn)
 
-        assert itae(wrap(np.ones(len(grid)))) == pytest.approx(40.5, abs=1e-6)
-        assert ivc(wrap(grid.copy())) == pytest.approx(9.0, abs=1e-9)
-        assert iavc(wrap(np.full(len(grid), 2.0))) == pytest.approx(18.0, abs=1e-9)
+        assert channel_indices(wrap(np.ones(len(grid)))).itae[0] == pytest.approx(40.5, abs=1e-6)
+        assert channel_indices(wrap(grid.copy())).ivc[0] == pytest.approx(9.0, abs=1e-9)
+        assert channel_indices(wrap(np.full(len(grid), 2.0))).iavc[0] == pytest.approx(18.0, abs=1e-9)
 
         u6 = np.random.default_rng(8).normal(size=(len(grid), 6))
         states6 = np.zeros((len(grid), 18))
@@ -144,7 +144,7 @@ def test_qualitative_comparison_trend():
         pid_scn = Scenario(
             controller="pid",
             gains=GAINS,
-            joint_plant=default_six_joint_plant(),
+            joints=default_six_joint_plant(),
             horizon=9.0,
             step=1e-3,
             name="trend-pid",
@@ -153,7 +153,7 @@ def test_qualitative_comparison_trend():
             controller="hpid",
             gains=GAINS,
             mu=0.2,
-            joint_plant=default_six_joint_plant(),
+            joints=default_six_joint_plant(),
             horizon=9.0,
             step=1e-3,
             name="trend-hpid",

@@ -2,17 +2,18 @@
 
 Each kernel fault is written into the source of `sim.rk4_block`, and the
 faulty kernel takes the real one's place where the checks call it, at
-verify's sample counts.  The metrics fault replaces `l2_norm` where the
-consistency line calls it, on the run `run_all` gives that line.
+verify's sample counts.  The metrics fault replaces `channel_indices`
+where the consistency line calls it, on the run `run_all` gives that line.
 """
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hpid import checks, sim
+from hpid import checks, metrics, sim
 from hpid.homogeneity import WeightedSumNorm
 
 
@@ -58,10 +59,11 @@ def test_nan_residual_after_a_finite_one_fails():
 def test_wrong_channel_sum_fails_the_consistency_line(monkeypatch):
     # (sum_j |u_j|)^2 for sum_j u_j^2 agrees with the pointwise norm on a
     # one-channel run; verify's line must run where the channels can disagree
-    def l1_squared_l2_norm(traj, signal):
-        return float(np.sqrt(np.trapezoid(np.abs(traj.controls).sum(axis=1) ** 2, traj.times)))
+    def l1_squared_channel_indices(traj):
+        squares = np.abs(traj.controls).sum(axis=1, keepdims=True) ** 2
+        return replace(metrics.channel_indices(traj), control_squares=squares)
 
-    monkeypatch.setattr(checks, "l2_norm", l1_squared_l2_norm)
+    monkeypatch.setattr(checks, "channel_indices", l1_squared_channel_indices)
     # the other checks are stubbed out, so run_all makes only this line's run
     for name in vars(checks).copy():
         if name.startswith("_check_") and name != "_check_metrics_identity":

@@ -15,7 +15,7 @@ from hpid import cli, homogeneity, sim
 from hpid.control import GainSet
 from hpid.homogeneity import CanonicalNorm, WeightedSumNorm
 from hpid.plant import (
-    DisturbanceSpec, JointConfig, JointPlantConfig, ReferenceSpec, default_six_joint_plant, reference_eval,
+    DisturbanceSpec, JointConfig, ReferenceSpec, default_six_joint_plant, reference_eval,
 )
 from hpid.sim import DivergenceError, Scenario
 from hpid.stability import certify
@@ -162,6 +162,9 @@ class TestParseConfig:
             ("[scenario j]\nplant = joints\ndist_constant = 0.4\ndist_bound = x\n", [(4, "(key 'dist_bound')")]),
             # a negative seed is cited at its line, not raised by the phase draw
             ("[scenario j]\nplant = joints\ndist_phase = random\nseed = -1\n", [(4, "seed must be a nonnegative integer")]),
+            # a floor at which the law overflows is cited at the floor, not raised by the run
+            ("[scenario j]\nplant = joints\ncontroller = hpid\nmu = -0.45\nnorm_floor = 1e-300\n",
+             [(5, "norm_floor ** (3 mu) overflows at norm_floor = 1e-300, mu = -0.45 (key 'norm_floor')")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
@@ -171,7 +174,7 @@ class TestParseConfig:
             "nonfinite_x0", "disturbance_bound",
             "nonmonotone_p", "nonmonotone_p_pid",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
-            "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed",
+            "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed", "overflowing_floor",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -194,7 +197,7 @@ class TestParseConfig:
         [problem] = err.value.problems
         assert problem.startswith("line 5: [scenario j] step 0.001 too fine for horizon 10.0: ") and "memory" in problem
         with pytest.raises(ValueError, match="physical memory"):
-            Scenario(horizon=10.0, step=0.001, joint_plant=JointPlantConfig(default_six_joint_plant().joints[:2]))
+            Scenario(horizon=10.0, step=0.001, joints=default_six_joint_plant()[:2])
 
     def test_malformed_line_reported(self):
         with pytest.raises(cli.ConfigError) as err:
@@ -254,18 +257,17 @@ n_joints = 2
 """
         # random phases are drawn uniformly from [0, 2 pi) with the seed
         phases = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=3)
-        canon = JointPlantConfig(tuple(
+        canon = tuple(
             JointConfig(ReferenceSpec(a, 1.0, 0.0, 0.0), DisturbanceSpec(0.3, 0.15, 2.0, p, 0.5))
             for a, p in zip((1.0, 0.8, 0.6), phases)
-        ))
-        exp = JointPlantConfig(tuple(
+        )
+        exp = tuple(
             JointConfig(ReferenceSpec(1.0, 1.0, 0.0, 0.0), DisturbanceSpec(0.3, 0.15, 2.0, 0.7 * j, 0.5))
             for j in range(2)
-        ))
+        )
         assert cli.parse_config(text).scenarios == (
-            Scenario("hpid", mu=0.2, norm=CanonicalNorm([[2.0, 0.3], [0.3, 1.0]]), joint_plant=canon,
-                     name="joints_canon"),
-            Scenario("hpid", mu=0.1, norm=WeightedSumNorm((1 / 1.5, 0.7)), joint_plant=exp, name="joints_exp"),
+            Scenario("hpid", mu=0.2, norm=CanonicalNorm([[2.0, 0.3], [0.3, 1.0]]), joints=canon, name="joints_canon"),
+            Scenario("hpid", mu=0.1, norm=WeightedSumNorm((1 / 1.5, 0.7)), joints=exp, name="joints_exp"),
         )
 
     def test_readme_example_parses(self):
@@ -350,7 +352,7 @@ def scenario_cases(draw, name):
     joints = tuple(
         JointConfig(ReferenceSpec(*r), DisturbanceSpec(*d)) for r, d in zip(zip(*reference), zip(*disturbance))
     )
-    return "\n".join(lines) + "\n\n", Scenario(controller, joint_plant=JointPlantConfig(joints), **common)
+    return "\n".join(lines) + "\n\n", Scenario(controller, joints=joints, **common)
 
 
 def _read_csv(path):
@@ -450,7 +452,7 @@ class TestSimulateCommand:
         cfgfile.write_text("[scenario j]\nplant = joints\nn_joints = 2\nref_phase = 0.3, 1.1\nT = 1.0\nh = 0.01\n")
         assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
         _, data = _read_csv(tmp_path / "out" / "j.csv")
-        refs = [jc.reference for jc in cli.parse_config(cfgfile.read_text()).scenario("j").joint_plant.joints]
+        refs = [jc.reference for jc in cli.parse_config(cfgfile.read_text()).scenario("j").joints]
         for k, ref in enumerate(refs):
             q, eps = data[:, 1 + 3 * k], data[:, 3 + 3 * k]
             assert [reference_eval(ref, t)[0] - e for t, e in zip(data[:, 0].tolist(), eps.tolist())] == q.tolist()
@@ -503,7 +505,7 @@ class TestSimulateCommand:
             "[scenario p]\nplant = joints\nT = 9.0\nh = 0.001\n\n"
             "[scenario q]\nplant = joints\ncontroller = hpid\nmu = 0.2\nT = 9.0\nh = 0.001\n"
         )
-        runs = {sub: cli.simulate(sub) for scn in cfg.scenarios for _, _, sub in cli._joint_groups(scn, 2)}
+        runs = {sub: cli.simulate(sub) for scn in cfg.scenarios for _, sub in cli._joint_groups(scn, 2)}
         assert len(runs) == 4
         monkeypatch.setattr(cli, "simulate", lambda scn: runs[scn])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -673,10 +675,11 @@ SPLIT_FAILS = {
     # joint 4 diverges at t = 5.45, the other joints at t = 7.24
     "divergence": "[scenario split]\nplant = joints\nkp = 3\nkd = 3\nki = 1\nT = 9.0\nh = 0.01\n"
     "ref_amplitude = 1e-3, 1e-3, 1e-3, 1, 1e-3, 1e-3\ndist_constant = 0\ndist_amplitude = 0\n",
-    # joint 5 starts at the origin, where the floored norm to the power 3 mu
-    # overflows at once; joint 1 diverges in the first step, after it
-    "law_raises": "[scenario split]\nplant = joints\ncontroller = hpid\nmu = -0.45\nnorm_floor = 1e-300\n"
-    "T = 1.0\nh = 0.01\nref_amplitude = 1e12, 1, 1, 1, 0, 1\n",
+    # joint 5 starts off the origin, where its norm of 1e250 to the power 3 mu
+    # overflows at once; joint 1, whose norm starts at 1e227, reaches a
+    # non-finite state in the first step, after it; the others rest at the origin
+    "law_raises": "[scenario split]\nplant = joints\ncontroller = hpid\nmu = 0.45\nnorm_coefficients = 1e250, 1e250\n"
+    "T = 1.0\nh = 0.01\nref_amplitude = 1e-23, 0, 0, 0, 1, 0\ndist_constant = 0\ndist_amplitude = 0\n",
 }
 
 
@@ -735,6 +738,17 @@ class TestWorkerProcesses:
         assert serial == (cli.EXIT_DIVERGENCE, "", "error: simulation diverged at t = 5.463 (|x| > 1e+09)\n", existing)
         assert _run(tmp_path, monkeypatch, capsys, {0, 1, 2}, "simulate", text, existing) == serial
 
+    @pytest.mark.parametrize("cores", [{0}, {0, 1, 2}], ids=len)
+    def test_user_files_named_like_part_files_survive(self, tmp_path, monkeypatch, capsys, cores):
+        # simulate keeps its part files and fragments in a directory of its own:
+        # a user's file under a name one of them once had is neither written nor removed
+        existing = {".good.csv.part": b"user data\n", ".six.csv.part.j3": b"more user data\n"}
+        text = GOOD + "[scenario six]\nplant = joints\nT = 1.0\nh = 0.01\n"
+        code, _, _, files = _run(tmp_path, monkeypatch, capsys, cores, "simulate", text, existing)
+        assert code == cli.EXIT_OK
+        assert sorted(files) == sorted([*existing, "fine.csv", "good.csv", "six.csv"])
+        assert {name: files[name] for name in existing} == existing
+
     @pytest.mark.parametrize("cores", FORKED, ids=len)
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("case", SPLIT_FAILS)
@@ -757,7 +771,7 @@ class TestWorkerProcesses:
             cli.simulate(scn)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
         groups = cli._joint_groups(scn, len(cores))
-        [values] = cli._map_groups(lambda scn, first, sub: cli.simulate(sub), [groups])
+        [values] = cli._map_groups(lambda first, sub: cli.simulate(sub), [groups])
         assert all(isinstance(value, DivergenceError) for value in values)
         with pytest.raises(DivergenceError) as split:
             cli._joined(scn, values)
@@ -772,7 +786,7 @@ class TestWorkerProcesses:
 
         def logging_simulate(scn, real=cli.simulate):
             with log.open("a") as f:
-                f.write(f"{os.getpid()} {scn.name} {len(scn.joint_plant.joints) if scn.joint_plant else 0}\n")
+                f.write(f"{os.getpid()} {scn.name} {len(scn.joints)}\n")
             return real(scn)
 
         monkeypatch.setattr(cli, "simulate", logging_simulate)

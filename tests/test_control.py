@@ -81,3 +81,14 @@ class TestHpidLaw:
     def test_mu_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             hpid_law(GAINS, 0.5, UNIT, 1e-9)
+        # named as the degree, though 1e-9 ** (3 mu) overflows there too
+        with pytest.raises(ValueError, match="degree mu must lie in"):
+            hpid_law(GAINS, -100.0, UNIT, 1e-9)
+
+    @pytest.mark.parametrize("mu,floor", [(-0.45, 1e-300), (0.45, 1e300)])
+    def test_floor_at_which_the_law_overflows_rejected(self, mu, floor):
+        # floor ** (3 mu) past the float range: the law would raise OverflowError at its own floor
+        with pytest.raises(ValueError, match=r"norm_floor \*\* \(3 mu\) overflows"):
+            hpid_law(GAINS, mu, UNIT, floor)
+        law = hpid_law(GAINS, mu, UNIT, 1e-200 if mu < 0 else 1e200)  # 1e-200 ** -1.35 = 1e270 is a float
+        assert all(map(math.isfinite, law(0.0, 0.0)))

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -31,23 +32,39 @@ def test_package_reexports_module_exports():
     assert public - exported == set()
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "rk4_step",
-        "standard_dilation",
-        "read_trajectory_csv",
-        "pointwise_norm",
-        "convergence_classifier",
-        "ConvergenceReport",
-        "compare_indices",
-        "HARDWARE_L2_CONTROL",
-        "HARDWARE_L2_ERROR",
-        "HARDWARE_L2_ERROR_ALT",
-    ],
-)
+DELETED = [
+    "rk4_step",
+    "standard_dilation",
+    "read_trajectory_csv",
+    "pointwise_norm",
+    "convergence_classifier",
+    "ConvergenceReport",
+    "compare_indices",
+    "HARDWARE_L2_CONTROL",
+    "HARDWARE_L2_ERROR",
+    "HARDWARE_L2_ERROR_ALT",
+    "JointPlantConfig",
+    "ivc",
+    "iavc",
+    "itae",
+    "l2_norm",
+]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("name", DELETED)
 def test_deleted_names_stay_deleted(name):
     assert [module.__name__ for module in [hpid, *MODULES] if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_readme_names_no_deleted_name_as_code(name):
+    # as code: backticked, or called as name(...); an attribute such as
+    # `report.pid.ivc` is not the deleted name
+    text = README.read_text(encoding="utf-8")
+    named = [span for span in re.findall(r"`([^`]*)`", text) if re.fullmatch(rf"{name}(\(.*\))?", span)]
+    called = re.findall(rf"(?<![\w.]){name}\(", text)
+    assert named + called == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hpid import cli
-from hpid.metrics import channel_indices, compare, iavc, itae, ivc, l2_norm, run_indices
-from hpid.plant import JointPlantConfig, default_six_joint_plant
+from hpid.metrics import channel_indices, compare, run_indices
+from hpid.plant import default_six_joint_plant
 from hpid.sim import Scenario, Trajectory, simulate
 
 
@@ -29,14 +29,14 @@ GRID = np.arange(0.0, 9.0 + 1e-12, 1e-3)
 
 class TestIvc:
     def test_constant_control(self):
-        assert ivc(_traj(GRID, np.full(len(GRID), 2.5))) == 0.0
+        assert channel_indices(_traj(GRID, np.full(len(GRID), 2.5))).ivc[0] == 0.0
 
     def test_ramp(self):
-        assert ivc(_traj(GRID, GRID.copy())) == pytest.approx(9.0, abs=1e-9)
+        assert channel_indices(_traj(GRID, GRID.copy())).ivc[0] == pytest.approx(9.0, abs=1e-9)
 
     def test_sine_against_closed_form(self):
         # total variation of sin on [0, 9] is 6 - sin(9)
-        val = ivc(_traj(GRID, np.sin(GRID)))
+        val = channel_indices(_traj(GRID, np.sin(GRID))).ivc[0]
         assert val == pytest.approx(6.0 - math.sin(9.0), abs=1e-4)
 
     def test_needs_two_samples(self):
@@ -48,46 +48,46 @@ class TestIvc:
             scenario=scn,
         )
         with pytest.raises(ValueError):
-            ivc(single)
+            channel_indices(single)
 
 
 class TestIavc:
     def test_zero(self):
-        assert iavc(_traj(GRID, np.zeros(len(GRID)))) == 0.0
+        assert channel_indices(_traj(GRID, np.zeros(len(GRID)))).iavc[0] == 0.0
 
     def test_constant_two(self):
-        assert iavc(_traj(GRID, np.full(len(GRID), 2.0))) == pytest.approx(18.0, abs=1e-9)
+        assert channel_indices(_traj(GRID, np.full(len(GRID), 2.0))).iavc[0] == pytest.approx(18.0, abs=1e-9)
 
     def test_shifted_ramp_two_triangles(self):
-        assert iavc(_traj(GRID, GRID - 4.5)) == pytest.approx(20.25, abs=1e-6)
+        assert channel_indices(_traj(GRID, GRID - 4.5)).iavc[0] == pytest.approx(20.25, abs=1e-6)
 
 
 class TestItae:
     def test_zero_error(self):
-        assert itae(_traj(GRID, np.zeros(len(GRID)))) == 0.0
+        assert channel_indices(_traj(GRID, np.zeros(len(GRID)))).itae[0] == 0.0
 
     def test_unit_error(self):
-        assert itae(_traj(GRID, np.ones(len(GRID)))) == pytest.approx(40.5, abs=1e-6)
+        assert channel_indices(_traj(GRID, np.ones(len(GRID)))).itae[0] == pytest.approx(40.5, abs=1e-6)
 
     def test_exponential_against_parts_integration(self):
         # integral of t e^{-t} over [0, 9] = 1 - 10 e^{-9}
-        val = itae(_traj(GRID, np.exp(-GRID)))
+        val = channel_indices(_traj(GRID, np.exp(-GRID))).itae[0]
         assert val == pytest.approx(1.0 - 10.0 * math.exp(-9.0), abs=1e-6)
 
 
 class TestL2AndPointwise:
     def test_zero_signal(self):
-        assert l2_norm(_traj(GRID, np.zeros((len(GRID), 6))), "control") == 0.0
+        assert run_indices([channel_indices(_traj(GRID, np.zeros((len(GRID), 6))))]).l2_control == 0.0
 
     def test_six_unit_channels(self):
         traj = _traj(GRID, np.ones((len(GRID), 6)))
-        assert l2_norm(traj, "control") == pytest.approx(math.sqrt(54.0), abs=1e-9)
+        assert run_indices([channel_indices(traj)]).l2_control == pytest.approx(math.sqrt(54.0), abs=1e-9)
 
     def test_l2_consistency_identity(self):
         rng = np.random.default_rng(3)
         u = rng.normal(size=(len(GRID), 6))
         traj = _traj(GRID, u)
-        l2 = l2_norm(traj, "control")
+        l2 = run_indices([channel_indices(traj)]).l2_control
         squares = np.array([float(np.linalg.norm(row)) ** 2 for row in traj.controls])
         via_pointwise = math.sqrt(np.trapezoid(squares, GRID))
         assert abs(l2 - via_pointwise) <= 1e-9 * l2
@@ -97,22 +97,23 @@ class TestQuadratureProperties:
     def test_additivity_over_partition(self):
         rng = np.random.default_rng(5)
         u = rng.normal(size=len(GRID)).cumsum() * 1e-2
-        full = _traj(GRID, u)
+        full = channel_indices(_traj(GRID, u))
         mid = len(GRID) // 2
-        left = _traj(GRID[: mid + 1], u[: mid + 1])
-        right = _traj(GRID[mid:], u[mid:])
-        for index in (iavc, itae):
-            total = index(full)
-            split = index(left) + index(right)
+        left = channel_indices(_traj(GRID[: mid + 1], u[: mid + 1]))
+        right = channel_indices(_traj(GRID[mid:], u[mid:]))
+        for name in ("iavc", "itae"):
+            total = getattr(full, name)[0]
+            split = getattr(left, name)[0] + getattr(right, name)[0]
             assert abs(total - split) <= 1e-9 * max(1.0, abs(total))
-        assert abs(ivc(full) - (ivc(left) + ivc(right))) <= 1e-9
+        assert abs(full.ivc[0] - (left.ivc[0] + right.ivc[0])) <= 1e-9
 
     def test_grid_refinement_stability(self):
         # halving h moves each index by at most 0.5% on smooth signals
         coarse = simulate(Scenario(controller="hpid", mu=0.1, horizon=9.0, step=1e-3))
         fine = simulate(Scenario(controller="hpid", mu=0.1, horizon=9.0, step=5e-4))
-        for index in (ivc, iavc, itae):
-            a, b = index(coarse), index(fine)
+        coarse, fine = channel_indices(coarse), channel_indices(fine)
+        for name in ("ivc", "iavc", "itae"):
+            a, b = getattr(coarse, name)[0], getattr(fine, name)[0]
             assert abs(a - b) <= 5e-3 * max(abs(a), abs(b))
 
 
@@ -156,16 +157,15 @@ class TestCompare:
 def test_indices_joined_from_joint_groups_are_the_whole_runs(cuts):
     # each group of joints is a run of its own; joined in channel order, their
     # indices and L2 norms are the whole run's bit for bit
-    scn = Scenario(controller="hpid", mu=0.2, horizon=1.0, step=0.01, joint_plant=default_six_joint_plant())
+    scn = Scenario(controller="hpid", mu=0.2, horizon=1.0, step=0.01, joints=default_six_joint_plant())
     whole = run_indices([channel_indices(simulate(scn))])
-    joints = scn.joint_plant.joints
     joined = run_indices([
-        channel_indices(simulate(replace(scn, joint_plant=JointPlantConfig(joints[lo:hi]))))
-        for lo, hi in zip(cuts, cuts[1:])
+        channel_indices(simulate(replace(scn, joints=scn.joints[lo:hi]))) for lo, hi in zip(cuts, cuts[1:])
     ])
     assert joined.layout == whole.layout == (101, 6)
     assert np.array_equal(joined.times, whole.times)
     for name in ("plant", "ivc", "iavc", "itae", "l2_control", "l2_error"):
         assert getattr(joined, name) == getattr(whole, name), name
     traj = simulate(scn)
-    assert (whole.l2_control, whole.l2_error) == (l2_norm(traj, "control"), l2_norm(traj, "error"))
+    for l2, signal in ((whole.l2_control, traj.controls), (whole.l2_error, traj.errors)):
+        assert l2 == float(np.sqrt(np.trapezoid((signal * signal).sum(axis=1), traj.times)))

@@ -9,7 +9,6 @@ from hpid.homogeneity import CanonicalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
     DisturbanceSpec,
     JointConfig,
-    JointPlantConfig,
     ReferenceSpec,
     default_six_joint_plant,
     reference_eval,
@@ -52,7 +51,7 @@ class TestJointRhs:
         scn = Scenario(
             controller="hpid",
             mu=-0.1,
-            joint_plant=JointPlantConfig((joint,)),
+            joints=(joint,),
             horizon=16.0,
             step=1e-3,
         )
@@ -89,12 +88,8 @@ class TestDisturbance:
             DisturbanceSpec(constant=0.4, amplitude=0.2, bound=0.5)
 
 
-class TestJointPlantConfig:
+class TestDefaultSixJointPlant:
     def test_default_plant_shape(self):
-        plant = default_six_joint_plant()
-        assert len(plant.joints) == 6
-        assert all(j.disturbance.bound == 0.5 for j in plant.joints)
-
-    def test_needs_at_least_one_joint(self):
-        with pytest.raises(ValueError):
-            JointPlantConfig(())
+        joints = default_six_joint_plant()
+        assert len(joints) == 6
+        assert all(j.disturbance.bound == 0.5 for j in joints)

@@ -13,7 +13,6 @@ from hpid.homogeneity import CanonicalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
     DisturbanceSpec,
     JointConfig,
-    JointPlantConfig,
     ReferenceSpec,
     default_six_joint_plant,
     reference_eval,
@@ -89,8 +88,8 @@ class TestScenarioValidation:
     def test_x0_applies_to_extended_plant_only(self):
         # joints start from rest, so an x0 there would be stored and ignored
         with pytest.raises(ValueError):
-            Scenario(joint_plant=default_six_joint_plant(), x0=(5.0, 5.0, 5.0), horizon=0.1, step=0.01)
-        assert Scenario(joint_plant=default_six_joint_plant()).x0 is None
+            Scenario(joints=default_six_joint_plant(), x0=(5.0, 5.0, 5.0), horizon=0.1, step=0.01)
+        assert Scenario(joints=default_six_joint_plant()).x0 is None
         assert Scenario().x0 == (1.0, 0.0, 0.3)
 
     def test_norm_checked_at_every_degree(self):
@@ -187,7 +186,7 @@ class TestFailurePrecedence:
         )
         monkeypatch.setattr(DisturbanceSpec, "eval", lambda spec, t: dists[round(10 * spec.constant)](t))
         with pytest.raises(Exception) as err:
-            simulate(Scenario(joint_plant=JointPlantConfig(joints), horizon=0.1, step=1e-3))
+            simulate(Scenario(joints=joints, horizon=0.1, step=1e-3))
         return err.value
 
     def test_earlier_step_wins_over_earlier_block(self, monkeypatch):
@@ -314,11 +313,11 @@ def _array_run(scn: Scenario):
     right-hand side turned into an array, and the update
     x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) as one array expression.
     """
-    if scn.joint_plant is None:
+    if not scn.joints:
         y0, dists = list(scn.x0), [lambda t: 0.0]
     else:
         y0, dists = [], []
-        for jc in scn.joint_plant.joints:
+        for jc in scn.joints:
             pos, vel = reference_eval(jc.reference, 0.0)
             y0 += (pos, vel, 0.0)
             dists.append(jc.disturbance.eval)
@@ -379,14 +378,14 @@ class TestFloatKernelMatchesArrays:
         self._assert_bitwise(scn)
 
     def test_six_joint_hpid(self):
-        scn = Scenario(controller="hpid", mu=0.2, joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3)
+        scn = Scenario(controller="hpid", mu=0.2, joints=default_six_joint_plant(), horizon=0.5, step=1e-3)
         self._assert_bitwise(scn)
 
     def test_six_joint_pid(self):
-        self._assert_bitwise(Scenario(joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3))
+        self._assert_bitwise(Scenario(joints=default_six_joint_plant(), horizon=0.5, step=1e-3))
 
     def test_six_joint_negative_degree(self):
-        scn = Scenario(controller="hpid", mu=-0.2, joint_plant=default_six_joint_plant(), horizon=0.5, step=1e-3)
+        scn = Scenario(controller="hpid", mu=-0.2, joints=default_six_joint_plant(), horizon=0.5, step=1e-3)
         self._assert_bitwise(scn)
 
 
@@ -413,17 +412,17 @@ class TestKernelEvaluationCounts:
         monkeypatch.setattr(control_module, "norm_evaluator", counting)
         return count
 
-    @pytest.mark.parametrize("joint_plant", [None, default_six_joint_plant()], ids=["extended", "joints"])
-    def test_hpid_norm_evaluated_4n_plus_1_times_per_block(self, monkeypatch, joint_plant):
+    @pytest.mark.parametrize("joints", [(), default_six_joint_plant()], ids=["extended", "joints"])
+    def test_hpid_norm_evaluated_4n_plus_1_times_per_block(self, monkeypatch, joints):
         count = self._count_norm_evals(monkeypatch)
-        scn = Scenario(controller="hpid", mu=0.2, joint_plant=joint_plant, horizon=0.1, step=1e-3)
+        scn = Scenario(controller="hpid", mu=0.2, joints=joints, horizon=0.1, step=1e-3)
         simulate(scn)
-        n_blocks = 1 if joint_plant is None else len(joint_plant.joints)
+        n_blocks = len(joints) or 1
         assert count[0] == n_blocks * (4 * scn.n_steps() + 1)
 
     def test_pid_evaluates_no_norm(self, monkeypatch):
         count = self._count_norm_evals(monkeypatch)
-        simulate(Scenario(controller="pid", joint_plant=default_six_joint_plant(), horizon=0.1, step=1e-3))
+        simulate(Scenario(controller="pid", joints=default_six_joint_plant(), horizon=0.1, step=1e-3))
         assert count[0] == 0
 
     def test_disturbance_evaluated_3n_times_per_joint(self, monkeypatch):
@@ -435,10 +434,10 @@ class TestKernelEvaluationCounts:
             return real(self, t)
 
         monkeypatch.setattr(DisturbanceSpec, "eval", counting)
-        plant = default_six_joint_plant()
-        scn = Scenario(controller="hpid", mu=-0.2, joint_plant=plant, horizon=0.1, step=1e-3)
+        joints = default_six_joint_plant()
+        scn = Scenario(controller="hpid", mu=-0.2, joints=joints, horizon=0.1, step=1e-3)
         simulate(scn)
-        assert [calls.get(id(jc.disturbance)) for jc in plant.joints] == [3 * scn.n_steps()] * len(plant.joints)
+        assert [calls.get(id(jc.disturbance)) for jc in joints] == [3 * scn.n_steps()] * len(joints)
 
 
 class TestScalingSymmetry:
@@ -460,7 +459,7 @@ class TestScalingSymmetry:
         assert report.truncated  # e^{mu s} > 1 pushes the resample past T
 
     def test_requires_extended_plant(self):
-        scn = Scenario(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-2)
+        scn = Scenario(joints=default_six_joint_plant(), horizon=1.0, step=1e-2)
         with pytest.raises(ValueError):
             scaling_symmetry_run(scn, 0.5)
 
@@ -476,7 +475,7 @@ class TestSimulateJoints:
         )
         scn = Scenario(
             controller="pid",
-            joint_plant=JointPlantConfig((joint,)),
+            joints=(joint,),
             horizon=9.0,
             step=1e-3,
         )
@@ -504,7 +503,7 @@ class TestSimulateJoints:
         # the canonical norm is a root solve per evaluation: a shorter run
         horizon = 1.0 if norm_kind == "canonical" else 3.0
         common = dict(controller="hpid" if mu else "pid", mu=mu, norm=norm, horizon=horizon, step=1e-3)
-        joints = simulate(Scenario(joint_plant=JointPlantConfig((joint,)), **common))
+        joints = simulate(Scenario(joints=(joint,), **common))
         extended = simulate(Scenario(x0=(1.0, 0.0, p), **common))
         assert np.abs(joints.errors - extended.errors).max() <= 1e-12
         assert np.abs(joints.controls - extended.controls).max() <= 1e-12
@@ -517,7 +516,7 @@ class TestSimulateJoints:
             controller="hpid",
             gains=gains,
             mu=0.2,
-            joint_plant=default_six_joint_plant(),
+            joints=default_six_joint_plant(),
             horizon=1.0,
             step=1e-3,
         )
@@ -528,7 +527,7 @@ class TestSimulateJoints:
         assert np.array_equal(traj.controls, pd + z)
 
     def test_scenario_degree_reaches_every_joint(self):
-        common = dict(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-3)
+        common = dict(joints=default_six_joint_plant(), horizon=1.0, step=1e-3)
         pid_scn = Scenario(controller="pid", **common)
         hpid_scn = Scenario(controller="hpid", mu=0.2, **common)
         assert pid_scn.plant == hpid_scn.plant == "joints"
@@ -540,7 +539,7 @@ class TestSimulateJoints:
         scn = Scenario(
             controller="hpid",
             mu=0.2,
-            joint_plant=default_six_joint_plant(),
+            joints=default_six_joint_plant(),
             horizon=1.0,
             step=1e-3,
         )
@@ -559,7 +558,7 @@ class TestTrajectoryInvariants:
         assert np.allclose(np.diff(traj.times), 1e-2)
 
     def test_errors_are_a_read_only_view_of_the_states(self):
-        traj = simulate(Scenario(joint_plant=default_six_joint_plant(), horizon=1.0, step=1e-2))
+        traj = simulate(Scenario(joints=default_six_joint_plant(), horizon=1.0, step=1e-2))
         assert traj.errors.shape == (101, 6)
         assert np.shares_memory(traj.errors, traj.states)
         assert np.array_equal(traj.errors, traj.states[:, 0::3])
