@@ -32,6 +32,7 @@ from .plant import (
 )
 from .sim import DivergenceError, Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
 from .stability import (
+    CertificateError,
     InfeasibleGainsError,
     StabilityCertificate,
     certify,

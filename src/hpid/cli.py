@@ -10,15 +10,18 @@ certify    print the Lyapunov matrix, proof constants and certified degree
 verify     run the built-in property suite
 
 Exit codes: 0 success, 1 property or stability failure, 2 configuration
-error, 3 numerical divergence.
+error, 3 numerical divergence: a config that parses ends simulate in 0 or
+3, and compare too unless a job pairs runs on different plants or grids.
 
 simulate and compare spread their work over the usable cores, with no
 setting (workers.fork_map).  The unit of work is a joint group: a
 joints-plant run is cut into min(joints, usable cores) contiguous groups of
 joints, an extended-plant run is one group, and forked workers take the
-groups in turn.  Every file, printed line and exit code is the one a
-single core gives; a run a group of which failed is made again whole, so
-it fails as on one core.  simulate writes its CSVs in a temporary
+groups in turn.  For a command that ends in 0, 2 or 3, every file, printed
+line and exit code is the one a single core gives, and a split run that
+diverged fails as on one core (_joined).  A fault, any exception other than
+an ArithmeticError, propagates as raised, so whether it or an earlier
+divergence ends a run can depend on the core count.  simulate writes its CSVs in a temporary
 directory of the output directory and renames them into place only after
 every run has finished; compare simulates each scenario named by any job
 once.  verify's Lyapunov decrease line spreads its canonical-norm samples
@@ -81,9 +84,9 @@ import numpy as np
 from . import checks, fixtures, metrics
 from .control import GainSet, _check_floor, hpid_law
 from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
-from .plant import DisturbanceSpec, JointConfig, ReferenceSpec
-from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _initial_state, simulate
-from .stability import InfeasibleGainsError, StabilityCertificate, certify
+from .plant import DisturbanceSpec, JointConfig, ReferenceSpec, _check_phase
+from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _first_failure, _initial_state, simulate
+from .stability import CertificateError, InfeasibleGainsError, StabilityCertificate, certify
 from .workers import fork_map, usable_cores
 
 __all__ = [
@@ -324,11 +327,13 @@ def _read_gains(r: _SectionReader) -> GainSet | None:
     return r.check("", GainSet, *gains)
 
 
-def _joints(r: _SectionReader, n: int, seed: int | None, columns: dict) -> tuple[JointConfig, ...] | None:
+def _joints(r: _SectionReader, n: int, seed: int | None, columns: dict, horizon) -> tuple[JointConfig, ...] | None:
     """The joints of the joints plant from the per-joint keys' values; absent keys take their defaults.
 
-    Each key's values are checked alone, at that key.  The one rule across
-    keys, the disturbance bound, is cited at the first of its keys set.
+    Each key's values are checked alone, at that key.  The rules across
+    keys are cited at the first of their keys set: the disturbance bound,
+    and a phase w t + phase that overflows on the horizon (None for a grid
+    already reported), at the frequency, the phase or T.
     """
 
     def column(key, default):
@@ -340,15 +345,21 @@ def _joints(r: _SectionReader, n: int, seed: int | None, columns: dict) -> tuple
             return None if seed is None else np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=n).tolist()
         return values
 
-    def specs(spec, keys, cited):
+    def in_phase(specs, T):
+        for spec in specs:
+            _check_phase(spec, T)
+        return specs
+
+    def specs(spec, keys, cited, prefix):
         columns = [
             r.check(key, lambda values: [spec.check_field(f.name, v) for v in values], column(key, default))
             for (key, default), f in zip(keys.items(), fields(spec))
         ]
-        return r.check(r.first(*cited), lambda *cols: [spec(*v) for v in zip(*cols)], *columns)
+        built = r.check(r.first(*cited), lambda *cols: [spec(*v) for v in zip(*cols)], *columns)
+        return r.check(r.first(f"{prefix}_frequency", f"{prefix}_phase", "T"), in_phase, built, horizon)
 
-    refs = specs(ReferenceSpec, _REFERENCE_KEYS, ())
-    dists = specs(DisturbanceSpec, _DISTURBANCE_KEYS, ("dist_constant", "dist_amplitude", "dist_bound"))
+    refs = specs(ReferenceSpec, _REFERENCE_KEYS, (), "ref")
+    dists = specs(DisturbanceSpec, _DISTURBANCE_KEYS, ("dist_constant", "dist_amplitude", "dist_bound"), "dist")
     return None if refs is None or dists is None else tuple(map(JointConfig, refs, dists))
 
 
@@ -381,8 +392,11 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     if n is not None and n < 1:
         r.error("n_joints", "need at least one joint")
         n = None  # the per-joint lists are still read, at any length
-    # a run's memory grows with its blocks: one per joint, one on the extended plant
-    r.check(r.first("h", "T"), _check_grid, numbers["horizon"], numbers["step"], n if plant == "joints" and n else 1)
+    # a run's memory grows with its blocks: one per joint, one on the extended plant; the horizon, once valid
+    horizon = r.check(
+        r.first("h", "T"), lambda T, h, blocks: _check_grid(T, h, blocks) or T,
+        numbers["horizon"], numbers["step"], n if plant == "joints" and n else 1,
+    )
     columns = {
         key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
         for key, default in {**_REFERENCE_KEYS, **_DISTURBANCE_KEYS}.items()
@@ -402,7 +416,7 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         ]
         norm = None if None in alone else build_norm(*values)
         r.check(r.first(*norm_keys, "norm"), hpid_law, gains, mu, norm, floor)
-    plant_joints = _joints(r, n, seed, columns) if joints and n is not None else ()
+    plant_joints = _joints(r, n, seed, columns, horizon) if joints and n is not None else ()
     if not r.ok:  # the scenario is built only from a section without a problem
         return None
     return r.check("", Scenario, controller, gains, norm=norm, x0=x0, joints=plant_joints, name=r.name, **numbers)
@@ -513,7 +527,7 @@ def certificate_csv_text(cert: StabilityCertificate) -> str:
 
 def _warn_uncertified(scenarios) -> None:
     """Warn, in order, of each hpid scenario whose degree its gains do not certify."""
-    certs: dict[GainSet, StabilityCertificate] = {}  # one certify per distinct gain set
+    certs: dict[GainSet, StabilityCertificate | CertificateError] = {}  # one certify per distinct gain set
     for scn in scenarios:
         if scn.controller != "hpid" or scn.mu == 0.0:
             continue
@@ -521,9 +535,14 @@ def _warn_uncertified(scenarios) -> None:
             print(f"warning: scenario {scn.name!r} uses non-stabilizing gains", file=sys.stderr)
             continue
         if scn.gains not in certs:
-            certs[scn.gains] = certify(scn.gains)
+            try:
+                certs[scn.gains] = certify(scn.gains)
+            except CertificateError as exc:
+                certs[scn.gains] = exc
         cert = certs[scn.gains]
-        if not cert.admits(scn.mu):
+        if isinstance(cert, CertificateError):
+            print(f"warning: scenario {scn.name!r} cannot be certified: {cert}", file=sys.stderr)
+        elif not cert.admits(scn.mu):
             print(
                 f"warning: scenario {scn.name!r} requests mu={scn.mu} outside the certified "
                 f"interval ({cert.mu_lo:.6g}, {cert.mu_hi:.6g})",
@@ -548,33 +567,27 @@ def _joint_groups(scn: Scenario, cores: int) -> list[tuple[int, Scenario]]:
 def _map_groups(fn, runs: list[list[tuple[int, Scenario]]]) -> list[list]:
     """fn(first, sub) over every group of every run, spread over the usable cores (workers.fork_map).
 
-    Per run, its groups' values in joint order; a group whose fn raised has
-    the exception as its value, for _joined to settle.
+    Per run, its groups' values in joint order; a group that diverged has
+    its DivergenceError, block numbered plant-wide, as its value, for
+    _joined to settle.  Any other exception propagates.
     """
 
     def caught(group):
         try:
             return fn(*group)
-        except Exception as exc:
+        except DivergenceError as exc:
+            exc.block += group[0]  # once: compare joins a run for every job naming it
             return exc
 
     values = iter(fork_map(caught, [group for groups in runs for group in groups]))
     return [[next(values) for _ in groups] for groups in runs]
 
 
-def _joined(scn: Scenario, values: list) -> list:
-    """A run's group values, or, if a group failed, the exception simulate(scn) raises.
-
-    A group ran without the run's other blocks, so it cannot tell which
-    failure the whole run meets first: a run of several groups is made
-    again whole, here, and raises what it raises; should it somehow
-    succeed, the first failed group's exception is raised.
-    """
-    failed = [value for value in values if isinstance(value, Exception)]
+def _joined(values: list) -> list:
+    """A run's group values, or, if a group diverged, the first of their failures: the whole run's."""
+    failed = [value for value in values if isinstance(value, DivergenceError)]
     if failed:
-        if len(values) > 1:
-            simulate(scn)
-        raise failed[0]
+        raise _first_failure(failed)
     return values
 
 
@@ -589,7 +602,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     run in several to one fragment per group, which are then pasted side
     by side, line by line, into its part file.  The part files are renamed
     into out_dir in config order only once every run has finished, and the
-    first run in config order that failed is reported as a single core
+    first run in config order that diverged is reported as a single core
     reports it.  The temporary directory is removed whatever happens, so on
     a divergence or any other error out_dir is left as it was.
     """
@@ -624,8 +637,8 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
                 f.writelines(map(",".join, zip(*columns)))
 
     try:
-        for scn, values in zip(cfg.scenarios, _map_groups(write, runs)):
-            _joined(scn, values)
+        for values in _map_groups(write, runs):
+            _joined(values)
         # a run of several groups is pasted on the cores as well, a run per worker
         fork_map(paste, [groups for groups in runs if len(groups) > 1])
         for scn in cfg.scenarios:
@@ -647,8 +660,9 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
     A group is reduced to its channels' indices where it ran
     (metrics.channel_indices), and a run's indices are joined from its
     groups' (metrics.run_indices).  The jobs' tables are then written in
-    config order, and the first job whose run failed stops the command, as
-    if the runs had been made job by job.
+    config order, and the first job whose run diverged stops the command,
+    as if the runs had been made job by job; a pair of runs that cannot be
+    paired (metrics.MetricsReport) is that job's config error.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -671,13 +685,13 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
         else:
             try:
                 # a failed run is reported by the first job that names it
-                report = metrics.MetricsReport(
-                    *(metrics.run_indices(_joined(cfg.scenario(name), runs[name])) for name in (job.pid, job.hpid))
-                )
+                pair = [metrics.run_indices(_joined(runs[name])) for name in (job.pid, job.hpid)]
             except DivergenceError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_DIVERGENCE
-            except ValueError as exc:
+            try:
+                report = metrics.MetricsReport(*pair)
+            except ValueError as exc:  # runs that cannot be paired
                 print(f"error: [compare {job.name}] {exc}", file=sys.stderr)
                 return EXIT_CONFIG
             pid, hpid = report.pid, report.hpid
@@ -693,7 +707,12 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
 
 
 def cmd_certify(cfg: RunConfig, out_dir=None) -> int:
-    """Certify each gain set; print constants and the admissible interval."""
+    """Certify each gain set; print constants and the admissible interval.
+
+    A gain set without a certificate, infeasible or out of floating-point
+    reach, gets its failure lines instead, the next job still runs, and the
+    command exits 1.
+    """
     if not cfg.certifies:
         print("nothing to certify (no [certify] sections)", file=sys.stderr)
         return EXIT_CONFIG
@@ -705,6 +724,10 @@ def cmd_certify(cfg: RunConfig, out_dir=None) -> int:
         except InfeasibleGainsError as exc:
             for failure in exc.failures:
                 print(f"  infeasible: {failure}")
+            status = EXIT_FAILURE
+            continue
+        except CertificateError as exc:
+            print(f"  uncertifiable: {exc}")
             status = EXIT_FAILURE
             continue
         for i in range(3):

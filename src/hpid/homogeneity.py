@@ -201,7 +201,7 @@ def check_strict_monotonicity(dil: Dilation, P) -> bool:
 
 
 def _p_norm(P: np.ndarray, z: np.ndarray) -> float:
-    return math.sqrt(float(z @ P @ z))
+    return math.sqrt(abs(float(z @ P @ z)))  # abs: z'Pz can overflow to -inf beside a finite term
 
 
 CANONICAL_TOLERANCE = 1e-12  # the defining-equation residual Newton polish reaches
@@ -216,7 +216,7 @@ def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray) -> float:
     to 1e-12 relative, and safeguarded Newton polish down to the residual
     CANONICAL_TOLERANCE.
     """
-    with np.errstate(over="ignore"):  # overflow-scale x is reported, not warned
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow-scale x is reported, not warned
         nx = _p_norm(P, x)
     if not math.isfinite(nx):
         raise BracketError(f"cannot evaluate canonical norm: ||x||_P = {nx}")

@@ -57,6 +57,15 @@ class ReferenceSpec:
         return self.offset + self.amplitude * math.sin(self.angular_frequency * t + self.phase)
 
 
+def _check_phase(spec: ReferenceSpec | DisturbanceSpec, horizon: float) -> None:
+    """ValueError unless the sinusoid's phase w t + phase is finite on [0, horizon]."""
+    if not math.isfinite(abs(spec.angular_frequency) * horizon + abs(spec.phase)):
+        raise ValueError(
+            f"phase w t + phase overflows on [0, {horizon:g}]: angular frequency {spec.angular_frequency:g}, "
+            f"phase {spec.phase:g}"
+        )
+
+
 def reference_eval(spec: ReferenceSpec, t: float):
     """Reference position and velocity at time t (analytic)."""
     w = spec.angular_frequency

@@ -45,7 +45,7 @@ import numpy as np
 
 from .control import GainSet, hpid_law
 from .homogeneity import HomNormSpec, WeightedSumNorm, extended_state_dilation
-from .plant import JointConfig, reference_eval
+from .plant import JointConfig, _check_phase, reference_eval
 
 __all__ = [
     "DivergenceError",
@@ -64,11 +64,12 @@ _OVER_LIMIT = f"|x| > {DIVERGENCE_LIMIT:g}"
 
 
 class DivergenceError(RuntimeError):
-    """A state left the divergence limit (or became non-finite).
+    """A state left the divergence limit (or became non-finite): every way a run fails.
 
-    step is the index i of the RK4 step from t[i] to t[i + 1] whose update
-    diverged, and block the index of the (e, de, z) block it diverged in;
-    either is None when not known.  Neither appears in the message.
+    step is the index i of the RK4 step from t[i] to t[i + 1] that diverged
+    (n, at t = T, for the law at the final sample), and block the index of
+    the (e, de, z) block it diverged in; either is None when not known.
+    Neither appears in the message.
     """
 
     def __init__(self, time: float, detail: str = "", step: int | None = None, block: int | None = None):
@@ -94,7 +95,8 @@ class Scenario:
     when joints is not empty, and a group of its joints, as the CLI cuts
     it, is replace(scn, joints=scn.joints[lo:hi]).  x0 applies to the
     extended plant only: it defaults to (1, 0, 0.3) there and must stay
-    None on the joints plant, whose joints start from rest.
+    None on the joints plant, whose joints start from rest, and each
+    joint's sinusoids keep a finite phase w t + phase over the horizon.
     """
 
     controller: str = "pid"  # "pid" | "hpid"
@@ -124,6 +126,9 @@ class Scenario:
         if self.joints:
             if self.x0 is not None:
                 raise ValueError("x0 applies to the extended plant only; joints start from rest")
+            for jc in self.joints:
+                _check_phase(jc.reference, self.horizon)
+                _check_phase(jc.disturbance, self.horizon)
             return
         object.__setattr__(self, "x0", _initial_state(self.x0))
 
@@ -223,12 +228,11 @@ def rk4_block(
     The law at each accepted state gives the applied control
     u = pd + z - z(0) and serves as the next step's first stage.
 
-    out receives (e, de, z) of each accepted state, then its u: after an
-    exception, len(out) // 4 samples are complete, and len(out) % 4 == 3
-    exactly when the law at the next accepted state raised.  An update
+    out receives (e, de, z) of each accepted state, then its u.  An update
     outside [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] (NaN included) raises
     DivergenceError with step i: at t[i] if it is non-finite, else at
-    t[i + 1].
+    t[i + 1].  So does an ArithmeticError of a stage of step i (the law's
+    OverflowError or BracketError), as a non-finite right-hand side at t[i].
     """
     hh = 0.5 * h
     h6 = h / 6.0
@@ -236,34 +240,43 @@ def rk4_block(
     extend, append = out.extend, out.append
     e, de, z = y0
     z0 = z
-    extend((e, de, z))
-    pd, integrand = law(e, de)
-    append(pd + z - z0)
-    for i in range(len(t) - 1):
-        ti = t[i]
-        dm = dist(ti + hh)
-        f1, g1 = pd + z - dist(ti), ki * integrand
-        e2, de2, z2 = e + hh * de, de + hh * f1, z + hh * g1
-        pd, integrand = law(e2, de2)
-        f2, g2 = pd + z2 - dm, ki * integrand
-        e3, de3, z3 = e + hh * de2, de + hh * f2, z + hh * g2
-        pd, integrand = law(e3, de3)
-        f3, g3 = pd + z3 - dm, ki * integrand
-        e4, de4, z4 = e + h * de3, de + h * f3, z + h * g3
-        pd, integrand = law(e4, de4)
-        f4, g4 = pd + z4 - dist(ti + h), ki * integrand
-        e, de, z = (
-            e + h6 * (((de + 2.0 * de2) + 2.0 * de3) + de4),
-            de + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4),
-            z + h6 * (((g1 + 2.0 * g2) + 2.0 * g3) + g4),
-        )
-        if not (-lim <= e <= lim and -lim <= de <= lim and -lim <= z <= lim):
-            if math.isfinite(e) and math.isfinite(de) and math.isfinite(z):
-                raise DivergenceError(t[i + 1], _OVER_LIMIT, i)
-            raise DivergenceError(ti, _NON_FINITE, i)
+    try:
         extend((e, de, z))
         pd, integrand = law(e, de)
         append(pd + z - z0)
+        for i in range(len(t) - 1):
+            ti = t[i]
+            dm = dist(ti + hh)
+            f1, g1 = pd + z - dist(ti), ki * integrand
+            e2, de2, z2 = e + hh * de, de + hh * f1, z + hh * g1
+            pd, integrand = law(e2, de2)
+            f2, g2 = pd + z2 - dm, ki * integrand
+            e3, de3, z3 = e + hh * de2, de + hh * f2, z + hh * g2
+            pd, integrand = law(e3, de3)
+            f3, g3 = pd + z3 - dm, ki * integrand
+            e4, de4, z4 = e + h * de3, de + h * f3, z + h * g3
+            pd, integrand = law(e4, de4)
+            f4, g4 = pd + z4 - dist(ti + h), ki * integrand
+            e, de, z = (
+                e + h6 * (((de + 2.0 * de2) + 2.0 * de3) + de4),
+                de + h6 * (((f1 + 2.0 * f2) + 2.0 * f3) + f4),
+                z + h6 * (((g1 + 2.0 * g2) + 2.0 * g3) + g4),
+            )
+            if not (-lim <= e <= lim and -lim <= de <= lim and -lim <= z <= lim):
+                if math.isfinite(e) and math.isfinite(de) and math.isfinite(z):
+                    raise DivergenceError(t[i + 1], _OVER_LIMIT, i)
+                raise DivergenceError(ti, _NON_FINITE, i)
+            extend((e, de, z))
+            pd, integrand = law(e, de)
+            append(pd + z - z0)
+    except ArithmeticError as exc:
+        step = (len(out) - 1) // 4  # the law at an accepted state is the next step's first stage
+        raise DivergenceError(t[step], _NON_FINITE, step) from exc
+
+
+def _first_failure(failures: Sequence[DivergenceError]) -> DivergenceError:
+    """The failure a loop stepping all blocks together meets first: by step, non-finite first, then block."""
+    return min(failures, key=lambda exc: (exc.step, exc.detail != _NON_FINITE, exc.block))
 
 
 def simulate(scn: Scenario) -> Trajectory:
@@ -272,20 +285,16 @@ def simulate(scn: Scenario) -> Trajectory:
     Both plants are closed-loop blocks, so the tracking errors are every
     third state (Trajectory.errors).  Each block runs through rk4_block
     over the whole grid, and its samples are copied into the trajectory's
-    columns.  A failure raises what a loop stepping all blocks together
-    would raise first: at the earliest step, an exception from a stage
-    evaluation (in block order), then a non-finite update, then one over
-    DIVERGENCE_LIMIT, then an exception from the law at the accepted
-    state (in block order).  A block after a failing one runs only up to
-    the failure's step.
+    columns.  Of the blocks' DivergenceErrors the first (_first_failure)
+    is raised; a block after a failing one runs only through the failure's
+    step.  Any other exception propagates from the block that raised it.
     A run depends on its scenario alone and keeps no state between calls,
     and each block's samples depend on that block alone, so the CLI cuts a
     joints-plant run into groups of joints, each the run of the scenario
-    replace(scn, joints=scn.joints[lo:hi]), and spreads the groups of a
-    batch over forked worker processes (workers.fork_map, which also
-    spreads the samples of the Lyapunov decrease check, and so verify's).
-    Which failure comes first depends on every block, so a run a group of
-    which failed is made again whole to raise it; the DivergenceError of a
+    replace(scn, joints=scn.joints[lo:hi]), spreads the groups of a batch
+    over forked worker processes (workers.fork_map, which also spreads the
+    samples of the Lyapunov decrease check, and so verify's), and raises
+    the groups' first failure (_first_failure); the DivergenceError of a
     worker reaches the parent pickled.
     """
     if scn.joints:
@@ -302,27 +311,21 @@ def simulate(scn: Scenario) -> Trajectory:
     t = times.tolist()
     states = np.empty((n + 1, 3 * len(blocks)))
     controls = np.empty((n + 1, len(blocks)))
-    raised = None  # (sample, rank, exception): the failure a step-major loop would raise
+    failures = []
     for j, (y0, dist) in enumerate(blocks):
         out = array("d")
         try:
-            rk4_block(law, ki, dist, y0, t if raised is None else t[: raised[0] + 1], h, out)
+            rk4_block(law, ki, dist, y0, t[: _first_failure(failures).step + 2] if failures else t, h, out)
         except DivergenceError as exc:
             exc.block = j
-            failure = (exc.step + 1, 2 if exc.detail == _NON_FINITE else 3, exc)
-        except Exception as exc:
-            # a stage evaluation (rank 1) or the law at the accepted state (rank 4)
-            failure = (len(out) // 4, 4 if len(out) % 4 else 1, exc)
-        else:
-            if raised is None:
-                samples = np.frombuffer(out).reshape(n + 1, 4)
-                states[:, 3 * j : 3 * j + 3] = samples[:, :3]
-                controls[:, j] = samples[:, 3]
+            failures.append(exc)
             continue
-        if raised is None or failure[:2] < raised[:2]:
-            raised = failure
-    if raised is not None:
-        raise raised[2]
+        if not failures:
+            samples = np.frombuffer(out).reshape(n + 1, 4)
+            states[:, 3 * j : 3 * j + 3] = samples[:, :3]
+            controls[:, j] = samples[:, 3]
+    if failures:
+        raise _first_failure(failures)
     return Trajectory(times=times, states=states, controls=controls, scenario=scn)
 
 

@@ -34,6 +34,7 @@ from .sim import Trajectory
 from .workers import fork_map
 
 __all__ = [
+    "CertificateError",
     "InfeasibleGainsError",
     "StabilityCertificate",
     "DecreaseReport",
@@ -57,12 +58,21 @@ class InfeasibleGainsError(ValueError):
         super().__init__("gains are not stabilizing: " + "; ".join(failures))
 
 
+class CertificateError(ArithmeticError):
+    """The gains are stabilizing, but their certificate is out of floating-point reach.
+
+    The Lyapunov solve is singular, overflows or misses its residual, or
+    the proof constants come out degenerate.
+    """
+
+
 def solve_lyapunov(gains: GainSet) -> SymMatrix:
     """Lyapunov matrix P > 0 of P A + A' P = -I for the extended linear closed loop.
 
     Raises InfeasibleGainsError (naming the violated Routh-Hurwitz
-    condition) when the gains are not stabilizing; the returned P satisfies
-    ||P A + A' P + I||_max <= 1e-9.
+    condition) when the gains are not stabilizing, and CertificateError
+    when no P > 0 satisfies ||P A + A' P + I||_max <= 1e-9 in floating
+    point; the returned P does.
     """
     failures = gains.routh_hurwitz_failures()
     if failures:
@@ -72,12 +82,19 @@ def solve_lyapunov(gains: GainSet) -> SymMatrix:
     # the vectorized equation (I (x) A' + A' (x) I) vec(P) = -vec(Q); its
     # unique solution is symmetric, so symmetrizing strips only rounding
     M = np.kron(np.eye(3), A.T) + np.kron(A.T, np.eye(3))
-    P = np.linalg.solve(M, -Q.reshape(-1)).reshape(3, 3)
-    P = SymMatrix(0.5 * (P + P.T))
-    resid = float(np.abs(P.entries @ A + A.T @ P.entries + Q).max())
-    if resid > 1e-9 or not P.is_positive_definite():
-        raise ArithmeticError(f"Lyapunov solve failed (residual {resid:.3e})")
-    return P
+    with np.errstate(all="ignore"):  # an overflow shows in the residual, which is checked
+        try:
+            P = np.linalg.solve(M, -Q.reshape(-1)).reshape(3, 3)
+        except np.linalg.LinAlgError as exc:
+            raise CertificateError(f"Lyapunov solve failed ({exc})") from None
+        P = 0.5 * (P + P.T)
+        resid = float(np.abs(P @ A + A.T @ P + Q).max())
+    # NaN fails the first test, and a residual within it leaves P finite
+    if resid <= 1e-9:
+        P = SymMatrix(P)
+        if P.is_positive_definite():
+            return P
+    raise CertificateError(f"Lyapunov solve failed (residual {resid:.3e})")
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,8 @@ class StabilityCertificate:
 
 def _sqrt_factors(P: np.ndarray):
     w, V = np.linalg.eigh(P)
+    if not w.min() > 0.0:  # rounding can leave an ill-conditioned P a negative eigenvalue
+        raise CertificateError(f"Lyapunov matrix has no square root (eigenvalue {w.min():.3e})")
     return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
 
@@ -116,7 +135,8 @@ def certify(gains: GainSet) -> StabilityCertificate:
     The degree interval is found by bisection on the eigenvalue margin of
     P G(mu) + G(mu)' P (feasible set in mu is an interval containing 0),
     capped at the design range (-0.5, 0.5).  P solves the Lyapunov equation
-    with Q = I.
+    with Q = I.  Gains that are not stabilizing raise InfeasibleGainsError;
+    every numerical failure on stabilizing gains raises CertificateError.
     """
     P = solve_lyapunov(gains)
     Pe = P.entries
@@ -152,8 +172,8 @@ def certify(gains: GainSet) -> StabilityCertificate:
     MA = Ph @ A @ Pmh + Pmh @ A.T @ Ph
     gamma = -float(np.linalg.eigvalsh(0.5 * (MA + MA.T)).max())
     beta = min(beta_at(mu_lo), beta_at(mu_hi))
-    if beta <= 0.0 or gamma <= 0.0:
-        raise ArithmeticError(f"certificate constants degenerate (beta={beta}, gamma={gamma})")
+    if not (beta > 0.0 and gamma > 0.0):
+        raise CertificateError(f"certificate constants degenerate (beta={beta}, gamma={gamma})")
     return StabilityCertificate(P=P, beta=beta, gamma=gamma, mu_lo=mu_lo, mu_hi=mu_hi, gains=gains)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -46,6 +47,8 @@ hpid = hom
 """
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# stabilizing gains whose certificate is out of floating-point reach
+UNCERTIFIABLE = "kp = -0.028758064503880257\nkd = -39730.40813056146\nki = -22.621816254646742\n"
 
 
 class TestParseConfig:
@@ -165,6 +168,12 @@ class TestParseConfig:
             # a floor at which the law overflows is cited at the floor, not raised by the run
             ("[scenario j]\nplant = joints\ncontroller = hpid\nmu = -0.45\nnorm_floor = 1e-300\n",
              [(5, "norm_floor ** (3 mu) overflows at norm_floor = 1e-300, mu = -0.45 (key 'norm_floor')")]),
+            # a sinusoid whose phase overflows on the horizon is cited at its frequency, or at T
+            ("[scenario j]\nplant = joints\ndist_frequency = 1e308\nT = 9\n",
+             [(3, "phase w t + phase overflows on [0, 9]: angular frequency 1e+308, phase 0 (key 'dist_frequency')")]),
+            ("[scenario j]\nplant = joints\nref_phase = 1e308\nref_frequency = 1e308\nT = 2\nh = 0.2\n",
+             [(4, "angular frequency 1e+308, phase 1e+308 (key 'ref_frequency')")]),
+            ("[scenario j]\nplant = joints\nT = 1e308\nh = 1e307\n", [(3, "angular frequency 2, phase 0 (key 'T')")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
@@ -175,6 +184,7 @@ class TestParseConfig:
             "nonmonotone_p", "nonmonotone_p_pid",
             "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
             "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed", "overflowing_floor",
+            "overflowing_phase", "overflowing_reference_phase", "overflowing_phase_at_horizon",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -407,6 +417,17 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == 0
         assert "outside the certified" in capsys.readouterr().err
+
+    def test_uncertifiable_gains_warn_and_run(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        # kd = -39730 needs a step well below 1 / 39730 for RK4 to stay stable
+        cfgfile.write_text(f"[scenario s]\ncontroller = hpid\nmu = 0.2\n{UNCERTIFIABLE}T = 0.001\nh = 0.00001\n")
+        code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: scenario 's' cannot be certified: Lyapunov solve failed (residual 5.488e-05)\n"
+        )
+        assert (tmp_path / "out" / "s.csv").is_file()
 
     def test_each_gain_set_certified_once(self, tmp_path, capsys, monkeypatch):
         # warnings stay per scenario and in config order
@@ -675,11 +696,10 @@ SPLIT_FAILS = {
     # joint 4 diverges at t = 5.45, the other joints at t = 7.24
     "divergence": "[scenario split]\nplant = joints\nkp = 3\nkd = 3\nki = 1\nT = 9.0\nh = 0.01\n"
     "ref_amplitude = 1e-3, 1e-3, 1e-3, 1, 1e-3, 1e-3\ndist_constant = 0\ndist_amplitude = 0\n",
-    # joint 5 starts off the origin, where its norm of 1e250 to the power 3 mu
-    # overflows at once; joint 1, whose norm starts at 1e227, reaches a
-    # non-finite state in the first step, after it; the others rest at the origin
-    "law_raises": "[scenario split]\nplant = joints\ncontroller = hpid\nmu = 0.45\nnorm_coefficients = 1e250, 1e250\n"
-    "T = 1.0\nh = 0.01\nref_amplitude = 1e-23, 0, 0, 0, 1, 0\ndist_constant = 0\ndist_amplitude = 0\n",
+    # joint 5 starts at de = 1e300, where its law's norm to the power 3 mu
+    # overflows: a divergence at t = 0; the other joints pass 1e9 at t = 0.57
+    "law_raises": "[scenario split]\nplant = joints\ncontroller = hpid\nmu = 0.45\nkp = 3\nkd = 3\nki = 1\nT = 9.0\n"
+    "h = 0.01\nref_amplitude = 1, 1, 1, 1, 1e300, 1\ndist_constant = 0\ndist_amplitude = 0\n",
 }
 
 
@@ -692,10 +712,7 @@ def _run(tmp_path, monkeypatch, capsys, cores, command, text, existing=None):
     for name, data in (existing or {}).items():
         (out / name).write_bytes(data)
     (run / "cfg").write_text(text)
-    try:
-        code = cli.main([command, "--config", str(run / "cfg"), "--out", str(out)])
-    except Exception as exc:  # an error the CLI does not report: its type and message instead of the exit code
-        code = f"{type(exc).__name__}: {exc}"
+    code = cli.main([command, "--config", str(run / "cfg"), "--out", str(out)])
     captured = capsys.readouterr()
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     return code, captured.out.replace(str(out), "OUT"), captured.err.replace(str(out), "OUT"), files
@@ -757,26 +774,30 @@ class TestWorkerProcesses:
         jobs = "\n[compare ok]\npid = good\nhpid = fine\n\n[compare broken]\npid = split\nhpid = split\n"
         text = GOOD + SPLIT_FAILS[case] + jobs
         serial = _run(tmp_path, monkeypatch, capsys, {0}, command, text)
-        if case == "divergence":
-            assert serial[:3:2] == (cli.EXIT_DIVERGENCE, "error: simulation diverged at t = 5.45 (|x| > 1e+09)\n")
-        else:
-            assert serial[0] == "OverflowError: (34, 'Numerical result out of range')"
+        failure = {"divergence": "t = 5.45 (|x| > 1e+09)", "law_raises": "t = 0 (non-finite right-hand side)"}[case]
+        # simulate warns first of the hpid scenario its gains do not stabilize
+        warning = "warning: scenario 'split' uses non-stabilizing gains\n"
+        expected = (warning if (case, command) == ("law_raises", "simulate") else "") + (
+            f"error: simulation diverged at {failure}\n"
+        )
+        assert serial[:3:2] == (cli.EXIT_DIVERGENCE, expected)
         assert list(serial[3]) == ([] if command == "simulate" else ["ok.csv"])
         assert _run(tmp_path, monkeypatch, capsys, cores, command, text) == serial
 
     @pytest.mark.parametrize("cores", FORKED, ids=len)
     def test_split_divergence_names_the_plant_wide_block(self, monkeypatch, cores):
-        scn = cli.parse_config(SPLIT_FAILS["divergence"]).scenarios[0]
-        with pytest.raises(DivergenceError) as whole:
-            cli.simulate(scn)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-        groups = cli._joint_groups(scn, len(cores))
-        [values] = cli._map_groups(lambda first, sub: cli.simulate(sub), [groups])
-        assert all(isinstance(value, DivergenceError) for value in values)
-        with pytest.raises(DivergenceError) as split:
-            cli._joined(scn, values)
-        assert (split.value.step, split.value.block, str(split.value)) == (544, 3, str(whole.value))
-        assert (whole.value.step, whole.value.block) == (544, 3)
+        for case, step, block in [("divergence", 544, 3), ("law_raises", 0, 4)]:
+            scn = cli.parse_config(SPLIT_FAILS[case]).scenarios[0]
+            with pytest.raises(DivergenceError) as whole:
+                cli.simulate(scn)
+            assert (whole.value.step, whole.value.block) == (step, block), case
+            [values] = cli._map_groups(lambda first, sub: cli.simulate(sub), [cli._joint_groups(scn, len(cores))])
+            assert all(isinstance(value, DivergenceError) for value in values)
+            for _ in range(2):  # compare joins a run once per job naming it: its blocks are renumbered once
+                with pytest.raises(DivergenceError) as split:
+                    cli._joined(values)
+                assert (split.value.step, split.value.block, str(split.value)) == (step, block, str(whole.value))
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_six_joint_run_uses_every_core(self, tmp_path, monkeypatch, command):
@@ -880,6 +901,53 @@ class TestWorkerProcesses:
             fork_map(fail_in_child, [0, 1])
 
 
+def _magnitude(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def parsing_configs(draw) -> str:
+    """A scenario `s` over the edges of the design range, with a self-pair [compare c]."""
+    lines = ["[scenario s]"]
+    if draw(st.booleans()):
+        lines += ["plant = joints", "n_joints = 2"]
+        for key in ("ref_frequency", "dist_frequency"):
+            lines.append(f"{key} = {draw(_magnitude(-3, 308))!r}, {draw(_magnitude(-3, 308))!r}")
+    for key in ("kp", "kd", "ki"):
+        lines.append(f"{key} = {draw(st.sampled_from([-1.0, 1.0])) * draw(_magnitude(-3, 6))!r}")
+    if draw(st.booleans()):
+        lines += ["controller = hpid", f"mu = {draw(st.floats(-0.49, 0.49))!r}"]
+    kind = draw(st.sampled_from(["weighted_sum", "canonical", "experimental"]))
+    lines.append(f"norm = {kind}")
+    if kind == "weighted_sum":
+        lines.append(f"norm_coefficients = {draw(_magnitude(-3, 250))!r}, {draw(_magnitude(-3, 250))!r}")
+    elif kind == "canonical":
+        scale = draw(_magnitude(-3, 3))
+        lines.append(f"norm_p = {2 * scale!r}, {0.3 * scale!r}, {0.3 * scale!r}, {scale!r}")
+    else:
+        lines += [f"zeta1_max = {draw(_magnitude(-3, 3))!r}", f"norm_gamma = {draw(_magnitude(-3, 3))!r}"]
+    T = draw(st.sampled_from([0.1, 1.0]))
+    lines += [f"norm_floor = {draw(_magnitude(-300, -3))!r}", f"T = {T!r}", f"h = {T / 10!r}"]
+    return "\n".join(lines) + "\n\n[compare c]\npid = s\nhpid = s\n"
+
+
+class TestRunsFailOneWay:
+    """A config that parses ends simulate and a self-pair compare in 0 or 3: every failed run is a divergence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parsing_configs())
+    def test_parsed_config_exits_0_or_3(self, text):
+        try:
+            cfg = cli.parse_config(text)
+        except cli.ConfigError:
+            return  # the config check's own domain
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = cli.cmd_simulate(cfg, out), cli.cmd_compare(cfg, out)
+        assert codes in {(0, 0), (3, 3)}, text
+
+
 class _TwoArgError(Exception):
     """Pickled by its message, so loading calls it with one argument and fails."""
 
@@ -905,6 +973,21 @@ class TestCertifyCommand:
         code = cli.main(["certify", "--config", str(cfgfile)])
         assert code == cli.EXIT_FAILURE
         assert "infeasible" in capsys.readouterr().out
+
+    def test_uncertifiable_gains_reported_and_later_jobs_run(self, tmp_path, capsys):
+        # stabilizing gains whose Lyapunov solve misses its residual, then gains whose P overflows
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(
+            f"[certify stiff]\n{UNCERTIFIABLE}\n[certify huge]\nkp = -1e300\nkd = -1e300\nki = -1e300\n\n"
+            "[certify default]\nkp = -3\nkd = -3\nki = -1\n"
+        )
+        code = cli.main(["certify", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  uncertifiable: Lyapunov solve failed (residual 5.488e-05)"
+        assert lines[3] == "  uncertifiable: Lyapunov solve failed (residual nan)"
+        assert lines[4].startswith("[certify default]") and "  certified degree interval: (-0.5, 0.5)" in lines
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["default.cert.csv"]
 
 
 def _verify(*args: str) -> tuple[int, str]:

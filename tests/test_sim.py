@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from hpid import control as control_module
 from hpid.control import GainSet, hpid_law
-from hpid.homogeneity import CanonicalNorm, SymMatrix, WeightedSumNorm
+from hpid.homogeneity import BracketError, CanonicalNorm, SymMatrix, WeightedSumNorm
 from hpid.plant import (
     DisturbanceSpec,
     JointConfig,
@@ -92,6 +92,13 @@ class TestScenarioValidation:
         assert Scenario(joints=default_six_joint_plant()).x0 is None
         assert Scenario().x0 == (1.0, 0.0, 0.3)
 
+    def test_phase_finite_on_the_horizon(self):
+        # sin(w t + phase) has no value once w t overflows
+        joint = JointConfig(ReferenceSpec(), DisturbanceSpec(angular_frequency=1e308))
+        Scenario(joints=(joint,), horizon=1.0, step=0.1)
+        with pytest.raises(ValueError, match=r"phase w t \+ phase overflows on \[0, 9\]"):
+            Scenario(joints=(joint,), horizon=9.0, step=0.1)
+
     def test_norm_checked_at_every_degree(self):
         # an indefinite P is rejected at mu = 0 too, where the law evaluates no norm
         for controller, mu in (("pid", 0.0), ("hpid", 0.0), ("hpid", 0.1)):
@@ -159,12 +166,12 @@ def _jump(value: float, after: float):
     return lambda t: value if t > after else 0.0
 
 
-def _fails(after: float):
-    """A disturbance that raises ValueError at stage times past `after`."""
+def _fails(after: float, error=ValueError):
+    """A disturbance that raises `error` at stage times past `after`."""
 
     def dist(t: float) -> float:
         if t > after:
-            raise ValueError(f"no disturbance at t = {t:g}")
+            raise error(f"no disturbance at t = {t:g}")
         return 0.0
 
     return dist
@@ -172,11 +179,13 @@ def _fails(after: float):
 
 class TestFailurePrecedence:
     """simulate integrates block by block, yet raises what a loop stepping
-    all blocks together raises first: at the earliest step, a stage
-    exception (in block order), then a non-finite update, then one over
-    the limit.  On the grid h = 1e-3 the switch times 0.0502 and 0.0802
-    fall inside steps 50 and 80, after their start and before their
-    midpoints."""
+    all blocks together raises first: at the earliest step, a non-finite
+    right-hand side (an ArithmeticError in a stage among them), then an
+    update over the limit, then the lowest block.  An exception other than
+    ArithmeticError is a fault and propagates from the block that raised
+    it; a block after a failing one runs only through the failure's step.
+    On the grid h = 1e-3 the switch times 0.0502 and 0.0802 fall inside
+    steps 50 and 80, after their start and before their midpoints."""
 
     @staticmethod
     def _failure(monkeypatch, dists) -> Exception:
@@ -205,16 +214,64 @@ class TestFailurePrecedence:
         err = self._failure(monkeypatch, [_jump(0.0, 0.0), _jump(math.inf, 0.0502), _jump(math.inf, 0.0502)])
         assert (err.step, err.block) == (50, 1)
 
-    def test_later_exception_loses_to_earlier_divergence(self, monkeypatch):
+    def test_fault_past_an_earlier_divergence_is_not_reached(self, monkeypatch):
         err = self._failure(monkeypatch, [_jump(1e15, 0.0502), _fails(0.0702)])
         assert type(err) is DivergenceError
         assert (err.step, err.block) == (50, 0)
 
-    def test_stage_exception_wins_over_divergence_at_one_step(self, monkeypatch):
-        # the midpoint value is drawn first in a step
+    def test_fault_propagates_from_the_block_that_raised_it(self, monkeypatch):
+        # the midpoint value is drawn first in a step, and the later block runs through step 50
         err = self._failure(monkeypatch, [_jump(math.inf, 0.0502), _fails(0.0502)])
         assert type(err) is ValueError
         assert str(err) == "no disturbance at t = 0.0505"
+
+    def test_stage_arithmetic_error_is_its_steps_non_finite_divergence(self, monkeypatch):
+        # at step 50 it wins over block 0's update over the limit, as a non-finite update would
+        err = self._failure(monkeypatch, [_jump(1e15, 0.0502), _fails(0.0502, OverflowError)])
+        assert type(err) is DivergenceError
+        assert str(err) == "simulation diverged at t = 0.05 (non-finite right-hand side)"
+        assert (err.time, err.step, err.block) == (50 * 1e-3, 50, 1)
+        assert type(err.__cause__) is OverflowError
+
+
+class TestLawArithmeticError:
+    """rk4_block turns an ArithmeticError of the law into the non-finite
+    right-hand side of the step whose stage raised it; the law at an
+    accepted state is the next step's first stage, and at the final sample
+    that of step n, at t = T."""
+
+    T = [0.1 * k for k in range(11)]
+
+    def _raise_at(self, call: int) -> DivergenceError:
+        # the law's calls: 1 at the initial state, 4 i + 2 .. 4 i + 4 in step i's stages,
+        # 4 i + 5 at the state step i accepts
+        calls = iter(range(1, 4 * len(self.T)))
+
+        def law(e, de):
+            if next(calls) == call:
+                raise OverflowError("overflow")
+            return -e - de, e
+
+        with pytest.raises(DivergenceError) as err:
+            rk4_block(law, -1.0, lambda t: 0.0, [1.0, 0.0, 0.0], self.T, 0.1, array("d"))
+        return err.value
+
+    @pytest.mark.parametrize(
+        "call,step",
+        [(1, 0), (4 * 3 + 2, 3), (4 * 3 + 4, 3), (4 * 3 + 5, 4), (4 * 10 + 1, 10)],
+        ids=["initial_state", "first_midpoint_of_step_3", "endpoint_of_step_3", "state_step_3_accepts", "final_sample"],
+    )
+    def test_step_of_the_stage(self, call, step):
+        err = self._raise_at(call)
+        assert (err.time, err.step, err.detail) == (self.T[step], step, "non-finite right-hand side")
+        assert type(err.__cause__) is OverflowError
+
+    def test_canonical_norm_bracket_error(self):
+        # ||x||_P overflows at the initial rate 1e300, so no bracket exists
+        law = hpid_law(GAINS, 0.2, _norm("canonical"), 1e-9)
+        with pytest.raises(DivergenceError) as err:
+            rk4_block(law, GAINS.ki, lambda t: 0.0, [0.0, 1e300, 0.0], self.T, 0.1, array("d"))
+        assert (err.value.time, err.value.step, type(err.value.__cause__)) == (0.0, 0, BracketError)
 
 
 def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from hpid.control import GainSet
 from hpid.homogeneity import CanonicalNorm, extended_state_dilation, norm_evaluator
 from hpid.sim import Scenario, Trajectory, simulate
 from hpid.stability import (
+    CertificateError,
     InfeasibleGainsError,
     certify,
     lyapunov_decrease_check,
@@ -46,6 +47,24 @@ class TestSolveLyapunov:
 
 
 class TestCertify:
+    @pytest.mark.parametrize(
+        "gains,message",
+        [
+            ((-0.028758064503880257, -39730.40813056146, -22.621816254646742), "Lyapunov solve failed (residual 5.488e-05)"),
+            ((-2.4322076469677656e129, -1.5085385230717475e-139, -1.9392006686074723e-289), "Lyapunov solve failed (Singular"),
+            ((-1e300, -1e300, -1e300), "Lyapunov solve failed (residual nan)"),  # P overflows
+            ((-1e-10, -1.0, -1e-20), "Lyapunov matrix has no square root"),
+            ((-1e-9, -1.0, -1e-20), "certificate constants degenerate"),
+        ],
+        ids=["residual", "singular", "overflow", "square_root", "constants"],
+    )
+    def test_numerical_failure_on_stabilizing_gains(self, gains, message):
+        gains = GainSet(*gains)
+        assert gains.is_stabilizing()
+        with pytest.raises(CertificateError) as err:
+            certify(gains)
+        assert str(err.value).startswith(message)
+
     def test_default_gains_certificate(self):
         cert = certify(GAINS)
         assert cert.mu_lo < 0.0 < cert.mu_hi
