@@ -85,7 +85,9 @@ from . import checks, fixtures, metrics
 from .control import GainSet, _check_floor, hpid_law
 from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, ReferenceSpec, _check_phase
-from .sim import DivergenceError, Scenario, Trajectory, _check_grid, _first_failure, _initial_state, simulate
+from .sim import (
+    DivergenceError, Scenario, Trajectory, _check_grid, _check_positive, _first_failure, _initial_state, simulate,
+)
 from .stability import CertificateError, InfeasibleGainsError, StabilityCertificate, certify
 from .workers import fork_map, usable_cores
 
@@ -392,10 +394,13 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     if n is not None and n < 1:
         r.error("n_joints", "need at least one joint")
         n = None  # the per-joint lists are still read, at any length
+    T, h = numbers["horizon"], numbers["step"]
+    if T is None or h is None:  # the rules across both keys need both: the one parsed is checked alone
+        r.check("T", _check_positive, "horizon", T)
+        r.check("h", _check_positive, "step", h)
     # a run's memory grows with its blocks: one per joint, one on the extended plant; the horizon, once valid
     horizon = r.check(
-        r.first("h", "T"), lambda T, h, blocks: _check_grid(T, h, blocks) or T,
-        numbers["horizon"], numbers["step"], n if plant == "joints" and n else 1,
+        r.first("h", "T"), lambda T, h, blocks: _check_grid(T, h, blocks) or T, T, h, n if plant == "joints" and n else 1
     )
     columns = {
         key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
@@ -457,43 +462,39 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # CSV
 
-def trajectory_header(traj: Trajectory, first: int = 0) -> list[str]:
-    """The CSV columns of a run, or of a joint group whose first joint is the plant's joint first + 1.
+def _t_column(times: np.ndarray) -> list[str]:
+    """The t cells of rows, rendered: one newline-joined string per block of CSV_BLOCK_ROWS rows."""
+    blocks = (times[i : i + CSV_BLOCK_ROWS].tolist() for i in range(0, len(times), CSV_BLOCK_ROWS))
+    return ["\n".join([_FMT] * len(block)) % tuple(block) for block in blocks]
 
-    Joints keep their plant-wide numbers, and `t` leads only the columns
-    that start at joint 1, so the groups' columns side by side are the run's.
+
+def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: int = 0, t_cells: str = "") -> str:
+    """Render rows [start, stop) of a run, or of a joint group, as CSV at full float64 precision.
+
+    The header row comes first when start == 0.  A group's first joint is
+    the plant's joint first + 1: joints keep their plant-wide numbers, and
+    `t` leads only the columns that start at joint 1, so the groups' columns
+    side by side are the run's.  The range's columns become lists of Python
+    floats, interleaved into one list of cells and rendered by one format
+    call, every cell _FMT; t_cells, when given, are the range's t cells
+    already rendered (_t_column).
     """
-    if traj.scenario.plant == "extended":
-        return ["t", "x1", "x2", "x3", "u"]
-    cols = [] if first else ["t"]
-    for k in range(first, first + traj.n_channels):
-        cols.extend([f"j{k + 1}_q", f"j{k + 1}_u", f"j{k + 1}_eps"])
-    return cols
-
-
-def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: int = 0) -> str:
-    """Render rows [start, stop) of a trajectory as CSV at full float64 precision.
-
-    The header row comes first when start == 0.  Each array of the range is
-    converted to Python floats once, so a range costs no per-row numpy call.
-    first is the plant-wide index of a joint group's first joint, as in
-    trajectory_header.
-    """
-    header = trajectory_header(traj, first)
-    fmt = ",".join([_FMT] * len(header))  # one row, one format
-    lines = [",".join(header)] if start == 0 else []
     times = traj.times[start:stop].tolist()
-    controls = traj.controls[start:stop].tolist()
+    controls = traj.controls[start:stop].T.tolist()
     if traj.scenario.plant == "extended":
-        lines += [fmt % (t, *x, *u) for t, x, u in zip(times, traj.states[start:stop].tolist(), controls)]
+        header, columns = ["t", "x1", "x2", "x3", "u"], [*traj.states[start:stop].T.tolist(), *controls]
     else:
-        positions = [jc.reference.position for jc in traj.scenario.joints]
-        for t, err, ctl in zip(times, traj.errors[start:stop].tolist(), controls):
-            row = [] if first else [t]
-            for position, e, u in zip(positions, err, ctl):
-                row += (position(t) - e, u, e)
-            lines.append(fmt % tuple(row))
-    return "\n".join([*lines, ""])
+        header, columns, errors = [] if first else ["t"], [], traj.errors[start:stop].T.tolist()
+        for k, (jc, e, u) in enumerate(zip(traj.scenario.joints, errors, controls), start=first + 1):
+            header += [f"j{k}_q", f"j{k}_u", f"j{k}_eps"]
+            columns += ([q - x for q, x in zip(map(jc.reference.position, times), e)], u, e)
+    if header[0] == "t" and times:  # as text: its cells rendered by _t_column, here unless given
+        columns.insert(0, (t_cells or "\n".join(_t_column(traj.times[start:stop]))).split("\n"))
+    row = ",".join(["%s" if name == "t" else _FMT for name in header]) + "\n"
+    cells = [0.0] * (len(times) * len(columns))
+    for c, column in enumerate(columns):
+        cells[c :: len(columns)] = column
+    return (",".join(header) + "\n" if start == 0 else "") + (row * len(times)) % tuple(cells)
 
 
 def comparison_csv_text(rows, aggregates, source: str = "") -> str:
@@ -600,11 +601,15 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     directory made in out_dir, CSV_BLOCK_ROWS rows at a time, so no whole
     file's text is held: a run in one group straight to its part file, a
     run in several to one fragment per group, which are then pasted side
-    by side, line by line, into its part file.  The part files are renamed
-    into out_dir in config order only once every run has finished, and the
-    first run in config order that diverged is reported as a single core
-    reports it.  The temporary directory is removed whatever happens, so on
-    a divergence or any other error out_dir is left as it was.
+    by side, line by line, into its part file.  A block is one format call
+    over its interleaved columns (trajectory_csv_text), and the t column of
+    each grid (n, h) is rendered once, before the runs, for every file that
+    leads with it; the bytes are those of one format per cell.  The part
+    files are renamed into out_dir in config order only once every run has
+    finished, and the first run in config order that diverged is reported
+    as a single core reports it.  The temporary directory is removed
+    whatever happens, so on a divergence or any other error out_dir is left
+    as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -615,6 +620,9 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     cores = usable_cores()
     runs = [_joint_groups(scn, cores) for scn in cfg.scenarios]
     split = {scn.name for scn, groups in zip(cfg.scenarios, runs) if len(groups) > 1}
+    # each grid's t cells, rendered once for every file of the grid that leads with t
+    grids = {(scn.n_steps(), scn.step): scn for scn in cfg.scenarios}
+    t_cells = {grid: _t_column(scn.times()) for grid, scn in grids.items()}
     tmp = Path(tempfile.mkdtemp(dir=out))
 
     def written(first: int, sub: Scenario) -> Path:
@@ -624,8 +632,8 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     def write(first: int, sub: Scenario) -> None:
         traj = simulate(sub)
         with written(first, sub).open("w", encoding="utf-8", newline="\n") as f:
-            for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
-                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first))
+            for start, t in zip(range(0, len(traj.times), CSV_BLOCK_ROWS), t_cells[sub.n_steps(), sub.step]):
+                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first, t))
 
     def paste(groups: list[tuple[int, Scenario]]) -> None:
         # a split run's part file from its fragments, line by line, each line theirs side by side

@@ -139,13 +139,14 @@ class Scenario:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
 
+    def times(self) -> np.ndarray:  # a run's Trajectory.times
+        return np.arange(self.n_steps() + 1) * self.step
+
 
 def _check_grid(T: float, h: float, blocks: int = 1) -> None:
     """Reject a grid no run of `blocks` (e, de, z) blocks can be made on, for its arrays' size too."""
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"horizon must be positive, got {T}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step must be positive, got {h}")
+    _check_positive("horizon", T)
+    _check_positive("step", h)
     if h > T / 10.0:
         raise ValueError(f"step {h} too coarse for horizon {T} (need h <= T/10)")
     if not math.isfinite(T / h):
@@ -162,6 +163,12 @@ def _check_grid(T: float, h: float, blocks: int = 1) -> None:
             f"step {h} too fine for horizon {T}: a run of T/h = {T / h:.3g} steps needs about "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+def _check_positive(name: str, value: float) -> None:
+    """One of a grid's T and h alone: ValueError unless it is finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @functools.cache
@@ -307,7 +314,7 @@ def simulate(scn: Scenario) -> Trajectory:
     ki = scn.gains.ki
     n = scn.n_steps()
     h = scn.step
-    times = np.arange(n + 1) * h
+    times = scn.times()
     t = times.tolist()
     states = np.empty((n + 1, 3 * len(blocks)))
     controls = np.empty((n + 1, len(blocks)))

@@ -174,6 +174,9 @@ class TestParseConfig:
             ("[scenario j]\nplant = joints\nref_phase = 1e308\nref_frequency = 1e308\nT = 2\nh = 0.2\n",
              [(4, "angular frequency 1e+308, phase 1e+308 (key 'ref_frequency')")]),
             ("[scenario j]\nplant = joints\nT = 1e308\nh = 1e307\n", [(3, "angular frequency 2, phase 0 (key 'T')")]),
+            # a grid key that does not parse hides no problem of the other, checked alone at its line
+            ("[scenario a]\nT = -1\nh = x\n", [(2, "horizon must be positive, got -1.0 (key 'T')"), (3, "'h'")]),
+            ("[scenario a]\nT = x\nh = -1\n", [(2, "'T'"), (3, "step must be positive, got -1.0 (key 'h')")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
@@ -185,6 +188,7 @@ class TestParseConfig:
             "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
             "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed", "overflowing_floor",
             "overflowing_phase", "overflowing_reference_phase", "overflowing_phase_at_horizon",
+            "bad_T_unparsed_h", "unparsed_T_bad_h",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -545,6 +549,93 @@ class TestSimulateCommand:
             cli.main([command, "--seed", "1", "--config", "c", "--out", "o"])
         assert exc.value.code == cli.EXIT_CONFIG
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def _row_by_row_text(traj, first: int = 0) -> str:
+    """A run's, or a joint group's, whole CSV text in one format call per row: the renderer's reference."""
+    times, controls = traj.times.tolist(), traj.controls.tolist()
+    if traj.scenario.plant == "extended":
+        header = ["t", "x1", "x2", "x3", "u"]
+        rows = [(t, *x, *u) for t, x, u in zip(times, traj.states.tolist(), controls)]
+    else:
+        header = [] if first else ["t"]
+        for k in range(first + 1, first + 1 + traj.n_channels):
+            header += [f"j{k}_q", f"j{k}_u", f"j{k}_eps"]
+        positions = [jc.reference.position for jc in traj.scenario.joints]
+        rows = []
+        for t, err, ctl in zip(times, traj.errors.tolist(), controls):
+            row = [] if first else [t]
+            for position, e, u in zip(positions, err, ctl):
+                row += (position(t) - e, u, e)
+            rows.append(row)
+    return "".join([",".join(header) + "\n", *(",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in rows)])
+
+
+class TestCsvMatchesRowByRowRendering:
+    """Every CSV byte is the one a format call per row gives (_row_by_row_text)."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("plant", ["extended", "joints"])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1], ids=["below", "equal", "above"])
+    def test_simulate_files(self, tmp_path, monkeypatch, extra_rows, plant, cores):
+        # row counts around the block size; on two cores the joints run is two joint groups, pasted
+        rows = cli.CSV_BLOCK_ROWS + extra_rows
+        joints = "n_joints = 3\n" if plant == "joints" else ""
+        cfg = cli.parse_config(
+            f"[scenario b]\nplant = {plant}\n{joints}controller = hpid\nmu = 0.1\n"
+            f"T = {(rows - 1) / 128}\nh = 0.0078125\n"
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert cli.cmd_simulate(cfg, tmp_path) == 0
+        written = (tmp_path / "b.csv").read_bytes()
+        assert written == _row_by_row_text(sim.simulate(cfg.scenario("b"))).encode("utf-8")
+        assert written.count(b"\n") == rows + 1
+
+    def test_joint_groups(self):
+        # a group after the first has no t column and keeps its joints' plant-wide numbers
+        text = "[scenario g]\nplant = joints\nn_joints = 5\ncontroller = hpid\nmu = -0.2\nT = 2.5\n"
+        scn = cli.parse_config(text).scenario("g")
+        groups = cli._joint_groups(scn, 3)
+        assert [first for first, _ in groups] == [0, 1, 3]
+        for first, sub in groups:
+            traj = sim.simulate(sub)
+            expected = _row_by_row_text(traj, first)
+            starts = range(0, len(traj.times), cli.CSV_BLOCK_ROWS)
+            assert "".join(cli.trajectory_csv_text(traj, s, s + cli.CSV_BLOCK_ROWS, first) for s in starts) == expected
+            assert cli.trajectory_csv_text(traj, 0, None, first) == expected
+
+    @pytest.mark.parametrize("plant", ["extended", "joints"])
+    def test_format_edge_values(self, monkeypatch, plant):
+        # %.17g writes -0 and subnormals, and switches to an exponent below 1e-4 and from 1e17 on
+        edges = [-0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e-4, 1e16, -1e16, 1e17, -1e17, 0.1, -2.5, 1 / 3]
+        scn = Scenario(joints=default_six_joint_plant()[:2]) if plant == "joints" else Scenario()
+        blocks = len(scn.joints) or 1
+        values = np.resize(edges, (3 * len(edges), 4 * blocks + 1))  # 13 is prime: each column takes every value
+        traj = sim.Trajectory(values[:, 0], values[:, 1 : 3 * blocks + 1], values[:, 3 * blocks + 1 :], scn)
+        expected = _row_by_row_text(traj)
+        assert cli.trajectory_csv_text(traj, 0, None) == expected
+        assert cli.trajectory_csv_text(traj, len(traj.times), None) == ""  # an empty range past the header
+        # in blocks, with the t cells rendered beforehand, as simulate writes
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 16)
+        t_cells = cli._t_column(traj.times)
+        assert len(t_cells) == 3
+        starts = range(0, len(traj.times), 16)
+        assert "".join(cli.trajectory_csv_text(traj, s, s + 16, 0, t) for s, t in zip(starts, t_cells)) == expected
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_mixed_grids(self, tmp_path, monkeypatch, cores):
+        # grids A, B (as many steps as A, another step), A again, and A's step on a longer horizon:
+        # each file takes the t cells of its own grid
+        cfg = cli.parse_config(
+            "[scenario a1]\nT = 1\nh = 0.01\n\n"
+            "[scenario b]\nplant = joints\nn_joints = 2\nT = 0.5\nh = 0.005\n\n"
+            "[scenario a2]\ncontroller = hpid\nmu = -0.2\nT = 1\nh = 0.01\n\n"
+            "[scenario a3]\nplant = joints\nn_joints = 3\nT = 12\nh = 0.01\n"
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert cli.cmd_simulate(cfg, tmp_path) == 0
+        for scn in cfg.scenarios:
+            assert (tmp_path / f"{scn.name}.csv").read_bytes() == _row_by_row_text(sim.simulate(scn)).encode("utf-8")
 
 
 class TestCompareCommand:

@@ -48,6 +48,7 @@ DELETED = [
     "iavc",
     "itae",
     "l2_norm",
+    "trajectory_header",
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
