@@ -400,7 +400,8 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         r.check("h", _check_positive, "step", h)
     # a run's memory grows with its blocks: one per joint, one on the extended plant; the horizon, once valid
     horizon = r.check(
-        r.first("h", "T"), lambda T, h, blocks: _check_grid(T, h, blocks) or T, T, h, n if plant == "joints" and n else 1
+        r.first("h", "T"), lambda T, h, blocks: _check_grid(T, h, blocks) or T,
+        T, h, n if plant == "joints" and n else 1,
     )
     columns = {
         key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
@@ -462,13 +463,7 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # CSV
 
-def _t_column(times: np.ndarray) -> list[str]:
-    """The t cells of rows, rendered: one newline-joined string per block of CSV_BLOCK_ROWS rows."""
-    blocks = (times[i : i + CSV_BLOCK_ROWS].tolist() for i in range(0, len(times), CSV_BLOCK_ROWS))
-    return ["\n".join([_FMT] * len(block)) % tuple(block) for block in blocks]
-
-
-def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: int = 0, t_cells: str = "") -> str:
+def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: int = 0) -> str:
     """Render rows [start, stop) of a run, or of a joint group, as CSV at full float64 precision.
 
     The header row comes first when start == 0.  A group's first joint is
@@ -476,24 +471,21 @@ def trajectory_csv_text(traj: Trajectory, start: int, stop: int | None, first: i
     `t` leads only the columns that start at joint 1, so the groups' columns
     side by side are the run's.  The range's columns become lists of Python
     floats, interleaved into one list of cells and rendered by one format
-    call, every cell _FMT; t_cells, when given, are the range's t cells
-    already rendered (_t_column).
+    call, every cell _FMT.
     """
     times = traj.times[start:stop].tolist()
     controls = traj.controls[start:stop].T.tolist()
     if traj.scenario.plant == "extended":
-        header, columns = ["t", "x1", "x2", "x3", "u"], [*traj.states[start:stop].T.tolist(), *controls]
+        header, columns = ["t", "x1", "x2", "x3", "u"], [times, *traj.states[start:stop].T.tolist(), *controls]
     else:
-        header, columns, errors = [] if first else ["t"], [], traj.errors[start:stop].T.tolist()
+        header, columns, errors = [] if first else ["t"], [] if first else [times], traj.errors[start:stop].T.tolist()
         for k, (jc, e, u) in enumerate(zip(traj.scenario.joints, errors, controls), start=first + 1):
             header += [f"j{k}_q", f"j{k}_u", f"j{k}_eps"]
             columns += ([q - x for q, x in zip(map(jc.reference.position, times), e)], u, e)
-    if header[0] == "t" and times:  # as text: its cells rendered by _t_column, here unless given
-        columns.insert(0, (t_cells or "\n".join(_t_column(traj.times[start:stop]))).split("\n"))
-    row = ",".join(["%s" if name == "t" else _FMT for name in header]) + "\n"
     cells = [0.0] * (len(times) * len(columns))
     for c, column in enumerate(columns):
         cells[c :: len(columns)] = column
+    row = ",".join([_FMT] * len(columns)) + "\n"
     return (",".join(header) + "\n" if start == 0 else "") + (row * len(times)) % tuple(cells)
 
 
@@ -602,14 +594,12 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     file's text is held: a run in one group straight to its part file, a
     run in several to one fragment per group, which are then pasted side
     by side, line by line, into its part file.  A block is one format call
-    over its interleaved columns (trajectory_csv_text), and the t column of
-    each grid (n, h) is rendered once, before the runs, for every file that
-    leads with it; the bytes are those of one format per cell.  The part
-    files are renamed into out_dir in config order only once every run has
-    finished, and the first run in config order that diverged is reported
-    as a single core reports it.  The temporary directory is removed
-    whatever happens, so on a divergence or any other error out_dir is left
-    as it was.
+    over its interleaved columns (trajectory_csv_text); the bytes are those
+    of one format per cell.  The part files are renamed into out_dir in
+    config order only once every run has finished, and the first run in
+    config order that diverged is reported as a single core reports it.
+    The temporary directory is removed whatever happens, so on a divergence
+    or any other error out_dir is left as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -620,9 +610,6 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     cores = usable_cores()
     runs = [_joint_groups(scn, cores) for scn in cfg.scenarios]
     split = {scn.name for scn, groups in zip(cfg.scenarios, runs) if len(groups) > 1}
-    # each grid's t cells, rendered once for every file of the grid that leads with t
-    grids = {(scn.n_steps(), scn.step): scn for scn in cfg.scenarios}
-    t_cells = {grid: _t_column(scn.times()) for grid, scn in grids.items()}
     tmp = Path(tempfile.mkdtemp(dir=out))
 
     def written(first: int, sub: Scenario) -> Path:
@@ -632,8 +619,8 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     def write(first: int, sub: Scenario) -> None:
         traj = simulate(sub)
         with written(first, sub).open("w", encoding="utf-8", newline="\n") as f:
-            for start, t in zip(range(0, len(traj.times), CSV_BLOCK_ROWS), t_cells[sub.n_steps(), sub.step]):
-                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first, t))
+            for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+                f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first))
 
     def paste(groups: list[tuple[int, Scenario]]) -> None:
         # a split run's part file from its fragments, line by line, each line theirs side by side

@@ -139,9 +139,6 @@ class Scenario:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
 
-    def times(self) -> np.ndarray:  # a run's Trajectory.times
-        return np.arange(self.n_steps() + 1) * self.step
-
 
 def _check_grid(T: float, h: float, blocks: int = 1) -> None:
     """Reject a grid no run of `blocks` (e, de, z) blocks can be made on, for its arrays' size too."""
@@ -314,7 +311,7 @@ def simulate(scn: Scenario) -> Trajectory:
     ki = scn.gains.ki
     n = scn.n_steps()
     h = scn.step
-    times = scn.times()
+    times = np.arange(n + 1) * h
     t = times.tolist()
     states = np.empty((n + 1, 3 * len(blocks)))
     controls = np.empty((n + 1, len(blocks)))

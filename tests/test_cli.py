@@ -571,6 +571,20 @@ def _row_by_row_text(traj, first: int = 0) -> str:
     return "".join([",".join(header) + "\n", *(",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in rows)])
 
 
+def _first_difference(got: str, expected: str) -> tuple[int, str, str] | None:
+    """None if two texts are equal, else their first differing line: its number and both versions.
+
+    A report that stays cheap on texts of thousands of lines, where
+    pytest's own diff of a failed `==` can take minutes.
+    """
+    if got == expected:
+        return None
+    end = ["<end of text>"]
+    pairs = list(zip(got.splitlines() + end, expected.splitlines() + end))
+    k = next((k for k, (a, b) in enumerate(pairs) if a != b), len(pairs) - 1)
+    return k + 1, *pairs[k]
+
+
 class TestCsvMatchesRowByRowRendering:
     """Every CSV byte is the one a format call per row gives (_row_by_row_text)."""
 
@@ -587,9 +601,9 @@ class TestCsvMatchesRowByRowRendering:
         )
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         assert cli.cmd_simulate(cfg, tmp_path) == 0
-        written = (tmp_path / "b.csv").read_bytes()
-        assert written == _row_by_row_text(sim.simulate(cfg.scenario("b"))).encode("utf-8")
-        assert written.count(b"\n") == rows + 1
+        written = (tmp_path / "b.csv").read_bytes().decode("utf-8")
+        assert _first_difference(written, _row_by_row_text(sim.simulate(cfg.scenario("b")))) is None
+        assert written.count("\n") == rows + 1
 
     def test_joint_groups(self):
         # a group after the first has no t column and keeps its joints' plant-wide numbers
@@ -601,11 +615,12 @@ class TestCsvMatchesRowByRowRendering:
             traj = sim.simulate(sub)
             expected = _row_by_row_text(traj, first)
             starts = range(0, len(traj.times), cli.CSV_BLOCK_ROWS)
-            assert "".join(cli.trajectory_csv_text(traj, s, s + cli.CSV_BLOCK_ROWS, first) for s in starts) == expected
-            assert cli.trajectory_csv_text(traj, 0, None, first) == expected
+            blocks = "".join(cli.trajectory_csv_text(traj, s, s + cli.CSV_BLOCK_ROWS, first) for s in starts)
+            assert _first_difference(blocks, expected) is None
+            assert _first_difference(cli.trajectory_csv_text(traj, 0, None, first), expected) is None
 
     @pytest.mark.parametrize("plant", ["extended", "joints"])
-    def test_format_edge_values(self, monkeypatch, plant):
+    def test_format_edge_values(self, plant):
         # %.17g writes -0 and subnormals, and switches to an exponent below 1e-4 and from 1e17 on
         edges = [-0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e-4, 1e16, -1e16, 1e17, -1e17, 0.1, -2.5, 1 / 3]
         scn = Scenario(joints=default_six_joint_plant()[:2]) if plant == "joints" else Scenario()
@@ -613,19 +628,16 @@ class TestCsvMatchesRowByRowRendering:
         values = np.resize(edges, (3 * len(edges), 4 * blocks + 1))  # 13 is prime: each column takes every value
         traj = sim.Trajectory(values[:, 0], values[:, 1 : 3 * blocks + 1], values[:, 3 * blocks + 1 :], scn)
         expected = _row_by_row_text(traj)
-        assert cli.trajectory_csv_text(traj, 0, None) == expected
+        assert _first_difference(cli.trajectory_csv_text(traj, 0, None), expected) is None
         assert cli.trajectory_csv_text(traj, len(traj.times), None) == ""  # an empty range past the header
-        # in blocks, with the t cells rendered beforehand, as simulate writes
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 16)
-        t_cells = cli._t_column(traj.times)
-        assert len(t_cells) == 3
-        starts = range(0, len(traj.times), 16)
-        assert "".join(cli.trajectory_csv_text(traj, s, s + 16, 0, t) for s, t in zip(starts, t_cells)) == expected
+        # in blocks, as simulate writes: three of 16 rows and a last of 7
+        blocks = "".join(cli.trajectory_csv_text(traj, s, s + 16) for s in range(0, len(traj.times), 16))
+        assert _first_difference(blocks, expected) is None
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_mixed_grids(self, tmp_path, monkeypatch, cores):
         # grids A, B (as many steps as A, another step), A again, and A's step on a longer horizon:
-        # each file takes the t cells of its own grid
+        # each file has the t column of its own grid
         cfg = cli.parse_config(
             "[scenario a1]\nT = 1\nh = 0.01\n\n"
             "[scenario b]\nplant = joints\nn_joints = 2\nT = 0.5\nh = 0.005\n\n"
@@ -635,7 +647,8 @@ class TestCsvMatchesRowByRowRendering:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         assert cli.cmd_simulate(cfg, tmp_path) == 0
         for scn in cfg.scenarios:
-            assert (tmp_path / f"{scn.name}.csv").read_bytes() == _row_by_row_text(sim.simulate(scn)).encode("utf-8")
+            written = (tmp_path / f"{scn.name}.csv").read_bytes().decode("utf-8")
+            assert _first_difference(written, _row_by_row_text(sim.simulate(scn))) is None
 
 
 class TestCompareCommand:
