@@ -15,7 +15,6 @@ from .homogeneity import (
     HomNormSpec,
     SymMatrix,
     WeightedSumNorm,
-    canonical_norm_gradient,
     check_strict_monotonicity,
     dilation_apply,
     error_pair_dilation,

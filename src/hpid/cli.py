@@ -522,7 +522,7 @@ def _warn_uncertified(scenarios) -> None:
     """Warn, in order, of each hpid scenario whose degree its gains do not certify."""
     certs: dict[GainSet, StabilityCertificate | CertificateError] = {}  # one certify per distinct gain set
     for scn in scenarios:
-        if scn.controller != "hpid" or scn.mu == 0.0:
+        if scn.mu == 0.0:
             continue
         if not scn.gains.is_stabilizing():
             print(f"warning: scenario {scn.name!r} uses non-stabilizing gains", file=sys.stderr)
@@ -541,6 +541,16 @@ def _warn_uncertified(scenarios) -> None:
                 f"interval ({cert.mu_lo:.6g}, {cert.mu_hi:.6g})",
                 file=sys.stderr,
             )
+
+
+def _out_dir(out_dir) -> Path:
+    """out_dir, made with its parents; a ConfigError if it cannot be a directory (an existing file, say)."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"--out: cannot make the output directory: {exc}"]) from exc
+    return out
 
 
 def _joint_groups(scn: Scenario, cores: int) -> list[tuple[int, Scenario]]:
@@ -601,8 +611,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     The temporary directory is removed whatever happens, so on a divergence
     or any other error out_dir is left as it was.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     if not cfg.scenarios:
         print("nothing to simulate (no [scenario] sections)", file=sys.stderr)
         return EXIT_CONFIG
@@ -659,8 +668,7 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
     as if the runs had been made job by job; a pair of runs that cannot be
     paired (metrics.MetricsReport) is that job's config error.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     if not cfg.compares:
         print("nothing to compare (no [compare] sections)", file=sys.stderr)
         return EXIT_CONFIG
@@ -711,6 +719,7 @@ def cmd_certify(cfg: RunConfig, out_dir=None) -> int:
     if not cfg.certifies:
         print("nothing to certify (no [certify] sections)", file=sys.stderr)
         return EXIT_CONFIG
+    out = None if out_dir is None else _out_dir(out_dir)
     status = EXIT_OK
     for job in cfg.certifies:
         print(f"[certify {job.name}] gains kp={job.gains.kp} kd={job.gains.kd} ki={job.gains.ki}")
@@ -730,9 +739,7 @@ def cmd_certify(cfg: RunConfig, out_dir=None) -> int:
         print(f"  beta  = {_FMT % cert.beta}")
         print(f"  gamma = {_FMT % cert.gamma}")
         print(f"  certified degree interval: ({_FMT % cert.mu_lo}, {_FMT % cert.mu_hi})")
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
+        if out is not None:
             path = out / f"{job.name}.cert.csv"
             path.write_text(certificate_csv_text(cert), encoding="utf-8", newline="\n")
             print(f"  wrote {path}")
@@ -755,9 +762,14 @@ def cmd_verify(seed: int = 0) -> int:
 
 def _load_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError([f"line {line}: not UTF-8 text ({exc.reason} {data[exc.start]:#04x})"]) from exc
     return parse_config(text)
 
 

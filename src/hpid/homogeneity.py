@@ -41,7 +41,6 @@ __all__ = [
     "extended_state_dilation",
     "dilation_apply",
     "check_strict_monotonicity",
-    "canonical_norm_gradient",
     "norm_evaluator",
 ]
 
@@ -273,28 +272,6 @@ def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray) -> float:
     else:
         raise BracketError("canonical norm did not reach the requested residual tolerance")
     return lam
-
-
-def canonical_norm_gradient(spec: CanonicalNorm, dil: Dilation, x) -> np.ndarray:
-    """Gradient row of the canonical norm at x != 0.
-
-    With lambda = ||x||_d and z = d(-ln lambda) x the gradient is
-
-        lambda * z' P d(-ln lambda) / (z' P G z),
-
-    which matches central finite differences of the canonical norm away
-    from degenerate points.
-    """
-    x = np.asarray(x, dtype=float)
-    lam = norm_evaluator(spec, dil)(*x)
-    if lam == 0.0:
-        raise ValueError("canonical-norm gradient is undefined at the origin")
-    w = np.asarray(dil.weights)
-    scales = lam ** (-w)
-    z = x * scales
-    Pz = spec.P.entries @ z
-    denom = float(Pz @ (w * z))
-    return lam * (Pz * scales) / denom
 
 
 def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:

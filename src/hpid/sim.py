@@ -207,10 +207,6 @@ class Trajectory:
         """Tracking errors, one column per channel: a read-only view of the states."""
         return self.states[:, 0::3]
 
-    @property
-    def n_channels(self) -> int:
-        return self.controls.shape[1]
-
 
 def rk4_block(
     law: Callable[[float, float], tuple[float, float]],

@@ -551,6 +551,38 @@ class TestSimulateCommand:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+class TestCommandInputs:
+    def test_non_utf8_config_is_a_config_error_at_its_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_bytes(b"[scenario a]\nT = 1\n\xff\xfe\n")
+        code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: line 3: not UTF-8 text (invalid start byte 0xff)\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("simulate", "[scenario a]\nT = 1\n"),
+            ("compare", EXTENDED_PAIR),
+            ("certify", "[certify default]\nkp = -3\nkd = -3\nki = -1\n"),
+        ],
+        ids=["simulate", "compare", "certify"],
+    )
+    def test_out_that_is_a_file_is_one_error_line(self, tmp_path, capsys, command, text):
+        # reported before any run or printed result, and the file is left as it was
+        cfgfile, out = tmp_path / "cfg", tmp_path / "out"
+        cfgfile.write_text(text)
+        out.write_bytes(b"a file\n")
+        assert cli.main([command, "--config", str(cfgfile), "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"config error: --out: cannot make the output directory: .*File exists.*\n", captured.err)
+        assert out.read_bytes() == b"a file\n"
+
+
 def _row_by_row_text(traj, first: int = 0) -> str:
     """A run's, or a joint group's, whole CSV text in one format call per row: the renderer's reference."""
     times, controls = traj.times.tolist(), traj.controls.tolist()
@@ -559,7 +591,7 @@ def _row_by_row_text(traj, first: int = 0) -> str:
         rows = [(t, *x, *u) for t, x, u in zip(times, traj.states.tolist(), controls)]
     else:
         header = [] if first else ["t"]
-        for k in range(first + 1, first + 1 + traj.n_channels):
+        for k in range(first + 1, first + 1 + traj.controls.shape[1]):
             header += [f"j{k}_q", f"j{k}_u", f"j{k}_eps"]
         positions = [jc.reference.position for jc in traj.scenario.joints]
         rows = []
@@ -1129,7 +1161,7 @@ class TestVerifyCommand:
         *lines, summary = out.splitlines()
         failed = [line for line in lines if not line.startswith("PASS  ")]
         assert len(failed) == 1 and failed[0].startswith("FAIL  homogeneous norm scaling: ")
-        assert summary == "8/9 checks passed"
+        assert summary == "7/8 checks passed"
         with pytest.raises(SystemExit) as exit_:
             cli.main(["verify", "--inject-broken-norm"])
         assert exit_.value.code == cli.EXIT_CONFIG

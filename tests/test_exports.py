@@ -49,6 +49,7 @@ DELETED = [
     "itae",
     "l2_norm",
     "trajectory_header",
+    "canonical_norm_gradient",
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -13,7 +13,6 @@ from hpid.homogeneity import (
     Dilation,
     SymMatrix,
     WeightedSumNorm,
-    canonical_norm_gradient,
     check_strict_monotonicity,
     dilation_apply,
     error_pair_dilation,
@@ -203,37 +202,6 @@ class TestCanonicalNorm:
         spec = CanonicalNorm(SymMatrix(np.eye(2)))
         with pytest.raises(BracketError):
             norm_evaluator(spec, Dilation((1.0, 1.0)))(1e300, 1e300)
-
-
-class TestCanonicalGradient:
-    def test_euclidean_case(self):
-        spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        grad = canonical_norm_gradient(spec, Dilation((1.0, 1.0)), [3.0, 4.0])
-        assert np.allclose(grad, [0.6, 0.8], atol=1e-12)
-
-    def test_matches_finite_differences(self):
-        result = checks._check_gradient(RNG, Dilation((2.0, 1.0)), points=100, min_norm=1e-2, min_coord=1e-2)
-        assert result.passed, result.line()
-
-    def test_specific_points_against_differences(self):
-        spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        dil = Dilation((2.0, 1.0))
-        norm = norm_evaluator(spec, dil)
-        for x in ([4.0, 0.0], [1.0, 1.0]):
-            x = np.asarray(x)
-            grad = canonical_norm_gradient(spec, dil, x)
-            step = 1e-6 * np.linalg.norm(x)
-            fd = np.zeros(2)
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = step
-                fd[k] = (norm(*(x + e)) - norm(*(x - e))) / (2 * step)
-            assert np.abs(grad - fd).max() <= 1e-5 * np.abs(grad).max()
-
-    def test_origin_raises(self):
-        spec = CanonicalNorm(SymMatrix(np.eye(2)))
-        with pytest.raises(ValueError):
-            canonical_norm_gradient(spec, Dilation((1.0, 1.0)), [0.0, 0.0])
 
 
 class TestExperimentalNorm:
