@@ -29,7 +29,7 @@ import numpy as np
 
 from . import homogeneity as hg
 from .control import GainSet, hpid_law
-from .metrics import channel_indices, run_indices
+from .metrics import channel_indices
 from .plant import default_six_joint_plant
 from .sim import Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
 from .stability import certify, lyapunov_decrease_check
@@ -212,21 +212,26 @@ def _check_lyapunov_decrease(mus) -> CheckResult:
 
 def _check_metrics_identity(traj: Trajectory) -> CheckResult:
     """The L2 norm of the controls, as compare takes it, equals the trapezoid of their squared pointwise norms."""
-    l2 = run_indices([channel_indices(traj)]).l2_control
+    l2 = channel_indices(traj).l2_control
     squares = np.array([float(np.linalg.norm(row)) ** 2 for row in traj.controls])
     via_pointwise = math.sqrt(float(np.trapezoid(squares, traj.times)))
     return CheckResult("pointwise/L2 norm consistency", abs(l2 - via_pointwise) / max(1e-12, l2), 1e-9)
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
-    """Run every check at verify's inputs; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    """Run every check at verify's inputs; deterministic for a fixed seed.
+
+    Each check that draws has its own stream, a child of SeedSequence(seed)
+    spawned in the order below, so adding, removing or resizing a check
+    moves no other check's inputs.
+    """
+    group, scaling, canonical, step, mu_zero = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
     return [
-        _check_group_law(rng, draws=60),
-        _check_norm_scaling(rng, hg.error_pair_dilation(0.2), _VERIFY_NORMS, draws=80),
-        _check_canonical_identity(rng, hg.error_pair_dilation(-0.2), half_width=5.0, draws=200),
-        _check_step_homogeneity(rng, hg.WeightedSumNorm((1.0, 1.0)), samples=40),
-        _check_mu_zero_step(rng, draws=300),
+        _check_group_law(group, draws=60),
+        _check_norm_scaling(scaling, hg.error_pair_dilation(0.2), _VERIFY_NORMS, draws=80),
+        _check_canonical_identity(canonical, hg.error_pair_dilation(-0.2), half_width=5.0, draws=200),
+        _check_step_homogeneity(step, hg.WeightedSumNorm((1.0, 1.0)), samples=40),
+        _check_mu_zero_step(mu_zero, draws=300),
         _check_scaling_symmetry([(0.1, 0.5)], step=1e-3),
         _check_lyapunov_decrease([0.1]),
         _check_metrics_identity(simulate(Scenario(horizon=2.0, joints=default_six_joint_plant()))),

@@ -398,11 +398,11 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     if T is None or h is None:  # the rules across both keys need both: the one parsed is checked alone
         r.check("T", _check_positive, "horizon", T)
         r.check("h", _check_positive, "step", h)
-    # a run's memory grows with its blocks: one per joint, one on the extended plant; the horizon, once valid
-    horizon = r.check(
-        r.first("h", "T"), lambda T, h, blocks: _check_grid(T, h, blocks) or T,
-        T, h, n if plant == "joints" and n else 1,
-    )
+    horizon = r.check(r.first("h", "T"), lambda T, h: _check_grid(T, h) or T, T, h)
+    if joints and n and horizon is not None:
+        # a run's memory grows with its blocks, one per joint: for a count the
+        # grid cannot hold, the per-joint lists are read at any length, never n long
+        n = r.checked(r.first("h", "T"), lambda n: _check_grid(T, h, n), n)
     columns = {
         key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
         for key, default in {**_REFERENCE_KEYS, **_DISTURBANCE_KEYS}.items()
@@ -661,19 +661,19 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
 
     Each scenario named by any job is simulated once, cut into joint groups
     as simulate cuts it, and the groups are spread over the usable cores.
-    A group is reduced to its channels' indices where it ran
-    (metrics.channel_indices), and a run's indices are joined from its
-    groups' (metrics.run_indices).  The jobs' tables are then written in
-    config order, and the first job whose run diverged stops the command,
-    as if the runs had been made job by job; a pair of runs that cannot be
-    paired (metrics.MetricsReport) is that job's config error.
+    A group is reduced where it ran to its grid and five floats per channel
+    (metrics.channel_indices), and a run's indices are its groups' joined
+    in channel order (metrics.run_indices).  The jobs' tables are then
+    written in config order, and the first job whose run diverged stops the
+    command, as if the runs had been made job by job; a pair of runs that
+    cannot be paired (metrics.MetricsReport) is that job's config error.
     """
     out = _out_dir(out_dir)
     if not cfg.compares:
         print("nothing to compare (no [compare] sections)", file=sys.stderr)
         return EXIT_CONFIG
 
-    def indices(first: int, sub: Scenario) -> metrics.ChannelIndices:
+    def indices(first: int, sub: Scenario) -> metrics.RunIndices:
         return metrics.channel_indices(simulate(sub))
 
     names = list(dict.fromkeys(name for job in cfg.compares if not job.fixture for name in (job.pid, job.hpid)))
@@ -773,6 +773,14 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
+def _seed(text: str) -> int:
+    """verify's --seed, a nonnegative integer: anything else is a usage error."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="hpid", description="Homogeneous PID control toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -790,7 +798,7 @@ def main(argv: list[str] | None = None) -> int:
     p_cert.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run the built-in property suite")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
 
     args = parser.parse_args(argv)
     try:

@@ -60,8 +60,8 @@ def test_wrong_channel_sum_fails_the_consistency_line(monkeypatch):
     # (sum_j |u_j|)^2 for sum_j u_j^2 agrees with the pointwise norm on a
     # one-channel run; verify's line must run where the channels can disagree
     def l1_squared_channel_indices(traj):
-        squares = np.abs(traj.controls).sum(axis=1, keepdims=True) ** 2
-        return replace(metrics.channel_indices(traj), control_squares=squares)
+        energy = float(np.trapezoid(np.abs(traj.controls).sum(axis=1) ** 2, traj.times))
+        return replace(metrics.channel_indices(traj), control_energy=(energy,))
 
     monkeypatch.setattr(checks, "channel_indices", l1_squared_channel_indices)
     # the other checks are stubbed out, so run_all makes only this line's run
@@ -71,3 +71,14 @@ def test_wrong_channel_sum_fails_the_consistency_line(monkeypatch):
     [consistency] = [result for result in checks.run_all(0) if result is not None]
     assert consistency.name == "pointwise/L2 norm consistency"
     assert not consistency.passed, consistency.line()
+
+
+def test_each_check_draws_from_its_own_stream(monkeypatch):
+    # a check that draws more moves no other check's inputs
+    for name in ("_check_scaling_symmetry", "_check_lyapunov_decrease", "_check_metrics_identity"):
+        monkeypatch.setattr(checks, name, lambda *args, **kwargs: None)
+    before = checks.run_all(0)
+    group_law = checks._check_group_law
+    monkeypatch.setattr(checks, "_check_group_law", lambda rng, draws: group_law(rng, draws=2 * draws))
+    after = checks.run_all(0)
+    assert [r.residual for r in after[1:5]] == [r.residual for r in before[1:5]]

@@ -582,6 +582,23 @@ class TestCommandInputs:
         assert re.fullmatch(r"config error: --out: cannot make the output directory: .*File exists.*\n", captured.err)
         assert out.read_bytes() == b"a file\n"
 
+    def test_joint_count_no_memory_holds_is_a_config_error(self, tmp_path, capsys):
+        # the grid rejects the count, cited at h as for any grid no memory holds;
+        # the per-joint lists, one value broadcast or defaulted, are never built n long
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("[scenario a]\nplant = joints\nn_joints = 1000000000000\nT = 1\nh = 0.01\nref_amplitude = 1\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"config error: line 5: .*GiB of physical memory \(key 'h'\)\n", captured.err)
+        assert peak < 2**20
+
 
 def _row_by_row_text(traj, first: int = 0) -> str:
     """A run's, or a joint group's, whole CSV text in one format call per row: the renderer's reference."""
@@ -1168,6 +1185,14 @@ class TestVerifyCommand:
 
     def test_repeat_run_identical_report(self, verify_seed_0):
         assert _verify("--seed", "0") == verify_seed_0
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "--seed", "-1"])
+        assert exit_.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "hpid verify: error: argument --seed: seed must be a nonnegative integer, got -1"
+        )
 
 
 def _help(capsys, *argv: str) -> str:

@@ -50,6 +50,7 @@ DELETED = [
     "l2_norm",
     "trajectory_header",
     "canonical_norm_gradient",
+    "ChannelIndices",
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
