@@ -365,6 +365,14 @@ def _joints(r: _SectionReader, n: int, seed: int | None, columns: dict, horizon)
     return None if refs is None or dists is None else tuple(map(JointConfig, refs, dists))
 
 
+def _check_joint_count(n: int) -> None:
+    """Reject a joint count no run holds even on the coarsest grid, T/h = 10."""
+    try:
+        _check_grid(10.0, 1.0, n)
+    except ValueError as exc:
+        raise ValueError(f"{n} joints need more memory than any grid allows: {str(exc).partition(': ')[2]}") from None
+
+
 def _read_scenario(r: _SectionReader) -> Scenario | None:
     plant, controller, kind = (r.text(key, choices) for key, choices in _CHOICES.items())
     # an invalid plant or norm kind applies every key that depends on it, so
@@ -403,6 +411,8 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
         # a run's memory grows with its blocks, one per joint: for a count the
         # grid cannot hold, the per-joint lists are read at any length, never n long
         n = r.checked(r.first("h", "T"), lambda n: _check_grid(T, h, n), n)
+    elif joints and n:  # with no valid grid, the coarsest one any horizon allows judges the count
+        n = r.checked("n_joints", _check_joint_count, n)
     columns = {
         key: r.values(key, None, n, broadcast=True, applies=joints, words=("random",) if default is None else ())
         for key, default in {**_REFERENCE_KEYS, **_DISTURBANCE_KEYS}.items()

@@ -3,11 +3,12 @@
 Given stabilizing linear gains, a Lyapunov matrix P is obtained from
 P A + A' P = -I, then the admissible degree interval is the set of mu
 around zero where P keeps the extended dilation strictly monotone,
-P G(mu) + G(mu)' P > 0 with G(mu) = I + mu diag(-1, 0, 1).  The proof
-constants
+P G(mu) + G(mu)' P >= 1e-8 I with G(mu) = I + mu diag(-1, 0, 1), found
+in closed form from one symmetric eigen-solve.  The proof constants,
+taken in the metric of P through its Cholesky factor C C' = P,
 
-    beta  = lambda_min(P^{1/2} G P^{-1/2} + P^{-1/2} G' P^{1/2})
-    gamma = -lambda_max(P^{1/2} A P^{-1/2} + P^{-1/2} A' P^{1/2})
+    beta  = lambda_min(C^-1 (P G + G' P) C^-T), the smaller at the interval ends
+    gamma = -lambda_max(C^-1 (P A + A' P) C^-T)
 
 give the rate certify claims for the canonical homogeneous norm
 V = ||x||_d along closed-loop trajectories, dV/dt <= -(gamma / 2 beta)
@@ -61,8 +62,9 @@ class InfeasibleGainsError(ValueError):
 class CertificateError(ArithmeticError):
     """The gains are stabilizing, but their certificate is out of floating-point reach.
 
-    The Lyapunov solve is singular, overflows or misses its residual, or
-    the proof constants come out degenerate.
+    The Lyapunov solve is singular, overflows or misses its residual, its
+    P has no Cholesky factor in floating point, or the proof constants
+    come out degenerate.
     """
 
 
@@ -122,56 +124,39 @@ class StabilityCertificate:
         return self.gamma / (2.0 * self.beta)
 
 
-def _sqrt_factors(P: np.ndarray):
-    w, V = np.linalg.eigh(P)
-    if not w.min() > 0.0:  # rounding can leave an ill-conditioned P a negative eigenvalue
-        raise CertificateError(f"Lyapunov matrix has no square root (eigenvalue {w.min():.3e})")
-    return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+def _congruent_eigvalsh(F: np.ndarray, M: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of F^-1 M F^-T, for a Cholesky factor F and a symmetric M."""
+    X = np.linalg.solve(F, np.linalg.solve(F, M).T)
+    return np.linalg.eigvalsh(0.5 * (X + X.T)).tolist()
 
 
 def certify(gains: GainSet) -> StabilityCertificate:
     """Build a stability certificate for the hPID upgrade of linear gains.
 
-    The degree interval is found by bisection on the eigenvalue margin of
-    P G(mu) + G(mu)' P (feasible set in mu is an interval containing 0),
-    capped at the design range (-0.5, 0.5).  P solves the Lyapunov equation
-    with Q = I.  Gains that are not stabilizing raise InfeasibleGainsError;
-    every numerical failure on stabilizing gains raises CertificateError.
+    The degree interval is computed in closed form, capped at the design
+    range (-0.5, 0.5): with S = P D + D P, D = diag(-1, 0, 1), and the
+    Cholesky factor L L' = 2P - 1e-8 I, the monotonicity margin
+    P G(mu) + G(mu)' P = 2P + mu S >= 1e-8 I holds exactly while
+    1 + mu lam >= 0 for every eigenvalue lam of L^-1 S L^-T.  beta and
+    gamma are taken in the metric of P, through its Cholesky factor.  P
+    solves the Lyapunov equation with Q = I.  Gains that are not
+    stabilizing raise InfeasibleGainsError; every numerical failure on
+    stabilizing gains raises CertificateError.
     """
     P = solve_lyapunov(gains)
-    Pe = P.entries
+    Pe, A = P.entries, gains.a_matrix()
     S = Pe @ _DIAG_DIR + _DIAG_DIR @ Pe
-
-    def margin(mu: float) -> float:
-        return float(np.linalg.eigvalsh(2.0 * Pe + mu * S).min())
-
-    def endpoint(sign: float) -> float:
-        cap = sign * _MU_CAP
-        if margin(cap) >= _EIG_MARGIN:
-            return cap
-        lo, hi = 0.0, cap
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if margin(mid) >= _EIG_MARGIN:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    mu_hi = endpoint(+1.0)
-    mu_lo = endpoint(-1.0)
-
-    Ph, Pmh = _sqrt_factors(Pe)
-
-    def beta_at(mu: float) -> float:
-        G = np.eye(3) + mu * _DIAG_DIR
-        M = Ph @ G @ Pmh + Pmh @ G.T @ Ph
-        return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-
-    A = gains.a_matrix()
-    MA = Ph @ A @ Pmh + Pmh @ A.T @ Ph
-    gamma = -float(np.linalg.eigvalsh(0.5 * (MA + MA.T)).max())
-    beta = min(beta_at(mu_lo), beta_at(mu_hi))
+    try:
+        L, C = np.linalg.cholesky(2.0 * Pe - _EIG_MARGIN * np.eye(3)), np.linalg.cholesky(Pe)
+    except np.linalg.LinAlgError as exc:  # rounding can leave an ill-conditioned P indefinite
+        raise CertificateError(f"Lyapunov matrix has no Cholesky factor ({exc})") from None
+    lam = _congruent_eigvalsh(L, S)
+    mu_hi = -1.0 / lam[0] if lam[0] < -1.0 / _MU_CAP else _MU_CAP
+    mu_lo = -1.0 / lam[-1] if lam[-1] > 1.0 / _MU_CAP else -_MU_CAP
+    # C^-1 (P G(mu) + G(mu)' P) C^-T = 2I + mu C^-1 S C^-T is least at an interval end
+    nu = _congruent_eigvalsh(C, S)
+    beta = min(2.0 + mu_hi * nu[0], 2.0 + mu_lo * nu[-1])
+    gamma = -_congruent_eigvalsh(C, Pe @ A + A.T @ Pe)[-1]
     if not (beta > 0.0 and gamma > 0.0):
         raise CertificateError(f"certificate constants degenerate (beta={beta}, gamma={gamma})")
     return StabilityCertificate(P=P, beta=beta, gamma=gamma, mu_lo=mu_lo, mu_hi=mu_hi, gains=gains)

@@ -599,6 +599,25 @@ class TestCommandInputs:
         assert re.fullmatch(r"config error: line 5: .*GiB of physical memory \(key 'h'\)\n", captured.err)
         assert peak < 2**20
 
+    def test_joint_count_no_memory_holds_is_a_config_error_on_a_rejected_grid(self, tmp_path, capsys):
+        # with no valid grid to judge it, the count is judged on the coarsest one
+        # any horizon allows and cited at n_joints; the broadcast list is never built
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("[scenario a]\nplant = joints\nn_joints = 1000000000000\nT = -1\nh = 0.01\nref_amplitude = 1\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert all(line.startswith("config error: ") for line in lines)
+        assert any(re.fullmatch(r"config error: line 3: .*GiB of physical memory \(key 'n_joints'\)", line) for line in lines)
+        assert peak < 2**20
+
 
 def _row_by_row_text(traj, first: int = 0) -> str:
     """A run's, or a joint group's, whole CSV text in one format call per row: the renderer's reference."""

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from hpid import stability
 from hpid.checks import CheckResult
@@ -53,10 +53,11 @@ class TestCertify:
             ((-0.028758064503880257, -39730.40813056146, -22.621816254646742), "Lyapunov solve failed (residual 5.488e-05)"),
             ((-2.4322076469677656e129, -1.5085385230717475e-139, -1.9392006686074723e-289), "Lyapunov solve failed (Singular"),
             ((-1e300, -1e300, -1e300), "Lyapunov solve failed (residual nan)"),  # P overflows
-            ((-1e-10, -1.0, -1e-20), "Lyapunov matrix has no square root"),
+            ((-1e-10, -1.0, -1e-20), "certificate constants degenerate"),  # gamma lost in rounding
             ((-1e-9, -1.0, -1e-20), "certificate constants degenerate"),
+            ((-705.2024816958151, -755695128.4236317, -2.7105566962652396e-10), "Lyapunov matrix has no Cholesky factor"),
         ],
-        ids=["residual", "singular", "overflow", "square_root", "constants"],
+        ids=["residual", "singular", "overflow", "square_root", "constants", "cholesky"],
     )
     def test_numerical_failure_on_stabilizing_gains(self, gains, message):
         gains = GainSet(*gains)
@@ -104,6 +105,29 @@ class TestCertify:
         assert min(betas) > 0.0
         gamma = -np.linalg.eigvalsh(Ph @ A @ Pmh + Pmh @ A.T @ Ph).max()
         assert cert.gamma == pytest.approx(gamma, rel=1e-9)
+
+    def test_closed_form_against_scipy_pencils(self):
+        # seeded stabilizing gains, poles log-uniform in [e^-2.5, e^2.5]: both capped and uncapped ends
+        rng = np.random.default_rng(2015)
+        D = np.diag([-1.0, 0.0, 1.0])
+        ends = {"capped": 0, "uncapped": 0}
+        for _ in range(200):
+            p = np.exp(rng.uniform(-2.5, 2.5, 3))
+            gains = GainSet(-float(p[0] * p[1] + p[0] * p[2] + p[1] * p[2]), -float(p.sum()), -float(p.prod()))
+            cert = certify(gains)
+            P, A = cert.P.entries, gains.a_matrix()
+            S = P @ D + D @ P  # P G(mu) + G(mu)' P = 2P + mu S
+            for mu in (cert.mu_lo, cert.mu_hi):
+                if abs(mu) == 0.5:
+                    ends["capped"] += 1
+                else:  # the margin sits exactly at the certifier's 1e-8
+                    ends["uncapped"] += 1
+                    assert abs(np.linalg.eigvalsh(2.0 * P + mu * S).min() - 1e-8) <= 1e-12
+            beta = min(eigh(2.0 * P + mu * S, P, eigvals_only=True)[0] for mu in (cert.mu_lo, cert.mu_hi))
+            assert abs(cert.beta - beta) <= 1e-6 * abs(beta) + 1e-13
+            gamma = -eigh(P @ A + A.T @ P, P, eigvals_only=True)[-1]
+            assert cert.gamma == pytest.approx(gamma, rel=1e-12)
+        assert min(ends.values()) > 0
 
     def test_interval_shrinks_feasibly_under_bisection(self):
         # feasibility in mu is an interval: the margin is concave in mu
