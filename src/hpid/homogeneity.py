@@ -14,7 +14,8 @@ provided:
   with c1 = 1/zeta1_max and c2 = gamma,
 * the canonical norm: the unique lambda > 0 solving
   ||d(-ln lambda) x||_P = 1 for a weighted Euclidean norm
-  ||z||_P = sqrt(z' P z), found by bracketed bisection plus Newton polish.
+  ||z||_P = sqrt(z' P z), found by bisection on ln lambda inside a bracket
+  read off ||x||_P, the extreme eigenvalues of P and the extreme weights.
 
 norm_evaluator is the one place a norm is evaluated: it checks the
 spec/dilation pairing once and returns the point -> norm closure, on the
@@ -203,75 +204,40 @@ def _p_norm(P: np.ndarray, z: np.ndarray) -> float:
     return math.sqrt(abs(float(z @ P @ z)))  # abs: z'Pz can overflow to -inf beside a finite term
 
 
-CANONICAL_TOLERANCE = 1e-12  # the defining-equation residual Newton polish reaches
+CANONICAL_TOLERANCE = 1e-12  # the defining-equation residual every returned lambda meets
+_LN_LAMBDA_RANGE = (-708.0, 709.0)  # inside ln of the normal floats: a lambda beyond is reported
 
 
-def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray) -> float:
+def _canonical_core(P: np.ndarray, w: np.ndarray, x: np.ndarray, half_ln_cond: float, w_min: float, w_max: float) -> float:
     """The unique lambda > 0 with ||d(-ln lambda) x||_P = 1 (0 at the origin).
 
-    The map lambda -> ||d(-ln lambda) x||_P is strictly decreasing for a
-    strictly monotone dilation (vetted by the caller), so the root is found
-    by doubling/halving bracket expansion from lambda_0 = ||x||_P, bisection
-    to 1e-12 relative, and safeguarded Newton polish down to the residual
-    CANONICAL_TOLERANCE.
+    s -> ||d(-s) x||_P is strictly decreasing for a strictly monotone
+    dilation (vetted by the caller).  As sqrt(lambda_min(P)) |z| <= ||z||_P
+    <= sqrt(lambda_max(P)) |z|, its root s = ln lambda lies, for either sign,
+    between min(a / w_min, a / w_max) and max(b / w_min, b / w_max), where
+    a, b = ln ||x||_P -+ half_ln_cond = ln ||x||_P -+ ln(lambda_max / lambda_min) / 2.
+    Bisection on s stops at half of CANONICAL_TOLERANCE; the other half is
+    left to the rounding between s and lambda.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow-scale x is reported, not warned
         nx = _p_norm(P, x)
-    if not math.isfinite(nx):
-        raise BracketError(f"cannot evaluate canonical norm: ||x||_P = {nx}")
-    if nx < 1e-300:
-        return 0.0
-
-    def resid(lam: float) -> float:
-        return _p_norm(P, x * lam ** (-w)) - 1.0
-
-    lo = hi = nx
-    f0 = resid(nx)
-    if f0 > 0.0:  # norm still above one: grow lambda
-        for _ in range(2100):
-            hi *= 2.0
-            if not math.isfinite(hi):
-                raise BracketError("bracket expansion overflowed")
-            if resid(hi) <= 0.0:
-                break
-            lo = hi
-        else:
-            raise BracketError("no sign change found while expanding the bracket upward")
-    elif f0 < 0.0:
-        for _ in range(2100):
-            lo *= 0.5
-            if lo == 0.0:
-                raise BracketError("bracket expansion underflowed")
-            if resid(lo) >= 0.0:
-                break
-            hi = lo
-        else:
-            raise BracketError("no sign change found while expanding the bracket downward")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * lo:
-            break
-    lam = 0.5 * (lo + hi)
-
-    # Newton polish; dF/dlambda = -z'PGz / (lambda ||z||_P) < 0 by monotonicity
-    for _ in range(30):
-        z = x * lam ** (-w)
-        nz = _p_norm(P, z)
-        if abs(nz - 1.0) <= CANONICAL_TOLERANCE:
-            break
-        Pz = P @ z
-        deriv = -float(Pz @ (w * z)) / (lam * nz)
-        step = (nz - 1.0) / deriv
-        cand = lam - step
-        lam = cand if lo <= cand <= hi else 0.5 * (lo + hi)
-    else:
-        raise BracketError("canonical norm did not reach the requested residual tolerance")
-    return lam
+        if not math.isfinite(nx):
+            raise BracketError(f"cannot evaluate canonical norm: ||x||_P = {nx}")
+        if nx < 1e-300:
+            return 0.0
+        a, b = math.log(nx) - half_ln_cond, math.log(nx) + half_ln_cond
+        lo = max(min(a / w_min, a / w_max), _LN_LAMBDA_RANGE[0])
+        hi = min(max(b / w_min, b / w_max), _LN_LAMBDA_RANGE[1])
+        for _ in range(200):
+            s = 0.5 * (lo + hi)
+            r = _p_norm(P, x * np.exp(-s * w)) - 1.0
+            if abs(r) <= 0.5 * CANONICAL_TOLERANCE:
+                return math.exp(s)
+            if r <= 0.0:
+                hi = s
+            else:  # NaN too: 0 * inf, where exp(-s w) overflows at an s far below the root
+                lo = s
+    raise BracketError("canonical norm did not reach the requested residual tolerance")
 
 
 def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
@@ -286,11 +252,13 @@ def norm_evaluator(spec: HomNormSpec, dil: Dilation) -> Callable[..., float]:
         if not check_strict_monotonicity(dil, spec.P):
             raise ValueError("P must make the dilation strictly monotone (P > 0, PG + G'P > 0)")
         P, w, n = spec.P.entries, np.asarray(dil.weights), dil.n
+        eig = np.linalg.eigvalsh(P)
+        bracket = (0.5 * math.log(eig[-1] / eig[0]), min(dil.weights), max(dil.weights))
 
         def canonical(*x: float) -> float:
             if len(x) != n:
                 raise ValueError(f"expected {n} coordinates, got {len(x)}")
-            return _canonical_core(P, w, np.array(x))
+            return _canonical_core(P, w, np.array(x), *bracket)
 
         return canonical
     if isinstance(spec, WeightedSumNorm):

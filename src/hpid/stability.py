@@ -49,6 +49,10 @@ _DIAG_DIR = np.diag([-1.0, 0.0, 1.0])
 # this eigenvalue margin, and the interval is capped at the design range
 _EIG_MARGIN = 1e-8
 _MU_CAP = 0.5
+# the Lyapunov residual bound, relative to ||P||_max ||A||_max, and the
+# largest condition number of P whose proof constants are not rounding noise
+_RESIDUAL_REL = 1e-9
+_COND_MAX = 1e12
 
 
 class InfeasibleGainsError(ValueError):
@@ -63,8 +67,8 @@ class CertificateError(ArithmeticError):
     """The gains are stabilizing, but their certificate is out of floating-point reach.
 
     The Lyapunov solve is singular, overflows or misses its residual, its
-    P has no Cholesky factor in floating point, or the proof constants
-    come out degenerate.
+    P has no Cholesky factor in floating point, the proof constants come
+    out degenerate, or P is too ill-conditioned for them to be trusted.
     """
 
 
@@ -73,8 +77,8 @@ def solve_lyapunov(gains: GainSet) -> SymMatrix:
 
     Raises InfeasibleGainsError (naming the violated Routh-Hurwitz
     condition) when the gains are not stabilizing, and CertificateError
-    when no P > 0 satisfies ||P A + A' P + I||_max <= 1e-9 in floating
-    point; the returned P does.
+    when no P > 0 satisfies ||P A + A' P + I||_max <= 1e-9 ||P||_max ||A||_max
+    in floating point; the returned P does.
     """
     failures = gains.routh_hurwitz_failures()
     if failures:
@@ -90,9 +94,9 @@ def solve_lyapunov(gains: GainSet) -> SymMatrix:
         except np.linalg.LinAlgError as exc:
             raise CertificateError(f"Lyapunov solve failed ({exc})") from None
         P = 0.5 * (P + P.T)
-        resid = float(np.abs(P @ A + A.T @ P + Q).max())
+        resid = float(np.abs(P @ A + A.T @ P + Q).max() / np.abs(P).max() / np.abs(A).max())
     # NaN fails the first test, and a residual within it leaves P finite
-    if resid <= 1e-9:
+    if resid <= _RESIDUAL_REL:
         P = SymMatrix(P)
         if P.is_positive_definite():
             return P
@@ -141,7 +145,8 @@ def certify(gains: GainSet) -> StabilityCertificate:
     gamma are taken in the metric of P, through its Cholesky factor.  P
     solves the Lyapunov equation with Q = I.  Gains that are not
     stabilizing raise InfeasibleGainsError; every numerical failure on
-    stabilizing gains raises CertificateError.
+    stabilizing gains raises CertificateError, and so does a P whose
+    condition number exceeds _COND_MAX.
     """
     P = solve_lyapunov(gains)
     Pe, A = P.entries, gains.a_matrix()
@@ -159,6 +164,10 @@ def certify(gains: GainSet) -> StabilityCertificate:
     gamma = -_congruent_eigvalsh(C, Pe @ A + A.T @ Pe)[-1]
     if not (beta > 0.0 and gamma > 0.0):
         raise CertificateError(f"certificate constants degenerate (beta={beta}, gamma={gamma})")
+    eig = np.linalg.eigvalsh(Pe)
+    cond = float(eig[-1] / eig[0])
+    if cond > _COND_MAX:
+        raise CertificateError(f"Lyapunov matrix is ill-conditioned (condition number {cond:.3e})")
     return StabilityCertificate(P=P, beta=beta, gamma=gamma, mu_lo=mu_lo, mu_hi=mu_hi, gains=gains)
 
 

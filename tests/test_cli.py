@@ -429,7 +429,7 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_OK
         assert capsys.readouterr().err == (
-            "warning: scenario 's' cannot be certified: Lyapunov solve failed (residual 5.488e-05)\n"
+            "warning: scenario 's' cannot be certified: Lyapunov matrix is ill-conditioned (condition number 5.033e+16)\n"
         )
         assert (tmp_path / "out" / "s.csv").is_file()
 
@@ -1147,7 +1147,7 @@ class TestCertifyCommand:
         assert "infeasible" in capsys.readouterr().out
 
     def test_uncertifiable_gains_reported_and_later_jobs_run(self, tmp_path, capsys):
-        # stabilizing gains whose Lyapunov solve misses its residual, then gains whose P overflows
+        # stabilizing gains whose P is too ill-conditioned to certify, then gains whose P overflows
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text(
             f"[certify stiff]\n{UNCERTIFIABLE}\n[certify huge]\nkp = -1e300\nkd = -1e300\nki = -1e300\n\n"
@@ -1156,7 +1156,7 @@ class TestCertifyCommand:
         code = cli.main(["certify", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_FAILURE
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "  uncertifiable: Lyapunov solve failed (residual 5.488e-05)"
+        assert lines[1] == "  uncertifiable: Lyapunov matrix is ill-conditioned (condition number 5.033e+16)"
         assert lines[3] == "  uncertifiable: Lyapunov solve failed (residual nan)"
         assert lines[4].startswith("[certify default]") and "  certified degree interval: (-0.5, 0.5)" in lines
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["default.cert.csv"]

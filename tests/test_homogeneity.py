@@ -193,6 +193,40 @@ class TestCanonicalNorm:
         with pytest.raises(ValueError):
             norm(1.0, 1.0)
 
+    def test_solver_across_two_hundred_decades(self):
+        # the 2-D evaluator and the decrease check's 3-D one (certify's P for
+        # the default gains), on |x| from 1e-100 to 1e100 with exact zeros,
+        # then on overflow-scale x, which raises exactly where ||x||_P is not finite
+        P2 = SymMatrix([[2.0, 0.3], [0.3, 1.0]])
+        P3 = SymMatrix([[3.25, 0.8125, -1.9375], [0.8125, 0.4375, -0.5], [-1.9375, -0.5, 2.3125]])
+        cases = [(P2, error_pair_dilation(mu)) for mu in (-0.2, 0.2)]
+        cases += [(P3, extended_state_dilation(mu)) for mu in (-0.1, 0.1, -0.45)]
+        rng = np.random.default_rng(29)
+        for P, dil in cases:
+            norm = norm_evaluator(CanonicalNorm(P), dil)
+            for k in range(200):
+                # even draws share one magnitude, odd ones scale each coordinate on its own
+                x = rng.normal(size=dil.n) * 10.0 ** rng.uniform(-100, 100, size=1 + k % 2 * (dil.n - 1))
+                zero = rng.random(dil.n) < 0.25
+                zero[rng.integers(dil.n)] = False
+                x[zero] = 0.0
+                lam = norm(*x)
+                z = dilation_apply(dil, -math.log(lam), x)
+                assert abs(math.sqrt(z @ P.entries @ z) - 1.0) <= CANONICAL_TOLERANCE
+                s = rng.uniform(-5, 5)
+                assert norm(*dilation_apply(dil, s, x)) == pytest.approx(math.exp(s) * lam, rel=1e-11)
+            raised = set()
+            for x in rng.normal(size=(100, dil.n)) * 10.0 ** rng.uniform(140, 170, size=(100, 1)):
+                with np.errstate(over="ignore"):
+                    finite = math.isfinite(x @ P.entries @ x)
+                raised.add(not finite)
+                if finite:
+                    assert norm(*x) > 0.0
+                else:
+                    with pytest.raises(BracketError):
+                        norm(*x)
+            assert raised == {False, True}
+
     def test_requires_monotone_p(self):
         spec = CanonicalNorm(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):

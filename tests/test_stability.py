@@ -50,14 +50,17 @@ class TestCertify:
     @pytest.mark.parametrize(
         "gains,message",
         [
-            ((-0.028758064503880257, -39730.40813056146, -22.621816254646742), "Lyapunov solve failed (residual 5.488e-05)"),
+            # residual 5.5e-5 absolute but 2.2e-21 relative to ||P|| ||A||; cond(P) = 5.0e16 is what fails
+            ((-0.028758064503880257, -39730.40813056146, -22.621816254646742), "Lyapunov matrix is ill-conditioned"),
             ((-2.4322076469677656e129, -1.5085385230717475e-139, -1.9392006686074723e-289), "Lyapunov solve failed (Singular"),
             ((-1e300, -1e300, -1e300), "Lyapunov solve failed (residual nan)"),  # P overflows
             ((-1e-10, -1.0, -1e-20), "certificate constants degenerate"),  # gamma lost in rounding
             ((-1e-9, -1.0, -1e-20), "certificate constants degenerate"),
             ((-705.2024816958151, -755695128.4236317, -2.7105566962652396e-10), "Lyapunov matrix has no Cholesky factor"),
+            # cond(P) above 1e15, P entries from 1.8e-8 to 8.6e7: beta and gamma would be rounding noise
+            ((-951.9123634096944, -32577178.70505206, -5.522987490950954e-06), "Lyapunov matrix is ill-conditioned"),
         ],
-        ids=["residual", "singular", "overflow", "square_root", "constants", "cholesky"],
+        ids=["residual", "singular", "overflow", "square_root", "constants", "cholesky", "ill_conditioned"],
     )
     def test_numerical_failure_on_stabilizing_gains(self, gains, message):
         gains = GainSet(*gains)
@@ -106,28 +109,40 @@ class TestCertify:
         gamma = -np.linalg.eigvalsh(Ph @ A @ Pmh + Pmh @ A.T @ Ph).max()
         assert cert.gamma == pytest.approx(gamma, rel=1e-9)
 
+    @staticmethod
+    def _check_against_pencils(gains, ends):
+        """certify(gains) against scipy's generalized eigensolver; counts capped and uncapped interval ends."""
+        D = np.diag([-1.0, 0.0, 1.0])
+        cert = certify(gains)
+        P, A = cert.P.entries, gains.a_matrix()
+        S = P @ D + D @ P  # P G(mu) + G(mu)' P = 2P + mu S
+        for mu in (cert.mu_lo, cert.mu_hi):
+            if abs(mu) == 0.5:
+                ends["capped"] += 1
+            else:  # the margin sits exactly at the certifier's 1e-8
+                ends["uncapped"] += 1
+                assert abs(np.linalg.eigvalsh(2.0 * P + mu * S).min() - 1e-8) <= 1e-12
+        beta = min(eigh(2.0 * P + mu * S, P, eigvals_only=True)[0] for mu in (cert.mu_lo, cert.mu_hi))
+        assert abs(cert.beta - beta) <= 1e-6 * abs(beta) + 1e-13
+        gamma = -eigh(P @ A + A.T @ P, P, eigvals_only=True)[-1]
+        assert cert.gamma == pytest.approx(gamma, rel=1e-12)
+
     def test_closed_form_against_scipy_pencils(self):
         # seeded stabilizing gains, poles log-uniform in [e^-2.5, e^2.5]: both capped and uncapped ends
         rng = np.random.default_rng(2015)
-        D = np.diag([-1.0, 0.0, 1.0])
         ends = {"capped": 0, "uncapped": 0}
         for _ in range(200):
             p = np.exp(rng.uniform(-2.5, 2.5, 3))
             gains = GainSet(-float(p[0] * p[1] + p[0] * p[2] + p[1] * p[2]), -float(p.sum()), -float(p.prod()))
-            cert = certify(gains)
-            P, A = cert.P.entries, gains.a_matrix()
-            S = P @ D + D @ P  # P G(mu) + G(mu)' P = 2P + mu S
-            for mu in (cert.mu_lo, cert.mu_hi):
-                if abs(mu) == 0.5:
-                    ends["capped"] += 1
-                else:  # the margin sits exactly at the certifier's 1e-8
-                    ends["uncapped"] += 1
-                    assert abs(np.linalg.eigvalsh(2.0 * P + mu * S).min() - 1e-8) <= 1e-12
-            beta = min(eigh(2.0 * P + mu * S, P, eigvals_only=True)[0] for mu in (cert.mu_lo, cert.mu_hi))
-            assert abs(cert.beta - beta) <= 1e-6 * abs(beta) + 1e-13
-            gamma = -eigh(P @ A + A.T @ P, P, eigvals_only=True)[-1]
-            assert cert.gamma == pytest.approx(gamma, rel=1e-12)
+            self._check_against_pencils(gains, ends)
         assert min(ends.values()) > 0
+
+    def test_stiff_gains_certify(self):
+        # poles at -100: the Lyapunov residual is 5.9e-8 absolute but 3.4e-20
+        # relative to ||P|| ||A||, and cond(P) = 1.0e9
+        ends = {"capped": 0, "uncapped": 0}
+        self._check_against_pencils(GainSet(-3e4, -300.0, -1e6), ends)
+        assert ends == {"capped": 0, "uncapped": 2}
 
     def test_interval_shrinks_feasibly_under_bisection(self):
         # feasibility in mu is an interval: the margin is concave in mu
