@@ -29,7 +29,7 @@ from .plant import (
     default_six_joint_plant,
     reference_eval,
 )
-from .sim import DivergenceError, Scenario, Trajectory, rk4_block, scaling_symmetry_run, simulate
+from .sim import DivergenceError, Scenario, Trajectory, dilate, rk4_block, scaling_symmetry_run, simulate
 from .stability import (
     CertificateError,
     InfeasibleGainsError,

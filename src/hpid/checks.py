@@ -186,15 +186,10 @@ def _check_mu_zero_step(rng: np.random.Generator, draws: int) -> CheckResult:
     return CheckResult("RK4 step at mu = 0 equals RK4 on the linear rows", _worst(residuals), 0.0)
 
 
-def _check_scaling_symmetry(cases, step: float) -> CheckResult:
-    """x(t, d(s) x0) = d(s) x(e^{mu s} t, x0) over 3 s, for each (mu, s) in cases."""
-    reports = [
-        scaling_symmetry_run(Scenario(controller="hpid", mu=mu, horizon=3.0, step=step), s)
-        for mu, s in cases
-    ]
-    compared = sum(r.n_compared for r in reports)
-    detail = f"{compared} samples" + (", truncated" if any(r.truncated for r in reports) else "")
-    return CheckResult("solution scaling symmetry", _worst([r.sup_discrepancy for r in reports]), 1e-4, detail)
+def _check_scaling_symmetry(cases) -> CheckResult:
+    """x(t, d(s) x0) = d(s) x(e^{mu s} t, x0), sample for sample, for each (scenario, s) in cases."""
+    gaps = [scaling_symmetry_run(scn, s) for scn, s in cases]
+    return CheckResult("solution scaling symmetry", _worst(gaps), 1e-12)
 
 
 def _check_lyapunov_decrease(mus) -> CheckResult:
@@ -232,7 +227,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         _check_canonical_identity(canonical, hg.error_pair_dilation(-0.2), half_width=5.0, draws=200),
         _check_step_homogeneity(step, hg.WeightedSumNorm((1.0, 1.0)), samples=40),
         _check_mu_zero_step(mu_zero, draws=300),
-        _check_scaling_symmetry([(0.1, 0.5)], step=1e-3),
+        _check_scaling_symmetry([(Scenario(controller="hpid", mu=0.1, horizon=3.0), 0.5)]),
         _check_lyapunov_decrease([0.1]),
         _check_metrics_identity(simulate(Scenario(horizon=2.0, joints=default_six_joint_plant()))),
     ]

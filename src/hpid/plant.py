@@ -88,7 +88,8 @@ class DisturbanceSpec:
     def __post_init__(self):
         for name in ("constant", "amplitude", "angular_frequency", "phase", "bound"):
             object.__setattr__(self, name, self.check_field(name, getattr(self, name)))
-        if abs(self.constant) + abs(self.amplitude) > self.bound + 1e-15:
+        # 1e-15, relative above a bound of 1: sim.dilate scales a disturbance at its bound
+        if abs(self.constant) + abs(self.amplitude) > self.bound + 1e-15 * max(1.0, self.bound):
             raise ValueError(
                 f"|constant| + |amplitude| = {abs(self.constant) + abs(self.amplitude)} "
                 f"exceeds the disturbance bound {self.bound}"

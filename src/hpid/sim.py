@@ -1,10 +1,11 @@
 """Deterministic fixed-step integration of the closed-loop systems.
 
 Classical RK4 on a uniform grid, chosen over adaptive stepping for bitwise
-reproducibility and easy symmetry checks.  For nonzero degree the vector
-field is continuous but not Lipschitz at the origin, so the formal fourth
-order degrades in a small terminal neighbourhood; convergence tests exclude
-that ball.
+reproducibility and an exact symmetry: the run of dilate(scn, s) is d(s) of
+scn's, sample for sample (scaling_symmetry_run).  For nonzero degree the
+vector field is continuous but not Lipschitz at the origin, so the formal
+fourth order degrades in a small terminal neighbourhood; convergence tests
+exclude that ball.
 
 Both plants are closed-loop blocks of rk4_block, three states (e, de, z)
 each, where z is the integral action ki * integral(nu^{3 mu} e) plus the
@@ -44,16 +45,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import GainSet, hpid_law
-from .homogeneity import HomNormSpec, WeightedSumNorm, extended_state_dilation
+from .homogeneity import HomNormSpec, WeightedSumNorm
 from .plant import JointConfig, _check_phase, reference_eval
 
 __all__ = [
     "DivergenceError",
     "Scenario",
     "Trajectory",
-    "ScalingReport",
     "rk4_block",
     "simulate",
+    "dilate",
     "scaling_symmetry_run",
     "DIVERGENCE_LIMIT",
 ]
@@ -329,41 +330,42 @@ def simulate(scn: Scenario) -> Trajectory:
     return Trajectory(times=times, states=states, controls=controls, scenario=scn)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    """Discrepancy between a dilated run and the dilated, time-rescaled nominal."""
+def dilate(scn: Scenario, s: float) -> Scenario:
+    """The scenario whose run is d(s) of scn's, sample for sample, d(s) = (e^{(1-mu)s}, e^s, e^{(1+mu)s}) per block.
 
-    sup_discrepancy: float
-    n_compared: int
-    truncated: bool
-
-
-def scaling_symmetry_run(scn: Scenario, s: float) -> ScalingReport:
-    """Exercise the solution symmetry x(t, d(s) x0) = d(s) x(e^{mu s} t, x0).
-
-    Simulates from the dilated initial state and compares against the
-    nominal trajectory dilated and resampled at e^{mu s} t with linear
-    interpolation.  Rescaled times beyond the horizon are dropped and
-    flagged as truncation.
+    RK4 commutes with d(s) when the step scales: horizon and step scale by
+    e^{-mu s}, norm_floor by e^s, the extended x0 by d(s), references'
+    amplitude and offset by e^{(1-mu)s}, disturbances' constant, amplitude
+    and bound by e^{(1+mu)s}, and angular frequencies by e^{mu s}.
+    DIVERGENCE_LIMIT is not dilated: a copy can diverge where scn's run finishes.
     """
-    if scn.plant != "extended":
-        raise ValueError("scaling symmetry runs on the extended system")
     mu = scn.mu
-    dil = extended_state_dilation(mu)
-    scales = dil.scales(s)
-    dilated_x0 = tuple(float(v) for v in scales * np.array(scn.x0))
-    nominal = simulate(scn)
-    dilated = simulate(replace(scn, x0=dilated_x0, name=f"{scn.name}:dilated"))
+    pos, rate, force, fast, slow = (math.exp(w * s) for w in (1.0 - mu, 1.0, 1.0 + mu, mu, -mu))
 
-    factor = math.exp(mu * s)
-    times = nominal.times
-    n = len(times) - 1
-    tq = factor * times
-    m = int(np.count_nonzero(tq <= times[-1]))  # tq is nondecreasing: a prefix is kept
-    pos = tq[:m] / scn.step
-    j = np.minimum(pos.astype(int), n - 1)
-    frac = (pos - j)[:, None]
-    x_nom = (1.0 - frac) * nominal.states[j] + frac * nominal.states[j + 1]
-    diff = np.abs(dilated.states[:m] - scales * x_nom).max(axis=1)
-    sup = float(diff.max(initial=0.0))
-    return ScalingReport(sup_discrepancy=sup, n_compared=m, truncated=m <= n)
+    def scaled(spec, **factors):
+        return replace(spec, **{name: f * getattr(spec, name) for name, f in factors.items()})
+
+    joints = [
+        JointConfig(
+            scaled(jc.reference, amplitude=pos, offset=pos, angular_frequency=fast),
+            scaled(jc.disturbance, constant=force, amplitude=force, bound=force, angular_frequency=fast),
+        )
+        for jc in scn.joints
+    ]
+    x0 = None if scn.joints else (pos * scn.x0[0], rate * scn.x0[1], force * scn.x0[2])
+    grid = {"horizon": slow * scn.horizon, "step": slow * scn.step, "norm_floor": rate * scn.norm_floor}
+    return replace(scn, x0=x0, joints=joints, **grid)
+
+
+def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest column gap |got - want| over the column's peak |want|; a 0 peak forgives no gap."""
+    gap, peak = np.abs(got - want).max(axis=0), np.abs(want).max(axis=0)
+    return float(np.divide(gap, peak, out=np.where(gap > 0.0, np.inf, 0.0), where=peak > 0.0).max())
+
+
+def scaling_symmetry_run(scn: Scenario, s: float) -> float:
+    """Largest gap of simulate(dilate(scn, s)) from d(s) of simulate(scn), sample for sample, per column peak."""
+    nominal, dilated = simulate(scn), simulate(dilate(scn, s))
+    scales = np.exp(np.array([1.0 - scn.mu, 1.0, 1.0 + scn.mu]) * s)
+    states = nominal.states * np.tile(scales, nominal.controls.shape[1])
+    return max(_relative_gap(dilated.states, states), _relative_gap(dilated.controls, scales[2] * nominal.controls))

@@ -92,8 +92,19 @@ def test_theorem_reproduction_desk_scale():
 
 
 def test_solution_scaling_symmetry():
+    # sample for sample within 1e-12 of each column's peak, on both plants;
+    # h = 1e-3 is enough, since the dilated run steps e^{-mu s} h
+    joints = default_six_joint_plant()
+    scenarios = [Scenario(controller="hpid", mu=mu, horizon=3.0) for mu in (-0.45, -0.1, 0.1, 0.45)]
+    scenarios += [Scenario(controller="hpid", mu=mu, horizon=3.0, joints=joints) for mu in (-0.3, 0.45)]
+    scenarios += [
+        Scenario(horizon=3.0),
+        Scenario(horizon=3.0, joints=joints),
+        Scenario(controller="hpid", mu=-0.45, norm_floor=1e-2),  # the floor clamps over half the samples
+        Scenario(controller="hpid", mu=0.3, horizon=0.3, norm=CanonicalNorm(SymMatrix([[2.0, 0.3], [0.3, 1.0]]))),
+    ]
     with criterion("solution-scaling-symmetry"):
-        _passes(checks._check_scaling_symmetry([(mu, s) for mu in (-0.1, 0.1) for s in (-0.5, 0.5)], step=1e-4))
+        _passes(checks._check_scaling_symmetry([(scn, s) for scn in scenarios for s in (-3.0, 0.5, 3.0)]))
 
 
 def _settle_time(traj: Trajectory, tol: float) -> float | None:

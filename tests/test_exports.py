@@ -51,6 +51,7 @@ DELETED = [
     "trajectory_header",
     "canonical_norm_gradient",
     "ChannelIndices",
+    "ScalingReport",
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
 

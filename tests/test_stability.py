@@ -8,7 +8,7 @@ from scipy.linalg import eigh, expm
 from hpid import stability
 from hpid.checks import CheckResult
 from hpid.control import GainSet
-from hpid.homogeneity import CanonicalNorm, extended_state_dilation, norm_evaluator
+from hpid.homogeneity import CanonicalNorm, dilation_apply, extended_state_dilation, norm_evaluator
 from hpid.sim import Scenario, Trajectory, simulate
 from hpid.stability import (
     CertificateError,
@@ -167,6 +167,16 @@ def cert():
     return certify(GAINS)
 
 
+def _ray_trajectory(cert, mu: float, v: np.ndarray, times: np.ndarray) -> Trajectory:
+    """Samples d(ln v_k) u along the ray through a u with V(u) = 1, so V reads v_k at sample k."""
+    dil = extended_state_dilation(mu)
+    u = np.array([1.0, 0.5, 0.2])
+    u = dilation_apply(dil, -math.log(norm_evaluator(CanonicalNorm(cert.P), dil)(*u)), u)
+    states = np.exp(np.outer(np.log(v), dil.weights)) * u
+    scn = Scenario(controller="hpid", mu=mu, horizon=2.0, step=1e-2)
+    return Trajectory(times=times, states=states, controls=np.zeros((len(v), 1)), scenario=scn)
+
+
 class TestDecreaseCheck:
     @pytest.mark.parametrize("mu", [-0.1, 0.0, 0.1])
     def test_certified_degrees_pass(self, cert, mu):
@@ -257,6 +267,32 @@ class TestDecreaseCheck:
             for ok in range(max(0, math.floor(pass_fraction * n) - 2), min(n, math.ceil(pass_fraction * n) + 2) + 1):
                 verdict = CheckResult("", 1.0 - ok / n, 1.0 - pass_fraction).passed
                 assert verdict == (ok / n >= pass_fraction), (ok, n)
+
+    @pytest.mark.parametrize("mu", [-0.3, 0.3])
+    @pytest.mark.parametrize("factor, fraction", [(0.97, 1.0), (0.93, 0.0)])
+    def test_exact_decay_inside_and_outside_the_bound(self, cert, mu, factor, fraction):
+        # V(t) = (V0^{-mu} + mu rho t)^{-1/mu} solves V' = -rho V^{1+mu}, and
+        # the check's bound is about -0.95 rate V^{1+mu}: rho = 0.97 rate meets
+        # it on every interval, 0.93 rate misses it on every one.  V spans 100
+        # to 0.01, where V^{1-mu} and V^{1+mu} differ up to 16-fold
+        rho = factor * cert.decrease_rate()
+        v = np.geomspace(100.0, 0.01, 1001)
+        times = (v**-mu - v[0] ** -mu) / (mu * rho)  # the curve's time at each value
+        report = lyapunov_decrease_check(_ray_trajectory(cert, mu, v, times), cert, mu)
+        assert (report.n_intervals, report.fraction) == (1000, fraction)
+
+    @pytest.mark.parametrize("mu", [-0.3, 0.3])
+    @pytest.mark.parametrize("offset, fraction", [(-2e-7, 1.0), (2e-7, 0.0)])
+    def test_slopes_within_the_absolute_slack(self, cert, mu, offset, fraction):
+        # each slope sits 2e-7 below or above its bound rhs + 1e-6 + 0.05 |rhs|,
+        # rhs = -rate V^{1+mu}, well inside the absolute slack of 1e-6
+        rate, dt = cert.decrease_rate(), 1e-2
+        v = [1.0]
+        for _ in range(200):
+            rhs = -rate * v[-1] ** (1.0 + mu)
+            v.append(v[-1] + dt * (rhs + 1e-6 + 0.05 * abs(rhs) + offset))
+        report = lyapunov_decrease_check(_ray_trajectory(cert, mu, np.array(v), dt * np.arange(201)), cert, mu)
+        assert (report.n_intervals, report.fraction) == (200, fraction)
 
     def test_metadata_mismatch_rejected(self, cert):
         traj = simulate(Scenario(controller="hpid", mu=0.1, horizon=1.0, step=1e-2))
