@@ -18,15 +18,15 @@ setting (workers.fork_map).  The unit of work is a joint group: a
 joints-plant run is cut into min(joints, usable cores) contiguous groups of
 joints, an extended-plant run is one group, and forked workers take the
 groups in turn.  For a command that ends in 0, 2 or 3, every file, printed
-line and exit code is the one a single core gives, and a split run that
-diverged fails as on one core (_joined).  A fault, any exception other than
-an ArithmeticError, propagates as raised, so whether it or an earlier
-divergence ends a run can depend on the core count.  simulate writes its CSVs in a temporary
-directory of the output directory and renames them into place only after
-every run has finished; compare simulates each scenario named by any job
-once.  verify's Lyapunov decrease line spreads its canonical-norm samples
-over the same forked workers (stability.lyapunov_decrease_check), with the
-same output.
+line and exit code is the one a single core gives: _map_runs joins each
+run's groups once, and a split run that diverged fails as on one core.  A
+fault, any exception other than an ArithmeticError, propagates as raised,
+so whether it or an earlier divergence ends a run can depend on the core
+count.  simulate writes its CSVs in a temporary directory of the output
+directory and renames them into place only after every run has finished;
+compare simulates each scenario named by any job once.  verify's Lyapunov
+decrease line spreads its canonical-norm samples over the same forked
+workers (stability.lyapunov_decrease_check), with the same output.
 
 Config format: flat `key = value` lines under bracketed section headers,
 `#` starts a comment.  Section kinds:
@@ -86,7 +86,8 @@ from .control import GainSet, _check_floor, hpid_law
 from .homogeneity import CanonicalNorm, WeightedSumNorm, _check_degree
 from .plant import DisturbanceSpec, JointConfig, ReferenceSpec, _check_phase
 from .sim import (
-    DivergenceError, Scenario, Trajectory, _check_grid, _check_positive, _first_failure, _initial_state, simulate,
+    DivergenceError, Scenario, Trajectory, _check_grid, _check_memory, _check_pid_degree, _check_positive,
+    _first_failure, _initial_state, simulate,
 )
 from .stability import CertificateError, InfeasibleGainsError, StabilityCertificate, certify
 from .workers import fork_map, usable_cores
@@ -368,9 +369,9 @@ def _joints(r: _SectionReader, n: int, seed: int | None, columns: dict, horizon)
 def _check_joint_count(n: int) -> None:
     """Reject a joint count no run holds even on the coarsest grid, T/h = 10."""
     try:
-        _check_grid(10.0, 1.0, n)
+        _check_memory(10.0, n)
     except ValueError as exc:
-        raise ValueError(f"{n} joints need more memory than any grid allows: {str(exc).partition(': ')[2]}") from None
+        raise ValueError(f"{n} joints need more memory than any grid allows: {exc}") from None
 
 
 def _read_scenario(r: _SectionReader) -> Scenario | None:
@@ -380,12 +381,7 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     extended, joints = plant != "joints", plant != "extended"
     gains = _read_gains(r)
     numbers = {field: r.values(key, getattr(Scenario, field)) for key, field in _NUMBER_KEYS.items()}
-    mu = numbers["mu"]
-    if controller == "pid" and mu:
-        r.error("mu", "a pid scenario must keep mu = 0")
-        mu = None
-    else:
-        mu = r.checked("mu", _check_degree, mu)
+    mu = r.checked("mu", lambda mu: _check_pid_degree(controller, mu) or _check_degree(mu), numbers["mu"])
     # a floor at which the law overflows is cited at norm_floor, at a degree already valid
     floor = r.checked("norm_floor", lambda value: _check_floor(value, mu or 0.0), numbers["norm_floor"])
     norm_values = {
@@ -577,31 +573,31 @@ def _joint_groups(scn: Scenario, cores: int) -> list[tuple[int, Scenario]]:
     return [(lo, replace(scn, joints=scn.joints[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _map_groups(fn, runs: list[list[tuple[int, Scenario]]]) -> list[list]:
-    """fn(first, sub) over every group of every run, spread over the usable cores (workers.fork_map).
+def _map_runs(fn, scenarios) -> list:
+    """fn(first, sub) over every joint group of every scenario, spread over the usable cores (workers.fork_map).
 
-    Per run, its groups' values in joint order; a group that diverged has
-    its DivergenceError, block numbered plant-wide, as its value, for
-    _joined to settle.  Any other exception propagates.
+    Per scenario, its groups' values in joint order, or, if a group
+    diverged, the first of the groups' failures (sim._first_failure), block
+    numbered plant-wide: the failure the whole run meets.  Any other
+    exception propagates.
     """
+    cores = usable_cores()
+    runs = [_joint_groups(scn, cores) for scn in scenarios]
 
     def caught(group):
         try:
             return fn(*group)
         except DivergenceError as exc:
-            exc.block += group[0]  # once: compare joins a run for every job naming it
+            exc.block += group[0]
             return exc
 
     values = iter(fork_map(caught, [group for groups in runs for group in groups]))
-    return [[next(values) for _ in groups] for groups in runs]
-
-
-def _joined(values: list) -> list:
-    """A run's group values, or, if a group diverged, the first of their failures: the whole run's."""
-    failed = [value for value in values if isinstance(value, DivergenceError)]
-    if failed:
-        raise _first_failure(failed)
-    return values
+    joined = []
+    for groups in runs:
+        run = [next(values) for _ in groups]
+        failed = [value for value in run if isinstance(value, DivergenceError)]
+        joined.append(_first_failure(failed) if failed else run)
+    return joined
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
@@ -611,56 +607,52 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     one per joint; an extended-plant run is one group), and the groups are
     spread over the usable cores.  Every file is written in a temporary
     directory made in out_dir, CSV_BLOCK_ROWS rows at a time, so no whole
-    file's text is held: a run in one group straight to its part file, a
-    run in several to one fragment per group, which are then pasted side
-    by side, line by line, into its part file.  A block is one format call
-    over its interleaved columns (trajectory_csv_text); the bytes are those
-    of one format per cell.  The part files are renamed into out_dir in
-    config order only once every run has finished, and the first run in
-    config order that diverged is reported as a single core reports it.
-    The temporary directory is removed whatever happens, so on a divergence
-    or any other error out_dir is left as it was.
+    file's text is held: each group to its own fragment NAME.csv.j<k>, k
+    its first joint.  A run's part file is its one fragment renamed, or its
+    fragments pasted side by side, line by line, in this process.  A block
+    is one format call over its interleaved columns (trajectory_csv_text);
+    the bytes are those of one format per cell.  The part files are renamed
+    into out_dir in config order only once every run has finished, and the
+    first run in config order that diverged is reported as a single core
+    reports it.  The temporary directory is removed whatever happens, so on
+    a divergence or any other error out_dir is left as it was.
     """
     out = _out_dir(out_dir)
     if not cfg.scenarios:
         print("nothing to simulate (no [scenario] sections)", file=sys.stderr)
         return EXIT_CONFIG
     _warn_uncertified(cfg.scenarios)
-    cores = usable_cores()
-    runs = [_joint_groups(scn, cores) for scn in cfg.scenarios]
-    split = {scn.name for scn, groups in zip(cfg.scenarios, runs) if len(groups) > 1}
     tmp = Path(tempfile.mkdtemp(dir=out))
 
-    def written(first: int, sub: Scenario) -> Path:
-        # a run in one group is written to its part file, a split run's group to its own fragment
-        return tmp / (f"{sub.name}.csv.j{first + 1}" if sub.name in split else f"{sub.name}.csv")
-
-    def write(first: int, sub: Scenario) -> None:
+    def write(first: int, sub: Scenario) -> Path:
         traj = simulate(sub)
-        with written(first, sub).open("w", encoding="utf-8", newline="\n") as f:
+        path = tmp / f"{sub.name}.csv.j{first + 1}"
+        with path.open("w", encoding="utf-8", newline="\n") as f:
             for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
                 f.write(trajectory_csv_text(traj, start, start + CSV_BLOCK_ROWS, first))
+        return path
 
-    def paste(groups: list[tuple[int, Scenario]]) -> None:
-        # a split run's part file from its fragments, line by line, each line theirs side by side
+    def part(name: str, fragments: list[Path]) -> Path:
+        path = tmp / f"{name}.csv"
+        if len(fragments) == 1:
+            return fragments[0].replace(path)
         with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(written(*group).open(encoding="utf-8", newline="\n")) for group in groups]
+            files = [stack.enter_context(frag.open(encoding="utf-8", newline="\n")) for frag in fragments]
             # a row is the fragments' lines joined by commas: all but the last lose their newline
             columns = [map(methodcaller("removesuffix", "\n"), f) for f in files[:-1]] + files[-1:]
-            with (tmp / f"{groups[0][1].name}.csv").open("w", encoding="utf-8", newline="\n") as f:
+            with path.open("w", encoding="utf-8", newline="\n") as f:
                 f.writelines(map(",".join, zip(*columns)))
+        return path
 
     try:
-        for values in _map_groups(write, runs):
-            _joined(values)
-        # a run of several groups is pasted on the cores as well, a run per worker
-        fork_map(paste, [groups for groups in runs if len(groups) > 1])
-        for scn in cfg.scenarios:
-            path = (tmp / f"{scn.name}.csv").replace(out / f"{scn.name}.csv")
-            print(f"wrote {path}")
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        runs = _map_runs(write, cfg.scenarios)
+        failed = [run for run in runs if isinstance(run, DivergenceError)]
+        if failed:
+            print(f"error: {failed[0]}", file=sys.stderr)
+            return EXIT_DIVERGENCE
+        parts = [part(scn.name, fragments) for scn, fragments in zip(cfg.scenarios, runs)]
+        for scn, path in zip(cfg.scenarios, parts):
+            print(f"wrote {path.replace(out / f'{scn.name}.csv')}")
     finally:
         shutil.rmtree(tmp)  # what a failed run, paste or rename left
     return EXIT_OK
@@ -687,8 +679,7 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
         return metrics.channel_indices(simulate(sub))
 
     names = list(dict.fromkeys(name for job in cfg.compares if not job.fixture for name in (job.pid, job.hpid)))
-    cores = usable_cores()
-    runs = dict(zip(names, _map_groups(indices, [_joint_groups(cfg.scenario(name), cores) for name in names])))
+    runs = dict(zip(names, _map_runs(indices, [cfg.scenario(name) for name in names])))
     for job in cfg.compares:
         if job.fixture:
             # injected, externally measured numbers: say so in the artifact
@@ -696,14 +687,13 @@ def cmd_compare(cfg: RunConfig, out_dir) -> int:
                 fixtures.HARDWARE_COMPARISON_ROWS, fixtures.HARDWARE_AGGREGATES, source="hardware_fixture"
             )
         else:
-            try:
-                # a failed run is reported by the first job that names it
-                pair = [metrics.run_indices(_joined(runs[name])) for name in (job.pid, job.hpid)]
-            except DivergenceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+            pair = [runs[name] for name in (job.pid, job.hpid)]
+            failed = [run for run in pair if isinstance(run, DivergenceError)]
+            if failed:  # a failed run is reported by the first job that names it
+                print(f"error: {failed[0]}", file=sys.stderr)
                 return EXIT_DIVERGENCE
             try:
-                report = metrics.MetricsReport(*pair)
+                report = metrics.MetricsReport(*map(metrics.run_indices, pair))
             except ValueError as exc:  # runs that cannot be paired
                 print(f"error: [compare {job.name}] {exc}", file=sys.stderr)
                 return EXIT_CONFIG

@@ -115,8 +115,7 @@ class Scenario:
         if self.controller not in ("pid", "hpid"):
             raise ValueError(f"unknown controller {self.controller!r}")
         mu = float(self.mu)
-        if self.controller == "pid" and mu != 0.0:
-            raise ValueError("a pid scenario must keep mu = 0")
+        _check_pid_degree(self.controller, mu)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "step", float(self.step))
@@ -141,6 +140,11 @@ class Scenario:
         return int(round(self.horizon / self.step))
 
 
+def _check_pid_degree(controller: str, mu: float) -> None:
+    if controller == "pid" and mu != 0.0:
+        raise ValueError("a pid scenario must keep mu = 0")
+
+
 def _check_grid(T: float, h: float, blocks: int = 1) -> None:
     """Reject a grid no run of `blocks` (e, de, z) blocks can be made on, for its arrays' size too."""
     _check_positive("horizon", T)
@@ -153,12 +157,20 @@ def _check_grid(T: float, h: float, blocks: int = 1) -> None:
         raise ValueError(f"step {h} too fine for horizon {T}: T/h = {T / h:.3g} steps exceed any array")
     if abs(round(T / h) * h - T) > 1e-9 * T:
         raise ValueError(f"step {h} does not divide horizon {T}")
+    try:
+        _check_memory(T / h, blocks)
+    except ValueError as exc:
+        raise ValueError(f"step {h} too fine for horizon {T}: {exc}") from None
+
+
+def _check_memory(steps: float, blocks: int) -> None:
+    """Reject a run of `steps` = T/h steps of `blocks` blocks whose arrays need more than the physical memory."""
     # simulate's arrays, (n + 1) x (4 blocks + 1) floats, and its list of the
     # n + 1 sample times, each a Python float (24 bytes) and its reference
-    need, have = (round(T / h) + 1) * ((4 * blocks + 1) * 8 + 32), _physical_memory()
+    need, have = (round(steps) + 1) * ((4 * blocks + 1) * 8 + 32), _physical_memory()
     if need > have:
         raise ValueError(
-            f"step {h} too fine for horizon {T}: a run of T/h = {T / h:.3g} steps needs about "
+            f"a run of T/h = {steps:.3g} steps needs about "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
 

@@ -2,8 +2,8 @@
 
 fork_map(fn, items) is [fn(x) for x in items], spread over the cores
 os.sched_getaffinity grants with no setting.  The CLI's simulate and
-compare make their runs' joint groups through it, each group the scenario
-of its joints, and simulate pastes its split runs' fragments through it;
+compare make their runs' joint groups through it in one call, each group
+the scenario of its joints (cli._map_runs);
 stability.lyapunov_decrease_check solves its canonical norms through it.
 Every result and every exception is the one a serial loop gives: the
 values come back in items' order and the exception raised is the first in

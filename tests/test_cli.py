@@ -177,6 +177,12 @@ class TestParseConfig:
             # a grid key that does not parse hides no problem of the other, checked alone at its line
             ("[scenario a]\nT = -1\nh = x\n", [(2, "horizon must be positive, got -1.0 (key 'T')"), (3, "'h'")]),
             ("[scenario a]\nT = x\nh = -1\n", [(2, "'T'"), (3, "step must be positive, got -1.0 (key 'h')")]),
+            ("[scenario a]\nplant = joints\nn_joints = 0\n",
+             [(3, "[scenario a] need at least one joint (key 'n_joints')")]),
+            # the section structure: a header that does not parse, a key outside any section, a repeated section
+            ("[scenario]\n", [(1, "malformed section header '[scenario]'")]),
+            ("kp = -3\n[scenario a]\n", [(1, "'key = value' before any section header")]),
+            ("[scenario a]\n\n[scenario a]\n", [(3, "duplicate section [scenario a]")]),
         ],
         ids=[
             "joints_mu", "x0_and_mu", "pid_mu_and_norm", "fixture", "certify_gain", "broken_scenario", "unknown_pair",
@@ -188,7 +194,8 @@ class TestParseConfig:
             "negative_coefficient", "scenario_gain", "experimental_gamma", "tiny_zeta1_max", "negative_disturbance_bound",
             "joints_mu_and_bound", "floor_and_gamma", "unparsed_bound", "negative_seed", "overflowing_floor",
             "overflowing_phase", "overflowing_reference_phase", "overflowing_phase_at_horizon",
-            "bad_T_unparsed_h", "unparsed_T_bad_h",
+            "bad_T_unparsed_h", "unparsed_T_bad_h", "no_joints", "malformed_header", "key_before_header",
+            "duplicate_section",
         ],
     )
     def test_each_problem_reported_once(self, text, expected):
@@ -525,7 +532,7 @@ class TestSimulateCommand:
         # the files holds: at most a block of text, far below the bytes of the
         # smallest file.  Over two workers each run is two groups of three
         # joints: this process writes the first group of p and of q, a child
-        # the second, and then this process pastes p and a child q.
+        # the second, and then this process pastes both.
         cfg = cli.parse_config(
             "[scenario p]\nplant = joints\nT = 9.0\nh = 0.001\n\n"
             "[scenario q]\nplant = joints\ncontroller = hpid\nmu = 0.2\nT = 9.0\nh = 0.001\n"
@@ -560,6 +567,30 @@ class TestCommandInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "config error: line 3: not UTF-8 text (invalid start byte 0xff)\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, what",
+        [
+            ("simulate", "[certify c]\n", "simulate (no [scenario] sections)"),
+            ("compare", "[scenario a]\n", "compare (no [compare] sections)"),
+            ("certify", "[scenario a]\n", "certify (no [certify] sections)"),
+        ],
+        ids=["simulate", "compare", "certify"],
+    )
+    def test_nothing_to_do_is_a_config_error(self, tmp_path, capsys, command, text, what):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(text)
+        assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"nothing to {what}\n")
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "missing"
+        assert cli.main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"config error: cannot read config {str(cfgfile)!r}: "
+        assert captured.err.startswith(prefix) and "No such file" in captured.err and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -781,6 +812,22 @@ class TestCompareCommand:
         code = cli.main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "runs, message",
+        [
+            ("[scenario a]\nT = 1.0\nh = 0.01\n\n[scenario b]\nplant = joints\nn_joints = 1\nT = 1.0\nh = 0.01\n",
+             "runs use different plants"),
+            ("[scenario a]\nT = 1.0\nh = 0.01\n\n[scenario b]\nT = 2.0\nh = 0.02\n", "runs were sampled on different grids"),
+        ],
+        ids=["plants", "grids"],
+    )
+    def test_unpairable_runs_are_config_errors(self, tmp_path, capsys, runs, message):
+        # one channel and 101 samples each: only the plant, or only the sample times, differ
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(runs + "\n[compare bad]\npid = a\nhpid = b\n")
+        assert cli.main(["compare", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: [compare bad] {message}\n")
+
     def test_pair_summary_line(self, tmp_path):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text(EXTENDED_PAIR)
@@ -964,12 +1011,9 @@ class TestWorkerProcesses:
             with pytest.raises(DivergenceError) as whole:
                 cli.simulate(scn)
             assert (whole.value.step, whole.value.block) == (step, block), case
-            [values] = cli._map_groups(lambda first, sub: cli.simulate(sub), [cli._joint_groups(scn, len(cores))])
-            assert all(isinstance(value, DivergenceError) for value in values)
-            for _ in range(2):  # compare joins a run once per job naming it: its blocks are renumbered once
-                with pytest.raises(DivergenceError) as split:
-                    cli._joined(values)
-                assert (split.value.step, split.value.block, str(split.value)) == (step, block, str(whole.value))
+            [split] = cli._map_runs(lambda first, sub: cli.simulate(sub), [scn])
+            assert isinstance(split, DivergenceError)
+            assert (split.step, split.block, str(split)) == (step, block, str(whole.value))
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_six_joint_run_uses_every_core(self, tmp_path, monkeypatch, command):

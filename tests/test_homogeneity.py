@@ -237,6 +237,14 @@ class TestCanonicalNorm:
         with pytest.raises(BracketError):
             norm_evaluator(spec, Dilation((1.0, 1.0)))(1e300, 1e300)
 
+    @pytest.mark.parametrize("e", [1e150, 1e-150])
+    def test_bisection_step_cap(self, e):
+        # at weight 0.1 the root ln lambda = 10 ln |e| = +-3454 lies beyond the
+        # bracket's clamp to ln of the normal floats: its 200 steps all miss
+        norm = norm_evaluator(CanonicalNorm(SymMatrix(np.eye(2))), Dilation((0.1, 1.0)))
+        with pytest.raises(BracketError, match="^canonical norm did not reach the requested residual tolerance$"):
+            norm(e, 0.0)
+
 
 class TestExperimentalNorm:
     """The paper's |e|^{1/(1-mu)} / zeta1_max + gamma |de|, as `norm = experimental` builds it."""

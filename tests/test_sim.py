@@ -97,6 +97,10 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(controller="pid", mu=0.1)
 
+    def test_unknown_controller(self):
+        with pytest.raises(ValueError, match="^unknown controller 'pd'$"):
+            Scenario(controller="pd")
+
     def test_mu_range(self):
         with pytest.raises(ValueError):
             Scenario(controller="hpid", mu=0.7)

@@ -210,11 +210,15 @@ class TestDecreaseCheck:
         report = lyapunov_decrease_check(traj, cert, 0.0)
         assert not report.passed
 
-    def test_mu_outside_interval_rejected(self, cert):
-        scn = Scenario(controller="hpid", mu=0.1, horizon=1.0, step=1e-2)
-        traj = simulate(scn)
-        with pytest.raises(ValueError):
-            lyapunov_decrease_check(traj, cert, 0.49999 if cert.mu_hi < 0.49999 else 0.1 + 1e-3)
+    def test_mu_outside_interval_rejected(self):
+        # these gains certify (-0.464, 0.417): a run at mu = 0.45 matches its
+        # gains and degree, and is refused by the interval alone
+        gains = GainSet(-15.0, -15.0, -5.0)
+        cert = certify(gains)
+        assert cert.mu_hi < 0.45
+        traj = simulate(Scenario(controller="hpid", gains=gains, mu=0.45, horizon=1.0, step=1e-2))
+        with pytest.raises(ValueError, match="outside the certified interval"):
+            lyapunov_decrease_check(traj, cert, 0.45)
 
     @pytest.mark.xfail(
         reason="FOUND in CHANGES.md: certify takes beta at the ends of the degree "
