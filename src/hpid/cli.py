@@ -381,7 +381,12 @@ def _read_scenario(r: _SectionReader) -> Scenario | None:
     extended, joints = plant != "joints", plant != "extended"
     gains = _read_gains(r)
     numbers = {field: r.values(key, getattr(Scenario, field)) for key, field in _NUMBER_KEYS.items()}
-    mu = r.checked("mu", lambda mu: _check_pid_degree(controller, mu) or _check_degree(mu), numbers["mu"])
+
+    def check_mu(mu):
+        _check_pid_degree(controller, mu)
+        _check_degree(mu)
+
+    mu = r.checked("mu", check_mu, numbers["mu"])
     # a floor at which the law overflows is cited at norm_floor, at a degree already valid
     floor = r.checked("norm_floor", lambda value: _check_floor(value, mu or 0.0), numbers["norm_floor"])
     norm_values = {

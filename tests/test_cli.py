@@ -1011,6 +1011,9 @@ class TestWorkerProcesses:
             with pytest.raises(DivergenceError) as whole:
                 cli.simulate(scn)
             assert (whole.value.step, whole.value.block) == (step, block), case
+            for _, sub in cli._joint_groups(scn, len(cores)):  # every group fails: the run's failure is chosen
+                with pytest.raises(DivergenceError):
+                    cli.simulate(sub)
             [split] = cli._map_runs(lambda first, sub: cli.simulate(sub), [scn])
             assert isinstance(split, DivergenceError)
             assert (split.step, split.block, str(split)) == (step, block, str(whole.value))
